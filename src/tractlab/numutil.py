@@ -36,12 +36,6 @@ class CompensatedSum:
     def value(self) -> float:
         return self._s + self._c
 
-    def copy(self) -> "CompensatedSum":
-        out = CompensatedSum()
-        out._s = self._s
-        out._c = self._c
-        return out
-
 
 def comp_sum(values: Iterable[float]) -> float:
     acc = CompensatedSum()

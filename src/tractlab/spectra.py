@@ -172,6 +172,8 @@ class ExplicitSpectrum:
     def __post_init__(self):
         vals = tuple(float(v) for v in self.values)
         object.__setattr__(self, "values", vals)
+        if not all(map(math.isfinite, vals + (self.tail,))):
+            raise DomainError("explicit spectrum values and tail must be finite")
         if not vals or vals[0] <= 0.0:
             raise DomainError("explicit spectrum needs a positive leading eigenvalue")
         for a, b in zip(vals, vals[1:]):

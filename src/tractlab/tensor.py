@@ -5,12 +5,15 @@ one factor per coordinate.  The minimal number of linear functionals
 needed to cut the initial error by a factor eps is the smallest n whose
 top-n eigenvalue sum reaches (1 - eps^2) times the exact trace.
 
-The engine enumerates product eigenvalues in non-increasing order with a
-max-heap over multi-indices, generating each index exactly once: from
-index z, coordinate i may be incremented only if every later coordinate
-still sits at index 1.  Values are handled as sums of logarithms so the
-ordering survives arbitrarily small products; partial sums are
-accumulated in linear space with compensated summation.
+Small answers come from a max-heap over multi-indices that enumerates
+product eigenvalues in non-increasing order, generating each index
+exactly once: from index z, coordinate i may be incremented only if every
+later coordinate still sits at index 1.  Values are handled as sums of
+logarithms so the ordering survives arbitrarily small products; partial
+sums are accumulated in linear space with compensated summation.  Large
+answers come from a level-set fold that counts and sums the products
+above a value level without materializing them, and sorts only the
+boundary slice where the partial sum crosses the threshold.
 
 A result is *certified* when the coordinate truncation mass plus a
 rounding allowance provably cannot move the integer answer.
@@ -46,6 +49,10 @@ class Budget:
 
     n_max: int = _DEFAULT_N_MAX
     heap_bytes: int = _DEFAULT_HEAP_BYTES
+
+    def __post_init__(self):
+        if not (self.n_max > 0 and self.heap_bytes > 0):
+            raise DomainError(f"budget limits must be positive, got {self}")
 
     def heap_entries(self, d: int) -> int:
         # rough per-entry footprint: heap slot + float + d-tuple of small ints
@@ -236,38 +243,6 @@ def top_eigenvalues(
         count += 1
 
 
-def _hash_set_stream(
-    views: Sequence[TruncatedView],
-    log_floor: float,
-    max_entries: int,
-) -> Iterator[Tuple[tuple, float]]:
-    """Reference enumeration using a visited set instead of the successor
-    rule; kept for cross-checking the deduplication logic in tests."""
-    logb, lengths = _coordinate_tables(views)
-    d = len(views)
-    start = (1,) * d
-    heap = [(-0.0, start)]
-    seen = {start}
-    while heap:
-        neg, z = heapq.heappop(heap)
-        logv = -neg
-        yield z, logv
-        for i in range(d):
-            ji = z[i]
-            if ji >= lengths[i]:
-                continue
-            child = z[:i] + (ji + 1,) + z[i + 1 :]
-            if child in seen:
-                continue
-            child_log = logv - logb[i](ji - 1) + logb[i](ji)
-            if child_log < log_floor:
-                continue
-            if len(heap) >= max_entries:
-                raise BudgetExceededError("hash-set enumeration out of memory")
-            seen.add(child)
-            heapq.heappush(heap, (-child_log, child))
-
-
 def _reduced_views(problem: ProductProblem, tol_per_coord: float) -> list:
     """Truncate every coordinate; drop coordinates that reduce to a single
     eigenvalue with no tail (they only rescale the problem).  Coordinates
@@ -312,6 +287,11 @@ def info_complexity(
     and rounding are accounted for so that a certified result is a proof
     about the integer answer.  Uncertified results carry the bracketing
     interval [n_low, n_high] and report the conservative (larger) end.
+
+    Answers within _HANDOFF_POPS heap pops come out of the lazy heap; past
+    that the call hands off, once, to the level-set fold, which serves
+    every later truncation too.  ``pops`` counts heap pops plus, per fold
+    decision, the products at or above its final lower level.
     """
     if not 0.0 < epsilon <= 1.0:
         raise DomainError(f"epsilon must be in (0, 1], got {epsilon}")
@@ -322,10 +302,9 @@ def info_complexity(
     log_scale = problem.log_leading()
 
     def _scaled(x: float) -> float:
-        ls = log_scale
-        if x <= 0.0 or not math.isfinite(ls):
+        if x <= 0.0 or not math.isfinite(log_scale):
             return 0.0
-        lv = math.log(x) + ls
+        lv = math.log(x) + log_scale
         return math.exp(lv) if lv < 709.0 else math.inf
 
     if log_t_norm > 690.0:
@@ -345,8 +324,10 @@ def info_complexity(
         )
 
     tol = tol_rel if tol_rel is not None else min(1e-3 * (1.0 - eps2), 1e-6) / d
-    total_pops = 0
-    last = None
+    pops = 0
+    heap_left = min(_HANDOFF_POPS, budget.n_max)
+    hint = (1.0, 1.0)  # the fold's first floor: (upper level, step in ln)
+    fold = last = None
     prev_t_mass = math.inf
     for _attempt in range(24):
         views = _reduced_views(problem, tol)
@@ -354,215 +335,252 @@ def info_complexity(
         if t_mass >= 0.95 * prev_t_mass and last is not None:
             break  # irreducible declared tails; refinement cannot help
         prev_t_mass = t_mass
-        outcome = _accumulate(views, threshold, t_mass, rounding,
-                              budget, total_pops, d, eps2)
-        total_pops = outcome["pops"]
-        if outcome["crossed"]:
-            n = outcome["n"]
-            margin_prev = threshold - outcome["partial_prev"]
-            certified = margin_prev > t_mass + rounding
-            result = ComplexityResult(
-                epsilon=epsilon, d=d, n=n,
-                partial_sum=_scaled(outcome["partial"]),
-                trace=_scaled(trace_norm),
-                certified=certified, pops=total_pops,
-                n_low=outcome["n_low"] if outcome["n_low"] else n,
-                n_high=n,
-            )
-            if certified:
-                return result
-            last = result
-        else:
-            # Kept mass cannot reach the threshold: answer not bracketable
-            # above, so everything rides on shrinking the truncation.
-            last = ComplexityResult(
-                epsilon=epsilon, d=d, n=outcome["n"],
-                partial_sum=_scaled(outcome["partial"]),
-                trace=_scaled(trace_norm),
-                certified=False, pops=total_pops,
-                n_low=outcome["n_low"] if outcome["n_low"] else outcome["n"],
-                n_high=outcome["n"],
-            )
-        if t_mass > 0.0:
-            margin = threshold - outcome.get("partial_prev", 0.0)
-            shrink = 0.1 * max(margin, rounding) / t_mass if t_mass else 0.5
-            tol *= min(0.5, max(shrink, 1e-6))
-        else:
+        slack = t_mass + rounding
+        found = None
+        if not views:  # all single atoms: one eigenvalue carries the trace
+            found = (True, 1, 1.0, 0.0, 1)
+        elif heap_left:
+            found, used, hint = _heap_scan(views, threshold, slack, heap_left,
+                                           budget.heap_entries(d), eps2)
+            pops += used
+            heap_left = heap_left - used if found else 0
+        if found is None:
+            # a truncation adding no value above the fold's floor leaves
+            # the fold, and so its decision, unchanged
+            if fold is None or not fold.covers(views):
+                fold, decided, ranked, hint = _fold_decide(
+                    views, threshold, hint, budget, pops)
+                pops += ranked
+            found = decided
+        crossed, n, partial, prev, n_low = found
+        certified = crossed and threshold - prev > slack
+        last = (n, partial, certified, n if certified else n_low, threshold - slack)
+        if certified or t_mass <= 0.0:
             break
-    return last
+        shrink = 0.1 * max(threshold - prev, rounding) / t_mass
+        tol *= min(0.5, max(shrink, 1e-6))
+    n, partial, certified, n_low, low_target = last
+    if n_low is None:  # a fold decision: find the bracket's lower end now
+        hit = fold.first_reaching(low_target, math.inf) if low_target > 0.0 else (1,)
+        n_low = hit[0] if hit else n
+    return ComplexityResult(epsilon=epsilon, d=d, n=n, partial_sum=_scaled(partial),
+                            trace=_scaled(trace_norm), certified=certified,
+                            pops=pops, n_low=n_low, n_high=n)
 
 
-_POP_CUTOVER = 60_000  # heap pops spent before switching to the dense engine
+# Heap pops one call may spend before handing off to the fold.  A pop
+# costs ~6 us at d=6 and ~50 us at d=20, so a large answer loses at most
+# 12 ms to 0.1 s on the heap prefix.  A fold decision on a small answer
+# costs 1-3 ms, so past ~100 pops it beats the heap; the cap keeps every
+# point of the heap-only small_answers benchmark (<= 1,963 pops) on it.
+_HANDOFF_POPS = 2048
 
 
-def _accumulate(views, threshold, t_mass, rounding, budget, pops_used, d, eps2):
-    """Run the ordered enumeration until the partial sum crosses the
-    threshold, restarting with a lower value floor when the floor was hit
-    before the crossing.  Small answers come out of the lazy best-first
-    heap; once the pop count shows the answer is large, the work moves to
-    the vectorized fold engine (same certification semantics)."""
-    if not views:
-        # every coordinate degenerated to a single atom: one eigenvalue
-        # carries the whole (normalized) trace
-        return {
-            "crossed": True, "n": 1, "partial": 1.0, "partial_prev": 0.0,
-            "n_low": 1, "pops": pops_used,
-        }
-    max_entries = budget.heap_entries(d)
-    # Initial value floor, lowered geometrically whenever the enumeration
-    # runs dry before the partial sum reaches the threshold.  Starting near
-    # eps^2 and stepping in small factors keeps the final floor close to the
-    # n-th eigenvalue, which bounds the fan-out of pushed-but-unpopped
-    # children (the heap size) by a modest multiple of n.
+def _heap_scan(views, threshold, slack, pops_left, max_entries, eps2):
+    """Lazy-heap decision for one truncation: (found, pops, hint).  found is
+    (crossed, n, partial, partial_prev, n_low), or None when the pops or the
+    heap's memory ran out first; the crossing then lies below ``hint``."""
+    # Value floor, lowered in small steps whenever the stream runs dry: near
+    # the n-th eigenvalue, it bounds the heap size by a modest multiple of n.
     log_floor = max(min(-8.0, math.log(eps2) - 2.0), -64.0)
-    pops = pops_used
-    cutover = pops_used + min(_POP_CUTOVER, budget.n_max)
+    pops = 0
+    hint = (1.0, 1.0)
     while True:
-        acc = CompensatedSum()
-        prev = 0.0
-        n = 0
-        n_low = 0
-        crossed = False
-        too_big = False
+        acc, prev, n, n_low = CompensatedSum(), 0.0, 0, 0
         try:
             for _z, logv in _stream_normalized(views, log_floor, max_entries):
+                if pops == pops_left:
+                    return None, pops, hint
                 pops += 1
-                if pops > cutover:
-                    too_big = True
-                    break
                 prev = acc.value
-                acc.add(math.exp(logv) if logv > -745.0 else 0.0)
+                value = math.exp(logv) if logv > -745.0 else 0.0
+                acc.add(value)
                 n += 1
-                if not n_low and acc.value + t_mass + rounding >= threshold:
+                if not n_low and acc.value + slack >= threshold:
                     n_low = n
                 if acc.value >= threshold:
-                    crossed = True
-                    break
+                    return (True, n, acc.value, prev, n_low or n), pops, hint
+                hint = (value, 1.0)
         except BudgetExceededError:
-            too_big = True
-        if crossed:
-            return {
-                "crossed": True, "n": n, "partial": acc.value,
-                "partial_prev": prev, "n_low": n_low, "pops": pops,
-            }
-        if too_big:
-            return _accumulate_dense(views, threshold, t_mass, rounding,
-                                     budget, pops, log_floor)
+            return None, pops, hint
         if log_floor < -744.0:
-            return {
-                "crossed": False, "n": n, "partial": acc.value,
-                "partial_prev": prev, "n_low": n_low, "pops": pops,
-            }
+            return (False, n, acc.value, prev, n_low or n), pops, hint
         log_floor = max(log_floor - 4.0, -745.0)
 
 
-def _dense_fold(views, floor, max_entries):
-    """Materialize every normalized product eigenvalue >= floor.
-
-    Coordinate arrays are combined pairwise; any value < floor in an
-    intermediate product is dropped, which is safe because the remaining
-    factors are all <= 1.  Raises the budget error when an intermediate
-    exceeds max_entries.
-    """
-    prod = None
-    for view in views:
-        v = view.source.dense_values(floor, view.length)
-        if len(v) > max_entries:
-            raise BudgetExceededError(
-                "dense enumeration exceeded its memory budget"
-            )
-        if prod is None:
-            prod = v
-            continue
+def _dense_fold(arrays, floor, max_entries):
+    """Every product >= floor of one value per array (each non-increasing
+    from 1), unordered; partial products < floor drop, as the rest are <= 1."""
+    prod = np.ones(1)
+    for v in arrays:
         if len(v) == 1:
             continue  # only the (normalized) leading 1 survives the floor
         counts = np.searchsorted(-v, -(floor / prod), side="right")
         total = int(counts.sum())
         if total > max_entries:
-            raise BudgetExceededError(
-                "dense enumeration exceeded its memory budget"
-            )
-        cum = np.cumsum(counts)
-        idx = np.arange(total, dtype=np.int64) - np.repeat(cum - counts, counts)
+            raise BudgetExceededError("dense enumeration exceeded its memory budget")
+        idx = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
         prod = np.repeat(prod, counts) * v[idx]
     return prod
 
 
-def _accumulate_dense(views, threshold, t_mass, rounding, budget, pops, log_floor):
-    """Fold/sort/scan engine for answers too large for the lazy heap.
+_SLICE_ENTRIES = 1 << 16  # a boundary slice this small is sorted, not split
 
-    Partial sums near the decision boundary are recomputed with exact
-    summation (math.fsum) so certification is as strong as in the heap
-    path; the bulk prefix uses numpy's pairwise cumsum only to locate the
-    neighborhood of the crossing.
-    """
-    # the fold's transient arrays cost ~4x the entry count, so budget for that
+
+class _LevelFold:
+    """Every normalized product eigenvalue >= floor, held as level sets.
+
+    The coordinate with the most values >= floor stays a descending array
+    ``col``; the others are folded into ``rows``.  The products >= a level t
+    in row i are the first c_i = #{j : col_j >= t / rows_i} entries of
+    ``col``, summing to rows_i * prefix(c_i): a level costs a searchsorted
+    per row, memory that of the (d-1)-fold.  The prefix sums (sequential
+    cumsum plus the cumsum of each addition's exact error, by TwoSum) are
+    exact within m^2 u^2 (u = 2^-53, m = len(col)), so each row term is within
+    2u and each sum decided on within 6u of exact, far inside the rounding
+    allowance of the certification."""
+
+    def __init__(self, views, floor, max_entries):
+        cols = [view.source.dense_values(floor, view.length) for view in views]
+        if max(len(c) for c in cols) > max_entries:
+            raise BudgetExceededError("dense enumeration exceeded its memory budget")
+        self.col = cols.pop(max(range(len(cols)), key=lambda i: len(cols[i])))
+        self.rows = _dense_fold(cols, floor, max_entries)
+        self.views, self.floor, self.max_entries = views, floor, max_entries
+        hi = np.cumsum(self.col)  # sequential: hi[k] = hi[k-1] + col[k], rounded
+        before = np.concatenate(([0.0], hi[:-1]))
+        part = hi - before
+        err = (before - (hi - part)) + (self.col - part)
+        self.pre_hi = np.concatenate(([0.0], hi))
+        self.pre_lo = np.concatenate(([0.0], np.cumsum(err)))
+        self.bottom = self.counts(floor, self.rows)
+
+    def counts(self, level, rows):
+        return np.searchsorted(-self.col, -(level / rows), side="right")
+
+    def mass(self, rows, counts):
+        """rows_i * (col[0] + ... + col[counts_i - 1]), per row."""
+        return rows * (self.pre_hi[counts] + self.pre_lo[counts])
+
+    def covers(self, views):
+        """Whether ``views`` add only values below the floor to this fold's."""
+        return len(views) == len(self.views) and all(
+            v.source is w.source and v.length >= w.length
+            and v.source.eigenvalue(w.length + 1) / v.source.leading() < self.floor
+            for v, w in zip(views, self.views))
+
+    def first_reaching(self, target, upper):
+        """(n, partial_n, partial_(n-1), count at the final lower level, n-th
+        value) for the first n whose top-n sum reaches target, or None.
+        Bisects the levels between the floor and ``upper`` on the rows whose
+        counts differ, until at most _SLICE_ENTRIES values lie between or
+        they all tie; _first_reaching then decides on that sorted slice."""
+        settled = CompensatedSum()  # exact sum over rows whose count is fixed
+        count = 0
+
+        def reaches(rows, counts):
+            terms = self.mass(rows, counts)
+            total = settled.value + float(terms.sum())
+            # any summation order errs by at most (k-1)u of the sum, so only
+            # a total this close to the target needs the exact sum
+            if abs(total - target) <= 2.3e-16 * (len(terms) + 4) * total:
+                total = settled.value + math.fsum(terms)
+            return total >= target
+
+        def settle(rows, hi, lo):
+            nonlocal count
+            done = hi == lo
+            settled.add(math.fsum(self.mass(rows[done], hi[done])))
+            count += int(hi[done].sum())
+            return rows[~done], hi[~done], lo[~done]
+
+        rows, lo = self.rows, self.bottom
+        hi = self.counts(upper, rows)
+        if reaches(rows, hi):
+            hi = np.zeros_like(lo)
+        rows, hi, lo = settle(rows, hi, lo)
+        while int((lo - hi).sum()) > _SLICE_ENTRIES:
+            a = float((rows * self.col[hi]).max())  # largest value in the slice
+            b = float((rows * self.col[lo - 1]).min())  # smallest
+            if a <= b * (1.0 + 2.0 ** -40):
+                break  # one tied value fills the slice: no level splits it
+            mid = self.counts(math.sqrt(a) * math.sqrt(b), rows)
+            if reaches(rows, mid):
+                lo = mid
+            else:
+                hi = mid
+            rows, hi, lo = settle(rows, hi, lo)
+        settled.add(math.fsum(self.mass(rows, hi)))
+        count += int(hi.sum())
+        width = lo - hi
+        size = int(width.sum())
+        if size > self.max_entries:
+            raise BudgetExceededError("dense enumeration exceeded its memory budget")
+        idx = np.repeat(hi - (np.cumsum(width) - width), width) + np.arange(size)
+        values = np.repeat(rows, width) * self.col[idx]
+        values[::-1].sort()  # descending
+        crossed, k, partial, prev = _first_reaching(values, target, settled.value)
+        return (count + k, partial, prev, count + size, float(values[k - 1])
+                ) if crossed else None
+
+
+def _fold_decide(views, threshold, hint, budget, pops):
+    """Level-set decision for one truncation: folds at floors stepping down
+    from ``hint`` = (level, step in ln) until the values reach the threshold,
+    each step extrapolated from the slope of the level sums in ln(level) and
+    clamped to [0.25, 2] (the fold grows like a power of 1/floor).  Returns
+    (fold, found as _heap_scan's with n_low None, the count at its final
+    lower level, hint for the next truncation)."""
     max_entries = max(budget.heap_bytes // 32, 1 << 20)
-    floor = math.exp(max(log_floor, -700.0))
+    upper, step = hint
     while True:
-        prod = _dense_fold(views, floor, max_entries)
-        reached = float(np.sum(prod)) >= threshold * (1.0 + 1e-9)
-        if reached or floor <= 1e-300:
-            break
-        if len(prod) > budget.n_max:
-            # everything >= floor is materialized, so these are exactly the
-            # top len(prod) values: the crossing provably lies beyond n_max
-            raise BudgetExceededError(
-                "answer exceeds the enumeration budget",
-                n_lower=len(prod), pops=pops + len(prod),
-            )
-        # small steps: the materialized count grows like a power of 1/floor,
-        # so overshooting the crossing floor is what costs memory
-        floor = max(floor * math.exp(-2.0), 1e-300)
-    prod[::-1].sort()  # descending
-    pops += len(prod)
-    outcome = _scan_sorted(prod, threshold, t_mass, rounding, budget.n_max)
-    if outcome["crossed"] is None:
-        raise BudgetExceededError(
-            "answer exceeds the enumeration budget",
-            n_lower=outcome["n"], pops=pops,
-        )
-    outcome["pops"] = pops
-    return outcome
+        floor = max(upper * math.exp(-step), 1e-300)
+        fold = _LevelFold(views, floor, max_entries)
+        count = int(fold.bottom.sum())
+        total = float(fold.mass(fold.rows, fold.bottom).sum())
+        hit = fold.first_reaching(threshold, upper) if total >= threshold else None
+        if hit:
+            if hit[0] > budget.n_max:
+                raise BudgetExceededError("answer exceeds the enumeration budget",
+                                          n_lower=budget.n_max, pops=pops + hit[3])
+            # the next truncation's crossing sits close to this one
+            hint = (hit[4] * math.exp(0.25), 0.5)
+            return fold, (True,) + hit[:3] + (None,), hit[3], hint
+        if floor <= 1e-300:
+            return fold, (False, count, total, total, None), count, (floor, 2.0)
+        if count > budget.n_max:
+            # everything >= floor is in the fold, so these are exactly the
+            # top `count` values: the crossing provably lies beyond n_max
+            raise BudgetExceededError("answer exceeds the enumeration budget",
+                                      n_lower=count, pops=pops + count)
+        above = fold.mass(fold.rows, fold.counts(floor * math.exp(0.5), fold.rows))
+        slope = 2.0 * (total - float(above.sum()))
+        gap = 1.1 * (threshold - total) / slope if slope > 0.0 else 2.0
+        upper, step = floor, min(2.0, max(0.25, gap))
 
 
-def _scan_sorted(values, threshold, t_mass, rounding, n_cap):
-    """Find the crossing point of a descending value array exactly.
+def _first_reaching(values, target, base=0.0):
+    """The scan both engines decide on: (crossed, k, partial_k,
+    partial_(k-1)) for the first k >= 1 with base + sum(values[:k]) >= target
+    in a non-increasing, non-negative array (k = len(values) if none).
 
-    numpy's cumsum only locates the neighborhood; the decision itself is
-    made with exact summation so that results certified against the
-    rounding bound really are proofs.  crossed=None signals that the
-    crossing lies beyond n_cap.
+    A cumsum of non-negative terms errs by at most (k-1)u times its k-th
+    entry (u = 2^-53), so every index where it lies more than
+    len * 2.3e-16 * total below the target provably falls short.  That prefix
+    is summed exactly (fsum), the rest term by term with compensation.
     """
     cs = np.cumsum(values)
-    # start far enough before the cumsum estimate that its sequential
-    # rounding drift cannot hide the true crossing point
-    drift = 4.0 * len(values) * 2.3e-16 * max(threshold, 1.0)
-    start = int(np.searchsorted(cs, threshold - drift))
-    start = min(start, max(int(np.searchsorted(cs, threshold)) - 8, 0))
-    acc = CompensatedSum()
+    drift = 2.3e-16 * len(values) * float(cs[-1])
+    start = int(np.searchsorted(cs, target - base - drift))
+    acc = CompensatedSum(base)
     acc.add(math.fsum(values[:start]))
     prev = acc.value
-    n = start
-    n_low = 0
-    if start:
-        lo_guess = int(np.searchsorted(cs, threshold - t_mass - rounding))
-        if lo_guess < start - 8:
-            n_low = lo_guess + 1  # cumsum is ample here; margins are huge
-    for v in values[start:]:
-        if n >= n_cap:
-            return {"crossed": None, "n": n, "partial": acc.value,
-                    "partial_prev": prev, "n_low": n_low}
+    for k in range(start, len(values)):
         prev = acc.value
-        acc.add(float(v))
-        n += 1
-        if not n_low and acc.value + t_mass + rounding >= threshold:
-            n_low = n
-        if acc.value >= threshold:
-            return {"crossed": True, "n": n, "partial": acc.value,
-                    "partial_prev": prev, "n_low": n_low}
-    return {"crossed": False, "n": n, "partial": acc.value,
-            "partial_prev": prev, "n_low": n_low}
+        acc.add(float(values[k]))
+        if acc.value >= target:
+            return True, k + 1, acc.value, prev
+    return False, len(values), acc.value, prev
 
 
 def brute_force_complexity(
@@ -583,7 +601,6 @@ def brute_force_complexity(
     d = problem.d
     eps2 = epsilon * epsilon
 
-    log_t_norm = problem.normalized_log_trace()
     trace_norm = problem.normalized_trace()
     threshold = (1.0 - eps2) * trace_norm
     rounding = 1e-12 * trace_norm
@@ -597,9 +614,7 @@ def brute_force_complexity(
         )
 
     if 2 ** min(d, 60) > grid_cap:
-        raise GridSizeError(
-            f"product grid would exceed {grid_cap} entries at d={d}"
-        )
+        raise GridSizeError(f"product grid would exceed {grid_cap} entries at d={d}")
 
     def lengths_at(tol):
         out = []
@@ -611,31 +626,22 @@ def brute_force_complexity(
             out.append(min(length, per_coord_cap))
         return out
 
-    def grid_size(lengths):
-        size = 1
-        for m in lengths:
-            size *= m
-        return size
-
     tol = 0.01 / d  # coarse first pass; the margin drives refinement below
-    while grid_size(lengths_at(tol)) > grid_cap:
+    while math.prod(lengths_at(tol)) > grid_cap:
         tol *= 4.0
         if tol > 0.5:
             raise GridSizeError(
-                f"no truncation below tol=0.5 fits {grid_cap} grid entries"
-            )
+                f"no truncation below tol=0.5 fits {grid_cap} grid entries")
     pops = 0
     result = None
     prev_lengths = None
     for _attempt in range(24):
         lengths = lengths_at(tol)
-        if grid_size(lengths) > grid_cap or lengths == prev_lengths:
+        if math.prod(lengths) > grid_cap or lengths == prev_lengths:
             break  # certification needs a grid the cap cannot hold
         prev_lengths = lengths
-        grids = [
-            c.dense_values(1e-300, m)
-            for c, m in zip(problem.coordinates, lengths)
-        ]
+        grids = [c.dense_values(1e-300, m)
+                 for c, m in zip(problem.coordinates, lengths)]
         prod = grids[0]
         for arr in grids[1:]:
             prod = np.multiply.outer(prod, arr).ravel()
@@ -648,30 +654,22 @@ def brute_force_complexity(
         )
         t_mass = max(trace_norm * (1.0 - math.exp(min(log_kept, 0.0))), 0.0)
 
-        outcome = _scan_sorted(order, threshold, t_mass, rounding, len(order))
-        if outcome["crossed"]:
-            n = outcome["n"]
-            margin = threshold - outcome["partial_prev"]
-            certified = margin > t_mass + rounding
-            result = ComplexityResult(
-                epsilon=epsilon, d=d, n=n,
-                partial_sum=outcome["partial"] * scale,
-                trace=trace_norm * scale, certified=certified, pops=pops,
-                n_low=outcome["n_low"] if outcome["n_low"] else n, n_high=n,
-            )
-            if certified:
-                return result
+        crossed, n, partial, prev = _first_reaching(order, threshold)
+        certified = crossed and threshold - prev > t_mass + rounding
+        result = ComplexityResult(
+            epsilon=epsilon, d=d, n=n, partial_sum=partial * scale,
+            trace=trace_norm * scale, certified=certified, pops=pops,
+            n_low=n if certified else _first_reaching(
+                order, threshold - t_mass - rounding)[1],
+            n_high=n,
+        )
+        if certified:
+            return result
+        if crossed:
             # jump straight to a tolerance that makes the total truncation
             # mass comfortably smaller than the observed margin
-            need = max(margin, rounding) / (8.0 * trace_norm * d)
+            need = max(threshold - prev, rounding) / (8.0 * trace_norm * d)
         else:
-            result = ComplexityResult(
-                epsilon=epsilon, d=d, n=len(order),
-                partial_sum=outcome["partial"] * scale,
-                trace=trace_norm * scale, certified=False, pops=pops,
-                n_low=outcome["n_low"] if outcome["n_low"] else len(order),
-                n_high=len(order),
-            )
             need = tol * 0.0625  # kept mass below threshold: just add length
         if t_mass <= 0.0:
             break

@@ -202,3 +202,11 @@ class TestVerifyCommand:
             reports.append(target.read_bytes())
         assert reports[0] == reports[1]
         assert b"9/9 checks passed" in reports[0]
+
+    def test_over_budget_points_are_counted_apart(self, capsys):
+        # two of seed 2's points have answers beyond the default n budget
+        code = main(["verify", "--seed", "2", "--instances", "10"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert ("PASS  oracle_equivalence: 28/30 points certified, "
+                "2 over the n budget,") in out

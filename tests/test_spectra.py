@@ -99,6 +99,19 @@ class TestExplicit:
         with pytest.raises(DomainError):
             ExplicitSpectrum((1.0,), tail=-0.1)
 
+    @pytest.mark.parametrize(
+        "values",
+        [(math.nan, 0.5), (math.inf, 1.0), (1.0, math.nan), (1.0, -math.inf)],
+    )
+    def test_rejects_non_finite_values(self, values):
+        with pytest.raises(DomainError):
+            ExplicitSpectrum(values)
+
+    @pytest.mark.parametrize("tail", [math.nan, math.inf])
+    def test_rejects_non_finite_tail(self, tail):
+        with pytest.raises(DomainError):
+            ExplicitSpectrum((1.0, 0.5), tail=tail)
+
     def test_trace_includes_tail(self):
         spec = ExplicitSpectrum((1.0, 0.5), tail=0.25)
         assert spec.trace() == 1.75

@@ -85,12 +85,59 @@ class TestInfoComplexity:
         import tractlab.tensor as tensor_mod
 
         p = ProductProblem(tuple(KorobovSpectrum(0.5, 1.0) for _ in range(3)))
-        monkeypatch.setattr(tensor_mod, "_POP_CUTOVER", 10**9)
+        monkeypatch.setattr(tensor_mod, "_HANDOFF_POPS", 10**9)
         heap = info_complexity(p, 0.15)
-        monkeypatch.setattr(tensor_mod, "_POP_CUTOVER", 1)
+        monkeypatch.setattr(tensor_mod, "_HANDOFF_POPS", 1)
         dense = info_complexity(p, 0.15)
         assert heap.certified and dense.certified
         assert heap.n == dense.n == 23200
+
+    def test_large_answer_pays_the_heap_prefix_once(self):
+        # two truncation attempts; the heap runs only in the first
+        import tractlab.tensor as tensor_mod
+
+        p = ProductProblem(tuple(KorobovSpectrum(0.5, 1.0) for _ in range(6)))
+        res = info_complexity(p, 0.45)
+        assert res.certified and res.n == 475_412
+        assert res.pops <= 1.2 * res.n + tensor_mod._HANDOFF_POPS
+
+    def test_warm_restart_matches_single_fine_truncation(self, monkeypatch):
+        import tractlab.tensor as tensor_mod
+
+        tols, folds = [], []
+        reduced, decide = tensor_mod._reduced_views, tensor_mod._fold_decide
+        monkeypatch.setattr(tensor_mod, "_reduced_views",
+                            lambda p, tol: tols.append(tol) or reduced(p, tol))
+        monkeypatch.setattr(tensor_mod, "_fold_decide",
+                            lambda *args: folds.append(1) or decide(*args))
+        p = ProductProblem(tuple(KorobovSpectrum(0.5, 1.0) for _ in range(6)))
+        warm = info_complexity(p, 0.45)
+        # the refined truncation reused the first attempt's fold
+        assert len(tols) == 2 and len(folds) == 1
+        tols.clear()
+        fine = info_complexity(p, 0.45, tol_rel=1e-9)
+        assert len(tols) == 1
+        assert warm.certified and fine.certified
+        assert warm.n == fine.n
+
+    @pytest.mark.parametrize("eps", [0.3, 0.2])
+    def test_uncertified_bracket_contains_oracle_answer(self, eps):
+        # the declared tail cannot be truncated away, so neither engine
+        # certifies; at eps 0.2 the answer is past the heap hand-off
+        p = ProductProblem((
+            KorobovSpectrum(0.5, 1.0),
+            KorobovSpectrum(0.5, 1.0),
+            ExplicitSpectrum((1.0, 0.6, 0.3), tail=0.01),
+        ))
+        res = info_complexity(p, eps)
+        oracle = brute_force_complexity(p, eps)
+        assert not res.certified and res.n_low < res.n_high
+        assert res.n_low <= oracle.n <= res.n_high
+
+    def test_budget_rejects_non_positive_limits(self):
+        for kwargs in ({"n_max": 0}, {"n_max": -1}, {"heap_bytes": 0}):
+            with pytest.raises(DomainError):
+                Budget(**kwargs)
 
 
 class TestTopEigenvalues:
@@ -162,6 +209,20 @@ class TestOracleAgreement:
         slow = brute_force_complexity(problem, eps)
         if fast.certified and slow.certified:
             assert fast.n == slow.n
+
+    @given(random_problems(), st.sampled_from((0.9, 0.6, 0.3)))
+    @settings(max_examples=60, deadline=None)
+    def test_fold_brackets_contain_heap_answers(self, problem, eps):
+        # a certified answer of either engine lies in the other's bracket
+        import tractlab.tensor as tensor_mod
+
+        heap = info_complexity(problem, eps)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tensor_mod, "_HANDOFF_POPS", 1)
+            fold = info_complexity(problem, eps)
+        for a, b in ((heap, fold), (fold, heap)):
+            if a.certified:
+                assert b.n_low <= a.n <= b.n_high
 
     def test_seeded_batch_agrees(self):
         rng = random.Random(20240817)
