@@ -274,13 +274,17 @@ def qpt_criterion(family: Family, delta: float, d_max: int) -> BoundEvaluation:
     best = -math.inf
     best_d = 0
     half_best = -math.inf
+    coords = []  # (spectrum, ln trace) of coordinate k, asked for once
     for d in range(1, depth + 1):
         tau_d = 1.0 - delta / ln_plus(float(d))
         acc = CompensatedSum()
         try:
             for k in range(1, d + 1):
-                s = _spectrum_at(family, k)
-                acc.add(math.log(s.power_sum(tau_d)) - tau_d * math.log(s.trace()))
+                if k > len(coords):
+                    s = _spectrum_at(family, k)
+                    coords.append((s, math.log(s.trace())))
+                s, log_trace = coords[k - 1]
+                acc.add(math.log(s.power_sum(tau_d)) - tau_d * log_trace)
         except DivergenceError:
             # an infinite power sum at this d makes the supremum infinite
             return BoundEvaluation(

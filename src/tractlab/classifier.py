@@ -183,14 +183,11 @@ class WeightFamily:
             return True
         if self.kind == "constant":
             return False
-        if self.kind == "geometric_in_r":
-            # v^{r_k} -> 0 iff r_k -> infinity
-            return self.smoothness.kind in ("logarithmic", "power") and not (
-                self.smoothness.kind == "power" and self.smoothness.s == 0.0
-            )
-        if self.kind == "polynomial_in_r":
-            return self.smoothness.kind in ("logarithmic", "power") and not (
-                self.smoothness.kind == "power" and self.smoothness.s == 0.0
+        if self.kind in ("geometric_in_r", "polynomial_in_r"):
+            # v^{r_k} and r_k^{-s} -> 0 iff r_k -> infinity
+            sm = self.smoothness
+            return (sm.kind == "logarithmic" and sm.a > 0.0) or (
+                sm.kind == "power" and sm.s > 0.0
             )
         if self.asymptote and "g_to_zero" in self.asymptote:
             return bool(self.asymptote["g_to_zero"])

@@ -18,6 +18,7 @@ header line on CSV.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -53,15 +54,20 @@ def _apply_env_budget(budget: Budget) -> Budget:
     raw = os.environ.get("TRACTLAB_BUDGET_NMAX")
     if not raw:
         return budget
-    return Budget(n_max=int(raw), heap_bytes=budget.heap_bytes)
+    try:
+        n_max = int(raw)
+    except ValueError:
+        raise DomainError(
+            f"TRACTLAB_BUDGET_NMAX must be an integer, got {raw!r}"
+        ) from None
+    return Budget(n_max=n_max, heap_bytes=budget.heap_bytes)
 
 
 def _complexity_point(task):
     cfg, d, eps = task
     problem = cfg.build_problem(d)
-    budget = _apply_env_budget(cfg.budget)
     try:
-        res = info_complexity(problem, eps, budget=budget, tol_rel=cfg.tol_rel)
+        res = info_complexity(problem, eps, budget=cfg.budget, tol_rel=cfg.tol_rel)
     except BudgetExceededError as exc:
         return {
             "d": d, "epsilon": eps, "n": None, "certified": False,
@@ -245,6 +251,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "verify":
             return cmd_verify(args.seed, args.instances, out)
         cfg = load_config(args.config)
+        cfg = dataclasses.replace(cfg, budget=_apply_env_budget(cfg.budget))
         if args.command == "complexity":
             return cmd_complexity(cfg, args.jobs, args.format, out)
         if args.command == "bounds":

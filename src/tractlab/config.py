@@ -119,7 +119,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     eps = []
     for e in epsilons:
         _require(
-            isinstance(e, (int, float)) and 0.0 < float(e) <= 1.0,
+            isinstance(e, (int, float)) and not isinstance(e, bool)
+            and 0.0 < float(e) <= 1.0,
             f"epsilon values must be in (0, 1], got {e!r}",
         )
         eps.append(float(e))
@@ -192,6 +193,8 @@ def load_config(path: str) -> ExperimentConfig:
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}"
         ) from exc
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot read config: {exc.strerror}") from exc
     try:
         return config_from_dict(raw)
     except ValidationError as exc:

@@ -528,10 +528,15 @@ def _fold_decide(views, threshold, hint, budget, pops):
     """Level-set decision for one truncation: folds at floors stepping down
     from ``hint`` = (level, step in ln) until the values reach the threshold,
     each step extrapolated from the slope of the level sums in ln(level) and
-    clamped to [0.25, 2] (the fold grows like a power of 1/floor).  Returns
-    (fold, found as _heap_scan's with n_low None, the count at its final
-    lower level, hint for the next truncation)."""
+    clamped to [0.25, 2] (the fold grows like a power of 1/floor).  When
+    the extrapolated crossing lies below every positive kept product and
+    they all fit the budgets, the next fold takes them all; a fold holding
+    every one of them ends the walk uncertified (a declared tail is then
+    what keeps the values below the threshold).  Returns (fold, found as
+    _heap_scan's with n_low None, the count at its final lower level, hint
+    for the next truncation)."""
     max_entries = max(budget.heap_bytes // 32, 1 << 20)
+    kept, lowest = _kept_products(views)
     upper, step = hint
     while True:
         floor = max(upper * math.exp(-step), 1e-300)
@@ -546,7 +551,7 @@ def _fold_decide(views, threshold, hint, budget, pops):
             # the next truncation's crossing sits close to this one
             hint = (hit[4] * math.exp(0.25), 0.5)
             return fold, (True,) + hit[:3] + (None,), hit[3], hint
-        if floor <= 1e-300:
+        if floor <= 1e-300 or (count == kept and kept <= budget.n_max):
             return fold, (False, count, total, total, None), count, (floor, 2.0)
         if count > budget.n_max:
             # everything >= floor is in the fold, so these are exactly the
@@ -557,6 +562,22 @@ def _fold_decide(views, threshold, hint, budget, pops):
         slope = 2.0 * (total - float(above.sum()))
         gap = 1.1 * (threshold - total) / slope if slope > 0.0 else 2.0
         upper, step = floor, min(2.0, max(0.25, gap))
+        if floor * math.exp(-gap) < lowest and kept <= min(budget.n_max, max_entries):
+            step = math.log(floor / lowest) + 0.5  # just below the smallest
+
+
+def _kept_products(views):
+    """(number, smallest) of the positive products of kept normalized values;
+    only the view of an irreducible explicit spectrum keeps trailing zeros.
+    Logarithms, as a Korobov view may be too long for a float index."""
+    number, log_smallest = 1, 0.0
+    for view in views:
+        src, n = view.source, view.length
+        while src.log_eigenvalue(n) == -math.inf:
+            n -= 1
+        number *= n
+        log_smallest += src.log_eigenvalue(n) - src.log_eigenvalue(1)
+    return number, math.exp(log_smallest)
 
 
 def _first_reaching(values, target, base=0.0):

@@ -281,6 +281,19 @@ class TestClassifierTruthTable:
         assert (rep.spt, rep.pt, rep.qpt, rep.wt) == (NO, NO, NO, NO)
         assert rep.curse == YES
 
+    @pytest.mark.parametrize("weights, b", [
+        ({"kind": "geometric_in_r", "v": 0.5}, 1.0),
+        ({"kind": "polynomial_in_r", "s": 1.0}, 2.0),
+    ])
+    def test_r_coupled_weights_on_flat_log_smoothness(self, weights, b):
+        # a = 0 makes r_k = b constant, so g_k = 0.5 for every k: the curse
+        sm = SmoothnessFamily(kind="logarithmic", a=0.0, b=b)
+        w = WeightFamily(smoothness=sm, **weights)
+        assert w.g(1) == w.g(10 ** 6) == 0.5
+        rep = classify(w, sm)
+        assert (rep.spt, rep.pt, rep.qpt, rep.wt) == (NO, NO, NO, NO)
+        assert rep.curse == YES
+
 
 class TestChebyshevSpecialization:
     def test_z_equals_tau_collapses_to_power_sum_form(self):

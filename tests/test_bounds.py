@@ -5,6 +5,7 @@ import pytest
 
 from tractlab import bounds
 from tractlab.errors import DivergenceError, DomainError
+from tractlab.fixtures import uniform_block_problem
 from tractlab.spectra import ExplicitSpectrum, KorobovSpectrum
 from tractlab.tensor import ProductProblem, info_complexity
 from tractlab.zeta import zeta
@@ -169,6 +170,55 @@ class TestQptCriterion:
         small = bounds.qpt_criterion(family, delta=0.4, d_max=50)
         large = bounds.qpt_criterion(family, delta=0.4, d_max=400)
         assert large.value > small.value * 10.0
+
+    def test_each_coordinate_is_built_once(self):
+        asked = []
+
+        def spectrum(k):
+            return KorobovSpectrum(min(1.0, float(k) ** -2.0), 1.0)
+
+        def family(k):
+            asked.append(k)
+            return spectrum(k)
+
+        def log_ratio(d):
+            tau = 1.0 - 0.4 / max(1.0, math.log(d))
+            return math.fsum(
+                math.log(spectrum(k).power_sum(tau))
+                - tau * math.log(spectrum(k).trace())
+                for k in range(1, d + 1)
+            )
+
+        ev = bounds.qpt_criterion(family, delta=0.4, d_max=30)
+        assert asked == list(range(1, 31))
+        direct = max(log_ratio(d) for d in range(1, 31))
+        assert ev.value == pytest.approx(math.exp(direct), rel=1e-12)
+
+    def test_divergence_stops_before_new_coordinates(self):
+        asked = []
+
+        def family(k):
+            asked.append(k)
+            # r = 0.6 from k = 3 on: 2 r tau_d <= 1 at every d <= 30
+            return KorobovSpectrum(0.5, 1.0 if k < 3 else 0.6)
+
+        ev = bounds.qpt_criterion(family, delta=0.4, d_max=30)
+        assert not ev.finite
+        assert ev.extra["argmax_d"] == 3
+        assert asked == [1, 2, 3]
+
+
+class TestQptCriterionGeneral:
+    @pytest.mark.parametrize("d_max", [5, 40])
+    def test_uniform_block_gives_exactly_m(self, d_max):
+        # N(d) unit eigenvalues: S_tau / S_1^tau = N^(delta / ln_+ d) <= M,
+        # with equality at d = 1 (N = M^(1/delta) = 4)
+        ev = bounds.qpt_criterion_general(
+            lambda d: uniform_block_problem(d, 2.0, 0.5), delta=0.5, d_max=d_max
+        )
+        assert ev.value == 2.0
+        assert ev.finite and ev.d == d_max
+        assert ev.extra == {"argmax_d": 1, "stabilized": True}
 
 
 class TestPtLogCriterion:

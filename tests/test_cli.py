@@ -191,6 +191,33 @@ class TestClassifyCommand:
         assert "korobov_family" in capsys.readouterr().err
 
 
+class TestBadInput:
+    """Bad input exits 1 with a one-line message, never a traceback."""
+
+    def test_non_integer_budget_variable(self, tmp_path, capsys, monkeypatch):
+        path = write_config(tmp_path, BASIC)
+        monkeypatch.setenv("TRACTLAB_BUDGET_NMAX", "1.5")
+        code = main(["complexity", "--config", path, "--jobs", "1"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == (
+            "error: TRACTLAB_BUDGET_NMAX must be an integer, got '1.5'\n")
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        code = main(["complexity", "--config", missing, "--jobs", "1"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {missing}: cannot read config")
+
+    def test_boolean_epsilon_is_rejected(self, tmp_path, capsys):
+        path = write_config(tmp_path, {**BASIC, "epsilons": [True]})
+        code = main(["complexity", "--config", path, "--jobs", "1"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "epsilon values must be in (0, 1], got True" in captured.err
+
+
 class TestVerifyCommand:
     def test_seeded_runs_are_byte_identical(self, tmp_path):
         reports = []

@@ -134,6 +134,22 @@ class TestInfoComplexity:
         assert not res.certified and res.n_low < res.n_high
         assert res.n_low <= oracle.n <= res.n_high
 
+    def test_fold_stops_once_it_holds_every_kept_product(self, monkeypatch):
+        # the declared tail keeps every kept value below the threshold; the
+        # fold used to step its floor by e^-2 down to 1e-300 (340 folds)
+        import tractlab.tensor as tensor_mod
+
+        folds = []
+        init = tensor_mod._LevelFold.__init__
+        monkeypatch.setattr(tensor_mod._LevelFold, "__init__",
+                            lambda self, *args: folds.append(1) or init(self, *args))
+        p = ProductProblem((KorobovSpectrum(0.5, 1.0),
+                            ExplicitSpectrum((1.0, 0.5), tail=1.0)))
+        res = info_complexity(p, 0.1)
+        assert (res.n, res.certified, res.n_low, res.n_high) == (
+            3_024_654, False, 89, 3_024_654)
+        assert len(folds) <= 5
+
     def test_budget_rejects_non_positive_limits(self):
         for kwargs in ({"n_max": 0}, {"n_max": -1}, {"heap_bytes": 0}):
             with pytest.raises(DomainError):

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -51,3 +52,27 @@ def test_zeta_rejects_divergent_arguments():
 def test_zeta_large_s_approaches_one():
     assert zeta(60.0) == pytest.approx(1.0, abs=1e-15)
     assert math.isfinite(zeta_log_weighted(60.0))
+
+
+def _oracle_arguments():
+    """About 500 seeded s in [1 + 1e-6, 60], log-spaced in s - 1 so the
+    pole's neighbourhood is covered, plus a few past the s > 60 branch."""
+    rng = random.Random(20111)
+    inside = [1.0 + 10.0 ** rng.uniform(-6.0, math.log10(59.0)) for _ in range(496)]
+    return inside + [1.0 + 1e-6, 60.0, 60.5, 75.0, 200.0, 1000.0]
+
+
+def test_zeta_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for s in _oracle_arguments():
+            want = mpmath.zeta(s)
+            assert abs(zeta(s) - want) <= 2e-15 * want, s
+
+
+def test_zeta_log_weighted_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for s in _oracle_arguments():
+            want = -mpmath.zeta(s, derivative=1)
+            assert abs(zeta_log_weighted(s) - want) <= 2e-15 * want, s
