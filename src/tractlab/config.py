@@ -76,6 +76,14 @@ def _require(cond: bool, msg: str) -> None:
         raise ValidationError(msg)
 
 
+def _integer(value, name: str, minimum: int) -> int:
+    _require(
+        isinstance(value, int) and not isinstance(value, bool) and value >= minimum,
+        f"'{name}' must be an integer of at least {minimum}, got {value!r}",
+    )
+    return value
+
+
 def _validate_problem(desc) -> dict:
     _require(isinstance(desc, dict), "'problem' must be an object")
     _require("kind" in desc, "'problem' needs a 'kind' field")
@@ -127,21 +135,16 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
     dims = raw.get("dims", [])
     _require(isinstance(dims, list) and dims, "'dims' must be a non-empty list")
-    ds = []
-    for d in dims:
-        _require(
-            isinstance(d, int) and not isinstance(d, bool) and d >= 1,
-            f"dims must be positive integers, got {d!r}",
-        )
-        ds.append(d)
+    ds = [_integer(d, "dims", 1) for d in dims]
 
     budgets = raw.get("budgets", {})
     _require(isinstance(budgets, dict), "'budgets' must be an object")
     bextra = set(budgets) - _BUDGET_FIELDS
     _require(not bextra, f"unknown budget fields: {sorted(bextra)}")
     budget = Budget(
-        n_max=int(budgets.get("n_max", Budget().n_max)),
-        heap_bytes=int(budgets.get("heap_bytes", Budget().heap_bytes)),
+        n_max=_integer(budgets.get("n_max", Budget().n_max), "n_max", 1),
+        heap_bytes=_integer(
+            budgets.get("heap_bytes", Budget().heap_bytes), "heap_bytes", 1),
     )
     tol_rel = budgets.get("tol_rel")
     if tol_rel is not None:
@@ -158,8 +161,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
     delta = float(raw.get("delta", 0.5))
     _require(0.0 < delta < 1.0, "'delta' must be in (0, 1)")
-    horizon = int(raw.get("horizon", 10_000))
-    _require(horizon >= 10, "'horizon' must be at least 10")
+    horizon = _integer(raw.get("horizon", 10_000), "horizon", 10)
 
     family = None
     if problem["kind"] == "korobov_family":

@@ -438,10 +438,26 @@ class _LevelFold:
     cumsum plus the cumsum of each addition's exact error, by TwoSum) are
     exact within m^2 u^2 (u = 2^-53, m = len(col)), so each row term is within
     2u and each sum decided on within 6u of exact, far inside the rounding
-    allowance of the certification."""
+    allowance of the certification.
 
-    def __init__(self, views, floor, max_entries):
-        cols = [view.source.dense_values(floor, view.length) for view in views]
+    No column holds more than ``cap`` = n_max + 1 values: a column reaching
+    cap raises the floor to its cap-th value.  Times the other coordinates'
+    leading 1, that column alone gives cap products at or above the new
+    floor, so the fold keeps the top n_max products.  Values left out lie
+    at or below the new floor and the cut to cap drops only values equal to
+    it: the fold holds every product above its floor and some of those
+    equal to it, so its counts and sums are still those of top sets."""
+
+    def __init__(self, views, floor, max_entries, cap):
+        # fetching cap + 1 values makes a column cut short by the limit
+        # (Korobov keeps whole pairs) reach cap, so the floor rises to at
+        # least every value the limit left out
+        cols = [view.source.dense_values(floor, min(view.length, cap + 1))
+                for view in views]
+        raised = [float(c[cap - 1]) for c in cols if len(c) >= cap]
+        if raised:
+            floor = max(raised)
+            cols = [c[c >= floor][:cap] for c in cols]
         if max(len(c) for c in cols) > max_entries:
             raise BudgetExceededError("dense enumeration exceeded its memory budget")
         self.col = cols.pop(max(range(len(cols)), key=lambda i: len(cols[i])))
@@ -535,12 +551,14 @@ def _fold_decide(views, threshold, hint, budget, pops):
     what keeps the values below the threshold).  Returns (fold, found as
     _heap_scan's with n_low None, the count at its final lower level, hint
     for the next truncation)."""
-    max_entries = max(budget.heap_bytes // 32, 1 << 20)
+    # a fold keeps about eight float arrays per column or row entry
+    max_entries = max(budget.heap_bytes // 64, 1 << 20)
     kept, lowest = _kept_products(views)
     upper, step = hint
     while True:
         floor = max(upper * math.exp(-step), 1e-300)
-        fold = _LevelFold(views, floor, max_entries)
+        fold = _LevelFold(views, floor, max_entries, budget.n_max + 1)
+        floor = fold.floor
         count = int(fold.bottom.sum())
         total = float(fold.mass(fold.rows, fold.bottom).sum())
         hit = fold.first_reaching(threshold, upper) if total >= threshold else None
@@ -554,8 +572,8 @@ def _fold_decide(views, threshold, hint, budget, pops):
         if floor <= 1e-300 or (count == kept and kept <= budget.n_max):
             return fold, (False, count, total, total, None), count, (floor, 2.0)
         if count > budget.n_max:
-            # everything >= floor is in the fold, so these are exactly the
-            # top `count` values: the crossing provably lies beyond n_max
+            # the fold holds a top set of `count` values and falls short:
+            # the crossing provably lies beyond n_max
             raise BudgetExceededError("answer exceeds the enumeration budget",
                                       n_lower=count, pops=pops + count)
         above = fold.mass(fold.rows, fold.counts(floor * math.exp(0.5), fold.rows))
@@ -580,19 +598,31 @@ def _kept_products(views):
     return number, math.exp(log_smallest)
 
 
-def _first_reaching(values, target, base=0.0):
+def _first_reaching(values, target, base=0.0, cs=None):
     """The scan both engines decide on: (crossed, k, partial_k,
     partial_(k-1)) for the first k >= 1 with base + sum(values[:k]) >= target
     in a non-increasing, non-negative array (k = len(values) if none).
+    ``cs`` is np.cumsum(values), when the caller already has it.
 
     A cumsum of non-negative terms errs by at most (k-1)u times its k-th
     entry (u = 2^-53), so every index where it lies more than
     len * 2.3e-16 * total below the target provably falls short.  That prefix
     is summed exactly (fsum), the rest term by term with compensation.
+
+    When every index falls short (base + cs[-1] is more than that drift
+    below the target), no exact sum crosses either, and no sum is taken:
+    the result is (False, len, p, p) with p = base + cs[-1], within
+    (len-1)u * total of the exact sum of values, plus the one rounding of
+    adding base.  The fold discards the partial sums of a slice that does
+    not cross, so only the oracle reports such a p.
     """
-    cs = np.cumsum(values)
+    if cs is None:
+        cs = np.cumsum(values)
     drift = 2.3e-16 * len(values) * float(cs[-1])
     start = int(np.searchsorted(cs, target - base - drift))
+    if start == len(values):
+        partial = base + float(cs[-1])
+        return False, len(values), partial, partial
     acc = CompensatedSum(base)
     acc.add(math.fsum(values[:start]))
     prev = acc.value
@@ -613,7 +643,9 @@ def brute_force_complexity(
     """Oracle engine: materialize every truncated product, sort, scan.
 
     Shares the decision and certification semantics of info_complexity
-    but is limited to small d by the grid cap.
+    but is limited to small d by the grid cap.  Each attempt sorts its
+    grid in place and takes one cumsum of it, which the scans for n and,
+    when uncertified, for n_low share.
     """
     if not 0.0 < epsilon <= 1.0:
         raise DomainError(f"epsilon must be in (0, 1], got {epsilon}")
@@ -663,10 +695,12 @@ def brute_force_complexity(
         prev_lengths = lengths
         grids = [c.dense_values(1e-300, m)
                  for c, m in zip(problem.coordinates, lengths)]
-        prod = grids[0]
-        for arr in grids[1:]:
+        prod = np.ones(1)  # a fresh grid even at d = 1, so grids stay unsorted
+        for arr in grids:
             prod = np.multiply.outer(prod, arr).ravel()
-        order = np.sort(prod)[::-1]
+        prod.sort()
+        order = prod[::-1]
+        cs = np.cumsum(order)
         pops += len(order)
 
         log_kept = math.fsum(
@@ -675,13 +709,13 @@ def brute_force_complexity(
         )
         t_mass = max(trace_norm * (1.0 - math.exp(min(log_kept, 0.0))), 0.0)
 
-        crossed, n, partial, prev = _first_reaching(order, threshold)
+        crossed, n, partial, prev = _first_reaching(order, threshold, cs=cs)
         certified = crossed and threshold - prev > t_mass + rounding
         result = ComplexityResult(
             epsilon=epsilon, d=d, n=n, partial_sum=partial * scale,
             trace=trace_norm * scale, certified=certified, pops=pops,
             n_low=n if certified else _first_reaching(
-                order, threshold - t_mass - rounding)[1],
+                order, threshold - t_mass - rounding, cs=cs)[1],
             n_high=n,
         )
         if certified:

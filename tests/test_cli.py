@@ -217,6 +217,23 @@ class TestBadInput:
         assert code == 1 and captured.out == ""
         assert "epsilon values must be in (0, 1], got True" in captured.err
 
+    @pytest.mark.parametrize("extra, message", [
+        ({"budgets": {"n_max": "abc"}},
+         "'n_max' must be an integer of at least 1, got 'abc'"),
+        ({"budgets": {"n_max": 1.5}},
+         "'n_max' must be an integer of at least 1, got 1.5"),
+        ({"horizon": "ten"},
+         "'horizon' must be an integer of at least 10, got 'ten'"),
+    ], ids=["n_max_text", "n_max_fraction", "horizon_text"])
+    def test_non_integer_config_counts(self, tmp_path, capsys, extra, message):
+        path = write_config(tmp_path, {**BASIC, **extra})
+        with pytest.raises(ValidationError):
+            config_from_dict({**BASIC, **extra})
+        code = main(["complexity", "--config", path, "--jobs", "1"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: {path}: {message}\n"
+
 
 class TestVerifyCommand:
     def test_seeded_runs_are_byte_identical(self, tmp_path):

@@ -150,6 +150,26 @@ class TestInfoComplexity:
             3_024_654, False, 89, 3_024_654)
         assert len(folds) <= 5
 
+    def test_fold_columns_stay_within_the_n_budget(self, monkeypatch):
+        # the answer lies far beyond n_max, and the top n_max products
+        # never need a column of more than n_max + 1 values
+        import tractlab.tensor as tensor_mod
+
+        columns = []
+        init = tensor_mod._LevelFold.__init__
+
+        def counting_init(self, *args):
+            init(self, *args)
+            columns.append(len(self.col))
+
+        monkeypatch.setattr(tensor_mod._LevelFold, "__init__", counting_init)
+        n_max = 10**5
+        with pytest.raises(BudgetExceededError) as exc_info:
+            info_complexity(ProductProblem((KorobovSpectrum(0.7, 0.6),)), 0.1,
+                            budget=Budget(n_max=n_max))
+        assert exc_info.value.n_lower > n_max
+        assert columns and max(columns) <= n_max + 1
+
     def test_budget_rejects_non_positive_limits(self):
         for kwargs in ({"n_max": 0}, {"n_max": -1}, {"heap_bytes": 0}):
             with pytest.raises(DomainError):
@@ -261,6 +281,25 @@ class TestOracleAgreement:
         # the rectangular-grid oracle may fail to certify near-tie points,
         # but it must handle the overwhelming majority
         assert both >= 0.8 * total
+
+
+class TestOracleUncrossed:
+    @pytest.mark.parametrize("eps, n_low", [(0.5, 4), (0.1, 89)])
+    def test_grid_that_never_crosses(self, eps, n_low):
+        # the declared tail keeps the whole capped grid below the threshold
+        korobov = KorobovSpectrum(0.5, 1.0)
+        p = ProductProblem((korobov, ExplicitSpectrum((1.0, 0.5), tail=1.0)))
+        res = brute_force_complexity(p, eps)
+        assert (res.n, res.certified, res.n_low, res.n_high, res.pops) == (
+            1_999_998, False, n_low, 1_999_998, 3_321_482)
+        # the last grid: 999,999 Korobov values (the per-coordinate cap)
+        # times (1, 0.5), at scale 1 (both leading values are 1); its
+        # partial sum comes from a cumsum, within (len - 1) u of the exact sum
+        grid = [v * w for v in korobov.dense_values(1e-300, 999_999)
+                for w in (1.0, 0.5)]
+        exact = math.fsum(grid)
+        assert p.log_leading() == 0.0
+        assert abs(res.partial_sum - exact) <= (len(grid) - 1) * 2.0**-53 * exact
 
 
 class TestResultInvariants:
