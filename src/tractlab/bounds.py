@@ -9,6 +9,11 @@ diagnostic, never a fabricated limit.
 
 A "family" argument is either a ProductProblem (its coordinates are
 used) or a callable k -> spectrum for k = 1, 2, ...
+
+One public call evaluates each distinct zeta argument once (every public
+function runs in a ``zeta_scope``) and asks the family for each
+coordinate once, however many dimensions or exponents it walks; nothing
+survives the call.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from .errors import DivergenceError, DomainError
 from .numutil import CompensatedSum, ln_plus
 from .spectra import Spectrum
 from .tensor import ProductProblem
+from .zeta import zeta_scope
 
 Family = Union[ProductProblem, Callable[[int], Spectrum]]
 
@@ -64,34 +70,96 @@ class BoundEvaluation:
         return rec
 
 
-def _spectrum_at(family: Family, k: int) -> Spectrum:
-    if isinstance(family, ProductProblem):
-        if k > family.d:
-            raise DomainError(
-                f"coordinate {k} requested from a d={family.d} problem"
-            )
-        return family.coordinates[k - 1]
-    return family(k)
+def _in_unit_interval(name: str, x: float) -> None:
+    if not 0.0 < x < 1.0:
+        raise DomainError(f"{name} must be in (0, 1), got {x}")
 
 
-def _family_depth(family: Family, d_max: int) -> int:
-    if isinstance(family, ProductProblem):
-        return min(family.d, d_max)
-    return d_max
+def _exp(log_val: float) -> float:
+    return math.exp(log_val) if log_val < 709.0 else math.inf
 
 
-def _excess(family: Family, k: int, tau: float) -> float:
-    """sum_{j>=2} (lambda(k,j)/lambda(k,1))^tau for coordinate k."""
-    try:
-        return _spectrum_at(family, k).excess_power_sum(tau)
-    except DivergenceError as exc:
-        raise DivergenceError(
-            f"power sum diverges at tau={tau} in coordinate {k}",
-            tau_min=exc.tau_min,
-            coordinate=k,
-        ) from exc
+class _Coordinates:
+    """The coordinates k = 1, 2, ... of a family, each built, and its ln
+    trace taken, once per call: at their first request, in order of k."""
+
+    def __init__(self, family: Family):
+        self.family = family
+        self.product = isinstance(family, ProductProblem)
+        self.spectra = list(family.coordinates) if self.product else []
+        self.log_traces = []
+
+    def depth(self, d_max: int) -> int:
+        return min(self.family.d, d_max) if self.product else d_max
+
+    def spectrum(self, k: int) -> Spectrum:
+        while len(self.spectra) < k:
+            if self.product:
+                raise DomainError(
+                    f"coordinate {k} requested from a d={self.family.d} problem"
+                )
+            self.spectra.append(self.family(len(self.spectra) + 1))
+        return self.spectra[k - 1]
+
+    def log_trace(self, k: int) -> float:
+        while len(self.log_traces) < k:
+            s = self.spectrum(len(self.log_traces) + 1)
+            self.log_traces.append(math.log(s.trace()))
+        return self.log_traces[k - 1]
+
+    def power_sum(self, k: int, tau: float, excess: bool = False) -> float:
+        """S_tau of coordinate k or, with ``excess``, its
+        sum_{j>=2} (lambda(k,j)/lambda(k,1))^tau; a divergence names k."""
+        s = self.spectrum(k)
+        try:
+            return s.excess_power_sum(tau) if excess else s.power_sum(tau)
+        except DivergenceError as exc:
+            raise DivergenceError(
+                f"power sum diverges at tau={tau} in coordinate {k}",
+                tau_min=exc.tau_min,
+                coordinate=k,
+            ) from exc
 
 
+def _max_over_d(
+    name: str,
+    params: BoundParams,
+    log_value: Callable[[int], float],
+    depth: int,
+    extra: Callable[[float], dict] = lambda best: {},
+) -> BoundEvaluation:
+    """The finite-horizon proxy of a supremum over d of exp(log_value(d)):
+    the max over d = 1..depth (asked in order of d), the d attaining it,
+    and whether the max over d <= depth // 2 is already within 1e-3 of it
+    (relative, or absolute below 1), plus ``extra(max log value)``.  An
+    infinite log value, from a divergent power sum, makes the supremum
+    infinite and ends the walk."""
+    best, best_d, half_best = -math.inf, 0, -math.inf
+    for d in range(1, depth + 1):
+        cur = log_value(d)
+        if cur > best:
+            best, best_d = cur, d
+        if cur == math.inf:
+            break
+        if d == depth // 2:
+            half_best = best
+    stabilized = (
+        math.isfinite(best)
+        and half_best > -math.inf
+        and abs(best - half_best) <= 1e-3 * max(abs(best), 1.0)
+    )
+    value = _exp(best)
+    return BoundEvaluation(
+        name=name,
+        value=value,
+        params=params,
+        d=depth,
+        finite=math.isfinite(value),
+        extra={"argmax_d": best_d, "stabilized": stabilized, **extra(best)},
+    )
+
+
+@zeta_scope()
 def chebyshev_bound(
     problem: ProductProblem, eps: float, tau: float, z: float
 ) -> float:
@@ -100,12 +168,10 @@ def chebyshev_bound(
     S_a is the d-variate power sum at exponent a.  Returns inf when the
     value overflows doubles; that is still a valid (vacuous) upper bound.
     """
-    if not 0.0 < tau < 1.0:
-        raise DomainError(f"tau must be in (0, 1), got {tau}")
+    _in_unit_interval("tau", tau)
     if z <= 0.0:
         raise DomainError(f"z must be positive, got {z}")
-    if not 0.0 < eps < 1.0:
-        raise DomainError(f"eps must be in (0, 1), got {eps}")
+    _in_unit_interval("eps", eps)
     log_s1 = problem.log_trace_d()
     log_sz = problem.log_power_sum_d(z)
     log_st = problem.log_power_sum_d(tau)
@@ -114,14 +180,14 @@ def chebyshev_bound(
         + (z / (1.0 - tau)) * (log_st - tau * log_s1)
         - (2.0 * z / (1.0 - tau)) * math.log(eps)
     )
-    return math.exp(log_val) if log_val < 709.0 else math.inf
+    return _exp(log_val)
 
 
+@zeta_scope()
 def poly_tract_ratio(problem: ProductProblem, q: float, tau: float) -> float:
     """(S_tau,d)^(1/tau) / S_1,d * d^(-q), the quantity whose supremum
     over d is the polynomial-tractability constant C_{q,tau}."""
-    if not 0.0 < tau < 1.0:
-        raise DomainError(f"tau must be in (0, 1), got {tau}")
+    _in_unit_interval("tau", tau)
     if q < 0.0:
         raise DomainError(f"q must be non-negative, got {q}")
     log_val = (
@@ -129,9 +195,10 @@ def poly_tract_ratio(problem: ProductProblem, q: float, tau: float) -> float:
         - problem.log_trace_d()
         - q * math.log(problem.d)
     )
-    return math.exp(log_val) if log_val < 709.0 else math.inf
+    return _exp(log_val)
 
 
+@zeta_scope()
 def poly_tract_constant(
     family: Family, q: float, tau: float, d_max: int
 ) -> BoundEvaluation:
@@ -139,43 +206,20 @@ def poly_tract_constant(
     d <= d_max, with a stabilization diagnostic (horizon vs horizon/2)."""
     if d_max < 1:
         raise DomainError(f"d_max must be positive, got {d_max}")
-    if not 0.0 < tau < 1.0:
-        raise DomainError(f"tau must be in (0, 1), got {tau}")
-    depth = _family_depth(family, d_max)
+    _in_unit_interval("tau", tau)
+    coords = _Coordinates(family)
     log_ratio = 0.0  # running sum over k of (ln S_tau(k))/tau - ln S_1(k)
-    best = -math.inf
-    best_d = 0
-    half_best = -math.inf
-    for d in range(1, depth + 1):
-        s = _spectrum_at(family, d)
-        try:
-            log_ratio += math.log(s.power_sum(tau)) / tau - math.log(s.trace())
-        except DivergenceError as exc:
-            raise DivergenceError(
-                f"power sum diverges at tau={tau} in coordinate {d}",
-                tau_min=exc.tau_min,
-                coordinate=d,
-            ) from exc
-        cur = log_ratio - q * math.log(d)
-        if cur > best:
-            best, best_d = cur, d
-        if d == depth // 2:
-            half_best = best
-    stabilized = (
-        half_best > -math.inf
-        and abs(best - half_best) <= 1e-3 * max(abs(best), 1.0)
-    )
-    value = math.exp(best) if best < 709.0 else math.inf
-    return BoundEvaluation(
-        name="poly_tract_constant",
-        value=value,
-        params=BoundParams(tau=tau, q=q),
-        d=depth,
-        finite=math.isfinite(value),
-        extra={"argmax_d": best_d, "stabilized": stabilized},
-    )
+
+    def log_value(d: int) -> float:
+        nonlocal log_ratio
+        log_ratio += math.log(coords.power_sum(d, tau)) / tau - coords.log_trace(d)
+        return log_ratio - q * math.log(d)
+
+    return _max_over_d("poly_tract_constant", BoundParams(tau=tau, q=q),
+                       log_value, coords.depth(d_max))
 
 
+@zeta_scope()
 def series_converges(
     term: Callable[[int], float], k_max: int = 1_000_000
 ) -> bool:
@@ -217,6 +261,7 @@ def series_converges(
     return verdict
 
 
+@zeta_scope()
 def spt_exponent_bisect(
     family: Family,
     k_max: int = 1_000_000,
@@ -226,18 +271,21 @@ def spt_exponent_bisect(
     convergent; the reported exponent is 2*tau/(1-tau) (an upper proxy
     for the strong-polynomial exponent, grid resolution permitting).
 
-    Returns value=inf when no grid point passes.
+    Returns value=inf when no grid point passes.  The grid shares one
+    walk over the family, which holds every spectrum it reaches until the
+    call returns (about 120 bytes each for a Korobov spectrum).
     """
     if tau_grid is None:
         tau_grid = [i / 100.0 for i in range(32, 100, 2)]
     taus = sorted(tau_grid)
+    coords = _Coordinates(family)
     for tau in taus:
         if not 0.0 < tau < 1.0:
             raise DomainError(f"tau grid values must be in (0, 1), got {tau}")
 
         def term(k: int, _tau=tau) -> float:
             try:
-                return _excess(family, k, _tau)
+                return coords.spectrum(k).excess_power_sum(_tau)
             except DivergenceError:
                 return math.inf
 
@@ -263,109 +311,55 @@ def spt_exponent_bisect(
     )
 
 
+@zeta_scope()
 def qpt_criterion(family: Family, delta: float, d_max: int) -> BoundEvaluation:
     """Finite-horizon M_delta: max over d <= d_max of
     prod_k S_{tau_d}(k) / S_1(k)^{tau_d} with tau_d = 1 - delta/ln_+ d."""
-    if not 0.0 < delta < 1.0:
-        raise DomainError(f"delta must be in (0, 1), got {delta}")
+    _in_unit_interval("delta", delta)
     if d_max < 1:
         raise DomainError(f"d_max must be positive, got {d_max}")
-    depth = _family_depth(family, d_max)
-    best = -math.inf
-    best_d = 0
-    half_best = -math.inf
-    coords = []  # (spectrum, ln trace) of coordinate k, asked for once
-    for d in range(1, depth + 1):
+    coords = _Coordinates(family)
+
+    def log_value(d: int) -> float:
         tau_d = 1.0 - delta / ln_plus(float(d))
         acc = CompensatedSum()
         try:
             for k in range(1, d + 1):
-                if k > len(coords):
-                    s = _spectrum_at(family, k)
-                    coords.append((s, math.log(s.trace())))
-                s, log_trace = coords[k - 1]
-                acc.add(math.log(s.power_sum(tau_d)) - tau_d * log_trace)
+                acc.add(math.log(coords.power_sum(k, tau_d))
+                        - tau_d * coords.log_trace(k))
         except DivergenceError:
-            # an infinite power sum at this d makes the supremum infinite
-            return BoundEvaluation(
-                name="qpt_m_delta",
-                value=math.inf,
-                params=BoundParams(delta=delta),
-                d=depth,
-                finite=False,
-                extra={"argmax_d": d, "stabilized": False,
-                       "exponent_bound": math.inf},
-            )
-        if acc.value > best:
-            best, best_d = acc.value, d
-        if d == depth // 2:
-            half_best = best
-    stabilized = (
-        half_best > -math.inf
-        and abs(best - half_best) <= 1e-3 * max(abs(best), 1.0)
-    )
-    value = math.exp(best) if best < 709.0 else math.inf
-    return BoundEvaluation(
-        name="qpt_m_delta",
-        value=value,
-        params=BoundParams(delta=delta),
-        d=depth,
-        finite=math.isfinite(value),
-        extra={
-            "argmax_d": best_d,
-            "stabilized": stabilized,
-            "exponent_bound": max(2.0, best) / delta,
-        },
+            return math.inf  # an infinite power sum makes the supremum infinite
+        return acc.value
+
+    return _max_over_d(
+        "qpt_m_delta", BoundParams(delta=delta), log_value, coords.depth(d_max),
+        lambda best: {"exponent_bound": max(2.0, best) / delta},
     )
 
 
+@zeta_scope()
 def qpt_criterion_general(
     problems: Callable[[int], ProductProblem], delta: float, d_max: int
 ) -> BoundEvaluation:
     """M_delta for a dimension-indexed family that need not be a tensor
     product in d: max over d <= d_max of S_{tau_d,d} / S_{1,d}^{tau_d}
     evaluated on the full d-variate spectrum."""
-    if not 0.0 < delta < 1.0:
-        raise DomainError(f"delta must be in (0, 1), got {delta}")
+    _in_unit_interval("delta", delta)
     if d_max < 1:
         raise DomainError(f"d_max must be positive, got {d_max}")
-    best = -math.inf
-    best_d = 0
-    half_best = -math.inf
-    for d in range(1, d_max + 1):
+
+    def log_value(d: int) -> float:
         p = problems(d)
         tau_d = 1.0 - delta / ln_plus(float(d))
         try:
-            cur = p.log_power_sum_d(tau_d) - tau_d * p.log_trace_d()
+            return p.log_power_sum_d(tau_d) - tau_d * p.log_trace_d()
         except DivergenceError:
-            # an infinite power sum at this d makes the supremum infinite
-            return BoundEvaluation(
-                name="qpt_m_delta",
-                value=math.inf,
-                params=BoundParams(delta=delta),
-                d=d_max,
-                finite=False,
-                extra={"argmax_d": d, "stabilized": False},
-            )
-        if cur > best:
-            best, best_d = cur, d
-        if d == d_max // 2:
-            half_best = best
-    stabilized = (
-        half_best > -math.inf
-        and abs(best - half_best) <= 1e-3 * max(abs(best), 1.0)
-    )
-    value = math.exp(best) if best < 709.0 else math.inf
-    return BoundEvaluation(
-        name="qpt_m_delta",
-        value=value,
-        params=BoundParams(delta=delta),
-        d=d_max,
-        finite=math.isfinite(value),
-        extra={"argmax_d": best_d, "stabilized": stabilized},
-    )
+            return math.inf  # an infinite power sum makes the supremum infinite
+
+    return _max_over_d("qpt_m_delta", BoundParams(delta=delta), log_value, d_max)
 
 
+@zeta_scope()
 def jensen_lower_bound(problem: ProductProblem, gamma: float) -> float:
     """exp(gamma * sum_k H_k), a lower bound for the normalized power sum
     sum_j (lambda_{d,j}/Lambda_d)^{1-gamma}; H_k is the entropy of the
@@ -374,9 +368,10 @@ def jensen_lower_bound(problem: ProductProblem, gamma: float) -> float:
         raise DomainError(f"gamma must be non-negative, got {gamma}")
     h = math.fsum(c.entropy() for c in problem.coordinates)
     log_val = gamma * h
-    return math.exp(log_val) if log_val < 709.0 else math.inf
+    return _exp(log_val)
 
 
+@zeta_scope()
 def jensen_lhs(problem: ProductProblem, gamma: float) -> float:
     """The quantity Jensen bounds from below:
     sum_j lambda_{d,j}^{1-gamma} / Lambda_d^{1-gamma}."""
@@ -386,9 +381,10 @@ def jensen_lhs(problem: ProductProblem, gamma: float) -> float:
         return 1.0
     tau = 1.0 - gamma
     log_val = problem.log_power_sum_d(tau) - tau * problem.log_trace_d()
-    return math.exp(log_val) if log_val < 709.0 else math.inf
+    return _exp(log_val)
 
 
+@zeta_scope()
 def entropy_sum(problem: ProductProblem) -> BoundEvaluation:
     """sum_k H_k and its ln_+ d normalization (the quantity whose
     boundedness over d is necessary for quasi-polynomial tractability)."""
@@ -403,28 +399,30 @@ def entropy_sum(problem: ProductProblem) -> BoundEvaluation:
     )
 
 
+@zeta_scope()
 def curse_lower_bound(problem: ProductProblem, eps: float) -> float:
     """(1 - eps^2) * trace_d / lambda_{d,1}: no algorithm using fewer
     functionals can reduce the initial error by the factor eps."""
-    if not 0.0 < eps < 1.0:
-        raise DomainError(f"eps must be in (0, 1), got {eps}")
+    _in_unit_interval("eps", eps)
     log_val = math.log1p(-eps * eps) + problem.normalized_log_trace()
-    return math.exp(log_val) if log_val < 709.0 else math.inf
+    return _exp(log_val)
 
 
+@zeta_scope()
 def weak_tract_theta(family: Family, tau: float, d: int) -> float:
     """theta_d = d^{-1} sum_{k<=d} sum_{j>=2} b(k,j)^tau; weak
     tractability follows when theta_d -> 0 along d."""
-    if not 0.0 < tau < 1.0:
-        raise DomainError(f"tau must be in (0, 1), got {tau}")
+    _in_unit_interval("tau", tau)
     if d < 1:
         raise DomainError(f"d must be positive, got {d}")
+    coords = _Coordinates(family)
     acc = CompensatedSum()
-    for k in range(1, _family_depth(family, d) + 1):
-        acc.add(_excess(family, k, tau))
+    for k in range(1, coords.depth(d) + 1):
+        acc.add(coords.power_sum(k, tau, excess=True))
     return acc.value / d
 
 
+@zeta_scope()
 def pt_log_criterion(family: Family, tau: float, d_max: int) -> BoundEvaluation:
     """The three polynomial-tractability diagnostics at exponent tau.
 
@@ -433,18 +431,18 @@ def pt_log_criterion(family: Family, tau: float, d_max: int) -> BoundEvaluation:
     extra["sup_coordinate"]: max_k (1 + e_k), whose boundedness makes the
     linear form necessary as well; e_k = sum_{j>=2} b(k,j)^tau.
     """
-    if not 0.0 < tau < 1.0:
-        raise DomainError(f"tau must be in (0, 1), got {tau}")
+    _in_unit_interval("tau", tau)
     if d_max < 1:
         raise DomainError(f"d_max must be positive, got {d_max}")
-    depth = _family_depth(family, d_max)
+    coords = _Coordinates(family)
+    depth = coords.depth(d_max)
     log_acc = CompensatedSum()
     lin_acc = CompensatedSum()
     q_log = 0.0
     q_lin = 0.0
     sup_coord = 0.0
     for k in range(1, depth + 1):
-        e_k = _excess(family, k, tau)
+        e_k = coords.power_sum(k, tau, excess=True)
         log_acc.add(math.log1p(e_k))
         lin_acc.add(e_k)
         sup_coord = max(sup_coord, 1.0 + e_k)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import multiprocessing
 import os
@@ -35,6 +36,7 @@ from .errors import (
 )
 from .tensor import Budget, info_complexity
 from .verify import render_report, run_verify
+from .zeta import zeta_scope
 
 _COMPLEXITY_COLUMNS = (
     "d", "epsilon", "n", "certified", "n_low", "n_high",
@@ -82,49 +84,54 @@ def _complexity_point(task):
     }
 
 
-def _bound_value(cfg: ExperimentConfig, problem, d, eps, request) -> dict:
-    params = dict(request)
-    name = params.pop("name")
-    row = {"d": d, "epsilon": eps, "bound": name, "status": "ok"}
-    try:
-        if name == "chebyshev":
-            tau = float(params.pop("tau", 0.9))
-            z = float(params.pop("z", tau))
-            value = bounds_mod.chebyshev_bound(problem, eps, tau=tau, z=z)
-        elif name == "curse":
-            value = bounds_mod.curse_lower_bound(problem, eps)
-        elif name == "jensen_lhs":
-            value = bounds_mod.jensen_lhs(problem, float(params.pop("gamma", 0.25)))
-        elif name == "jensen_lower":
-            value = bounds_mod.jensen_lower_bound(
-                problem, float(params.pop("gamma", 0.25))
-            )
-        elif name == "entropy":
-            value = bounds_mod.entropy_sum(problem).value
-        elif name == "weak_theta":
-            value = bounds_mod.weak_tract_theta(
-                problem, float(params.pop("tau", 0.9)), d
-            )
-        elif name == "poltract_ratio":
-            value = bounds_mod.poly_tract_ratio(
-                problem, q=float(params.pop("q", 0.0)),
-                tau=float(params.pop("tau", 0.9)),
-            )
-        elif name == "pt_log":
-            value = bounds_mod.pt_log_criterion(
-                problem, float(params.pop("tau", 0.9)), d
-            ).value
-        else:
+# bound name -> (value at (problem, d, eps, **params), parameter defaults)
+_BOUNDS = {
+    "chebyshev": (lambda p, d, eps, tau, z: bounds_mod.chebyshev_bound(
+        p, eps, tau=tau, z=tau if z is None else z), {"tau": 0.9, "z": None}),
+    "curse": (lambda p, d, eps: bounds_mod.curse_lower_bound(p, eps), {}),
+    "jensen_lhs": (lambda p, d, eps, gamma: bounds_mod.jensen_lhs(p, gamma),
+                   {"gamma": 0.25}),
+    "jensen_lower": (lambda p, d, eps, gamma: bounds_mod.jensen_lower_bound(
+        p, gamma), {"gamma": 0.25}),
+    "entropy": (lambda p, d, eps: bounds_mod.entropy_sum(p).value, {}),
+    "weak_theta": (lambda p, d, eps, tau: bounds_mod.weak_tract_theta(
+        p, tau, d), {"tau": 0.9}),
+    "poltract_ratio": (lambda p, d, eps, q, tau: bounds_mod.poly_tract_ratio(
+        p, q=q, tau=tau), {"q": 0.0, "tau": 0.9}),
+    "pt_log": (lambda p, d, eps, tau: bounds_mod.pt_log_criterion(
+        p, tau, d).value, {"tau": 0.9}),
+}
+
+
+def _bound_requests(requests) -> list:
+    """(name, value at (problem, d, eps)) per request, checked against
+    _BOUNDS before any grid point runs."""
+    checked = []
+    for request in requests:
+        params = dict(request)
+        name = params.pop("name")
+        if not isinstance(name, str) or name not in _BOUNDS:
             raise DomainError(f"unknown bound name {name!r}")
+        value, defaults = _BOUNDS[name]
+        unknown = sorted(set(params) - set(defaults))
+        if unknown:
+            raise DomainError(f"unknown parameters for bound {name!r}: {unknown}")
+        for key, x in params.items():
+            if isinstance(x, bool) or not isinstance(x, (int, float)):
+                raise DomainError(
+                    f"parameter {key!r} of bound {name!r} must be a number, "
+                    f"got {x!r}")
+        args = {**defaults, **{key: float(x) for key, x in params.items()}}
+        checked.append((name, functools.partial(value, **args)))
+    return checked
+
+
+def _bound_row(value, problem, d, eps) -> dict:
+    """{"status", "value"} of one bound at one grid point."""
+    try:
+        return {"status": "ok", "value": value(problem, d, eps)}
     except DivergenceError:
-        value = None
-        row["status"] = "divergent"
-    if params:
-        raise DomainError(
-            f"unknown parameters for bound {name!r}: {sorted(params)}"
-        )
-    row["value"] = value
-    return row
+        return {"status": "divergent", "value": None}
 
 
 def _emit(rows: List[dict], columns, fmt: str, out) -> None:
@@ -164,38 +171,40 @@ def cmd_complexity(cfg: ExperimentConfig, jobs: int, fmt: str, out) -> int:
     return _exit_code(rows)
 
 
-def cmd_bounds(cfg: ExperimentConfig, jobs: int, fmt: str, out) -> int:
-    requests = [dict(items) for items in cfg.bounds]
-    if not requests:
-        requests = [{"name": "chebyshev"}, {"name": "curse"}]
+def cmd_bounds(cfg: ExperimentConfig, fmt: str, out) -> int:
+    requests = _bound_requests(
+        [dict(items) for items in cfg.bounds]
+        or [{"name": "chebyshev"}, {"name": "curse"}])
     rows = []
-    for d in cfg.dims:
-        problem = cfg.build_problem(d)
-        for eps in cfg.epsilons:
-            for request in requests:
-                rows.append(_bound_value(cfg, problem, d, eps, request))
+    with zeta_scope():
+        for d in cfg.dims:
+            problem = cfg.build_problem(d)
+            for eps in cfg.epsilons:
+                for name, value in requests:
+                    rows.append({"d": d, "epsilon": eps, "bound": name,
+                                 **_bound_row(value, problem, d, eps)})
     columns = ("d", "epsilon", "bound", "value", "status")
     _emit(rows, columns, fmt, out)
     return _exit_code(rows)
 
 
 def cmd_sweep(cfg: ExperimentConfig, jobs: int, fmt: str, out) -> int:
-    rows = _map_tasks(_grid(cfg), jobs)
     requests = [dict(items) for items in cfg.bounds]
-    columns = list(_COMPLEXITY_COLUMNS)
+    values = _bound_requests(requests)
+    colnames = []
     for request in requests:
         label = "_".join(
             str(request[k]) for k in sorted(request) if k != "name"
         )
-        colname = request["name"] + ("_" + label if label else "")
-        columns.append(colname)
+        colnames.append(request["name"] + ("_" + label if label else ""))
+    rows = _map_tasks(_grid(cfg), jobs)
+    with zeta_scope():
+        problems = {d: cfg.build_problem(d) for d in cfg.dims} if values else {}
         for row in rows:
-            problem = cfg.build_problem(row["d"])
-            bound_row = _bound_value(
-                cfg, problem, row["d"], row["epsilon"], request
-            )
-            row[colname] = bound_row["value"]
-    _emit(rows, tuple(columns), fmt, out)
+            d, eps = row["d"], row["epsilon"]
+            for colname, (_name, value) in zip(colnames, values):
+                row[colname] = _bound_row(value, problems[d], d, eps)["value"]
+    _emit(rows, tuple(_COMPLEXITY_COLUMNS) + tuple(colnames), fmt, out)
     return _exit_code(rows)
 
 
@@ -255,7 +264,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "complexity":
             return cmd_complexity(cfg, args.jobs, args.format, out)
         if args.command == "bounds":
-            return cmd_bounds(cfg, args.jobs, args.format, out)
+            return cmd_bounds(cfg, args.format, out)
         if args.command == "sweep":
             return cmd_sweep(cfg, args.jobs, args.format, out)
         return cmd_classify(cfg, args.format, out)

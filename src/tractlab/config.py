@@ -9,7 +9,6 @@ silently running defaults.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -84,6 +83,15 @@ def _integer(value, name: str, minimum: int) -> int:
     return value
 
 
+def _fraction(value, name: str) -> float:
+    _require(
+        isinstance(value, (int, float)) and not isinstance(value, bool)
+        and 0.0 < value < 1.0,
+        f"'{name}' must be a number in (0, 1), got {value!r}",
+    )
+    return float(value)
+
+
 def _validate_problem(desc) -> dict:
     _require(isinstance(desc, dict), "'problem' must be an object")
     _require("kind" in desc, "'problem' needs a 'kind' field")
@@ -148,8 +156,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     )
     tol_rel = budgets.get("tol_rel")
     if tol_rel is not None:
-        tol_rel = float(tol_rel)
-        _require(0.0 < tol_rel < 1.0, "tol_rel must be in (0, 1)")
+        tol_rel = _fraction(tol_rel, "tol_rel")
 
     bounds = raw.get("bounds", [])
     _require(isinstance(bounds, list), "'bounds' must be a list")
@@ -159,8 +166,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             f"each bound request needs a 'name': {b!r}",
         )
 
-    delta = float(raw.get("delta", 0.5))
-    _require(0.0 < delta < 1.0, "'delta' must be in (0, 1)")
+    delta = _fraction(raw.get("delta", 0.5), "delta")
     horizon = _integer(raw.get("horizon", 10_000), "horizon", 10)
 
     family = None

@@ -375,6 +375,10 @@ def info_complexity(
 # point of the heap-only small_answers benchmark (<= 1,963 pops) on it.
 _HANDOFF_POPS = 2048
 
+# Relative margin of _LevelFold.covers: 2^-49 is 8 to 16 ulps, against the
+# one ulp by which numpy's and Python's powers have been seen to differ.
+_COVER_MARGIN = 2.0 ** -49
+
 
 def _heap_scan(views, threshold, slack, pops_left, max_entries, eps2):
     """Lazy-heap decision for one truncation: (found, pops, hint).  found is
@@ -479,10 +483,16 @@ class _LevelFold:
         return rows * (self.pre_hi[counts] + self.pre_lo[counts])
 
     def covers(self, views):
-        """Whether ``views`` add only values below the floor to this fold's."""
+        """Whether ``views`` add only values below the floor to this fold's.
+
+        The fold's arrays come from ``dense_values``, whose numpy powers
+        may differ from ``eigenvalue()`` by an ulp, so a value counts as
+        below the floor only when it is so by more than _COVER_MARGIN:
+        one within a few ulps of it makes the fold be built again."""
+        below = self.floor * (1.0 - _COVER_MARGIN)
         return len(views) == len(self.views) and all(
             v.source is w.source and v.length >= w.length
-            and v.source.eigenvalue(w.length + 1) / v.source.leading() < self.floor
+            and v.source.eigenvalue(w.length + 1) / v.source.leading() < below
             for v, w in zip(views, self.views))
 
     def first_reaching(self, target, upper):

@@ -1,14 +1,27 @@
+import importlib
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
 from tractlab import bounds
+from tractlab import spectra as spectra_mod
+from tractlab.classifier import (
+    KorobovFamily,
+    smoothness_family_from_config,
+    weight_family_from_config,
+)
+from tractlab.cli import main
 from tractlab.errors import DivergenceError, DomainError
 from tractlab.fixtures import uniform_block_problem
 from tractlab.spectra import ExplicitSpectrum, KorobovSpectrum
 from tractlab.tensor import ProductProblem, info_complexity
-from tractlab.zeta import zeta
+from tractlab.zeta import zeta, zeta_scope
+
+# tractlab.zeta names the function; the module holds the scope's state
+zeta_mod = importlib.import_module("tractlab.zeta")
 
 
 def korobov_problem(d, g=0.5, r=1.0):
@@ -258,3 +271,110 @@ class TestPolyTractConstant:
             for d in range(1, 65)
         )
         assert ev.value == pytest.approx(direct, rel=1e-10)
+
+
+# One family per weight kind; RECORDS holds their criteria records as the
+# code computed them before the per-call zeta scope and coordinate walk.
+FAMILIES = {
+    "power": ({"kind": "power", "rho": 2.5}, {"kind": "constant", "r0": 1.2}),
+    "geometric_in_r": (
+        {"kind": "geometric_in_r", "v": 0.5,
+         "smoothness": {"kind": "logarithmic", "a": 0.6, "b": 1.2}},
+        {"kind": "logarithmic", "a": 0.6, "b": 1.2}),
+    "polynomial_in_r": (
+        {"kind": "polynomial_in_r", "s": 2.0,
+         "smoothness": {"kind": "power", "c": 1.0, "s": 0.2}},
+        {"kind": "power", "c": 1.0, "s": 0.2}),
+    "constant": ({"kind": "constant", "g0": 0.4},
+                 {"kind": "explicit", "values": [0.9, 1.5, 2.0]}),
+    "explicit": ({"kind": "explicit", "values": [0.8, 0.5, 0.3, 0.1]},
+                 {"kind": "constant", "r0": 1.5}),
+}
+RECORDS = json.loads((Path(__file__).parent / "criteria_records.json").read_text())
+TAUS = (0.35, 0.5, 0.65, 0.8, 0.95)
+
+
+@pytest.fixture
+def zeta_args(monkeypatch):
+    """Every zeta and log-weighted zeta evaluation the spectra ask for."""
+    args = []
+    for name in ("zeta", "zeta_log_weighted"):
+        fn = getattr(spectra_mod, name)
+        monkeypatch.setattr(spectra_mod, name,
+                            lambda s, fn=fn, name=name: args.append((name, s)) or fn(s))
+    return args
+
+
+class TestPerCallScope:
+    @pytest.mark.parametrize("kind", sorted(FAMILIES))
+    def test_records_are_bit_identical(self, kind):
+        weights, smoothness = FAMILIES[kind]
+        fam = KorobovFamily(weights=weight_family_from_config(weights),
+                            smoothness=smoothness_family_from_config(smoothness))
+        f = fam.spectrum
+        got = {
+            "qpt_criterion": bounds.qpt_criterion(f, 0.3, 20).to_record(),
+            "qpt_criterion_general": bounds.qpt_criterion_general(
+                fam.problem, 0.3, 12).to_record(),
+            "pt_log_criterion": bounds.pt_log_criterion(f, 0.9, 50).to_record(),
+            "poly_tract_constant": bounds.poly_tract_constant(
+                f, 1.0, 0.9, 50).to_record(),
+            "weak_tract_theta": bounds.weak_tract_theta(f, 0.9, 50),
+            "spt_exponent_bisect": bounds.spt_exponent_bisect(
+                f, k_max=2048, tau_grid=TAUS).to_record(),
+        }
+        assert got == RECORDS[kind]
+
+    def test_spt_evaluates_each_tau_once(self, zeta_args):
+        # constant r: one zeta argument per grid tau, not one per (tau, k)
+        def family(k):
+            return KorobovSpectrum(min(1.0, float(k) ** -3.0), 2.0)
+
+        assert bounds.spt_exponent_bisect(family, k_max=4096, tau_grid=TAUS).finite
+        assert len(zeta_args) == len(set(zeta_args)) <= len(TAUS)
+
+    def test_weak_theta_evaluates_once_per_call(self, zeta_args):
+        def family(k):
+            return KorobovSpectrum(1.0 / k, 1.5)
+
+        first = bounds.weak_tract_theta(family, 0.9, 400)
+        assert zeta_args == [("zeta", 2.0 * 1.5 * 0.9)]
+        # nothing survives the call: the next one evaluates again
+        assert bounds.weak_tract_theta(family, 0.9, 400) == first
+        assert len(zeta_args) == 2
+        # a nested call shares the scope it runs in
+        with zeta_scope():
+            bounds.weak_tract_theta(family, 0.9, 400)
+            bounds.weak_tract_theta(family, 0.9, 100)
+        assert len(zeta_args) == 3
+
+    def test_cli_bounds_share_one_scope(self, zeta_args, tmp_path, capsys):
+        cfg = {
+            "problem": {"kind": "korobov_family",
+                        "weights": {"kind": "power", "rho": 2.0},
+                        "smoothness": {"kind": "constant", "r0": 1.25}},
+            "epsilons": [0.1, 0.5],
+            "dims": [1, 10, 100],
+            "bounds": [{"name": name} for name in (
+                "chebyshev", "curse", "jensen_lhs", "jensen_lower", "entropy",
+                "weak_theta", "poltract_ratio", "pt_log")],
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["bounds", "--config", str(path)]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2 + 3 * 2 * 8
+        # zeta(2r), zeta at 2r tau for tau = 0.9 and 0.75, the log-weighted
+        # series at 2r: each once over all dims, epsilons and bounds
+        assert len(zeta_args) == len(set(zeta_args)) == 4
+
+    def test_no_scope_is_left_after_a_divergence(self, zeta_args):
+        def family(k):
+            return KorobovSpectrum(0.5, 1.0 if k < 3 else 0.6)
+
+        with pytest.raises(DivergenceError):
+            bounds.poly_tract_constant(family, q=1.0, tau=0.7, d_max=10)
+        assert zeta_mod._VALUES.get() is None
+        count = len(zeta_args)
+        bounds.weak_tract_theta(family, 0.9, 2)
+        bounds.weak_tract_theta(family, 0.9, 2)
+        assert len(zeta_args) == count + 2

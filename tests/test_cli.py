@@ -174,6 +174,47 @@ class TestSweepCommand:
             assert float(row["curse"]) <= float(row["n"]) + 1e-9
 
 
+class TestBoundRequests:
+    """Bound requests are checked before any grid point runs."""
+
+    @pytest.mark.parametrize("request_, message", [
+        ({"name": "nosuch"}, "unknown bound name 'nosuch'"),
+        ({"name": "curse", "tau": 0.5},
+         "unknown parameters for bound 'curse': ['tau']"),
+        ({"name": "chebyshev", "tau": "0.5"},
+         "parameter 'tau' of bound 'chebyshev' must be a number, got '0.5'"),
+    ], ids=["name", "parameter", "value"])
+    def test_sweep_fails_before_the_grid(self, tmp_path, capsys, monkeypatch,
+                                         request_, message):
+        import tractlab.cli as cli_mod
+
+        calls = []
+        monkeypatch.setattr(cli_mod, "info_complexity",
+                            lambda *args, **kwargs: calls.append(args))
+        cfg = {**FAMILY, "bounds": [{"name": "curse"}, request_]}
+        path = write_config(tmp_path, cfg)
+        code = main(["sweep", "--config", path, "--jobs", "1"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "" and calls == []
+        assert captured.err == f"error: {message}\n"
+
+    def test_parameters_and_defaults(self, tmp_path, capsys):
+        # z defaults to tau, and an integer parameter reads as its float
+        cfg = {**FAMILY, "dims": [2], "bounds": [
+            {"name": "chebyshev"},
+            {"name": "chebyshev", "tau": 0.9, "z": 0.9},
+            {"name": "chebyshev", "tau": 0.8},
+            {"name": "chebyshev", "tau": 0.8, "z": 0.8},
+            {"name": "poltract_ratio", "q": 1},
+            {"name": "poltract_ratio", "q": 1.0},
+        ]}
+        path = write_config(tmp_path, cfg)
+        assert main(["bounds", "--config", path, "--format", "json"]) == 0
+        values = [row["value"] for row in json.loads(capsys.readouterr().out)]
+        assert values[0] == values[1] != values[2] == values[3]
+        assert values[4] == values[5]
+
+
 class TestClassifyCommand:
     def test_json_report(self, tmp_path, capsys):
         path = write_config(tmp_path, FAMILY)
@@ -224,7 +265,20 @@ class TestBadInput:
          "'n_max' must be an integer of at least 1, got 1.5"),
         ({"horizon": "ten"},
          "'horizon' must be an integer of at least 10, got 'ten'"),
-    ], ids=["n_max_text", "n_max_fraction", "horizon_text"])
+        ({"budgets": {"tol_rel": "abc"}},
+         "'tol_rel' must be a number in (0, 1), got 'abc'"),
+        ({"budgets": {"tol_rel": "1e-3"}},
+         "'tol_rel' must be a number in (0, 1), got '1e-3'"),
+        ({"budgets": {"tol_rel": True}},
+         "'tol_rel' must be a number in (0, 1), got True"),
+        ({"budgets": {"tol_rel": 1.5}},
+         "'tol_rel' must be a number in (0, 1), got 1.5"),
+        ({"delta": "abc"}, "'delta' must be a number in (0, 1), got 'abc'"),
+        ({"delta": float("nan")}, "'delta' must be a number in (0, 1), got nan"),
+        ({"delta": 0}, "'delta' must be a number in (0, 1), got 0"),
+    ], ids=["n_max_text", "n_max_fraction", "horizon_text", "tol_rel_text",
+            "tol_rel_numeric_text", "tol_rel_bool", "tol_rel_range",
+            "delta_text", "delta_nan", "delta_zero"])
     def test_non_integer_config_counts(self, tmp_path, capsys, extra, message):
         path = write_config(tmp_path, {**BASIC, **extra})
         with pytest.raises(ValidationError):

@@ -170,6 +170,26 @@ class TestInfoComplexity:
         assert exc_info.value.n_lower > n_max
         assert columns and max(columns) <= n_max + 1
 
+    def test_refined_view_at_the_floor_is_not_covered(self):
+        # numpy's power (the fold's arrays) exceeds Python's (eigenvalue())
+        # by an ulp at pair m; with the floor at numpy's value, the refined
+        # view adds a value the fold's formula puts at the floor
+        from tractlab.spectra import TruncatedView
+        from tractlab.tensor import _LevelFold
+
+        s = KorobovSpectrum(0.37, 1.3)
+        dense = s.dense_values(1e-12, 60_001)[1::2]
+        m = next(m for m in range(1, len(dense) + 1)
+                 if dense[m - 1] > s.eigenvalue(2 * m))
+        floor = float(dense[m - 1])
+        assert s.eigenvalue(2 * m) < floor
+        view = TruncatedView(s, 2 * m - 1, 1.0)
+        refined = TruncatedView(s, 2 * m + 1, 0.5)
+        assert not _LevelFold([view], floor, 1 << 20, 10**6).covers([refined])
+        # a floor a little higher leaves the new pair clearly below it
+        above = _LevelFold([view], floor * (1.0 + 1e-12), 1 << 20, 10**6)
+        assert above.covers([refined])
+
     def test_budget_rejects_non_positive_limits(self):
         for kwargs in ({"n_max": 0}, {"n_max": -1}, {"heap_bytes": 0}):
             with pytest.raises(DomainError):
