@@ -23,8 +23,7 @@ from .spectra import spectrum_from_config
 from .tensor import Budget, ProductProblem
 
 _TOP_FIELDS = {
-    "problem", "epsilons", "dims", "budgets", "bounds",
-    "classify", "delta", "horizon",
+    "problem", "epsilons", "dims", "budgets", "bounds", "horizon",
 }
 _BUDGET_FIELDS = {"n_max", "heap_bytes", "tol_rel"}
 _PROBLEM_KINDS = {
@@ -42,8 +41,6 @@ class ExperimentConfig:
     budget: Budget
     tol_rel: Optional[float] = None
     bounds: tuple = ()
-    classify_request: Optional[dict] = None
-    delta: float = 0.5
     horizon: int = 10_000
     family: Optional[KorobovFamily] = field(default=None, compare=False)
 
@@ -166,7 +163,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             f"each bound request needs a 'name': {b!r}",
         )
 
-    delta = _fraction(raw.get("delta", 0.5), "delta")
     horizon = _integer(raw.get("horizon", 10_000), "horizon", 10)
 
     family = None
@@ -185,8 +181,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         bounds=tuple(
             tuple(sorted(b.items())) for b in bounds
         ),
-        classify_request=raw.get("classify"),
-        delta=delta,
         horizon=horizon,
         family=family,
     )

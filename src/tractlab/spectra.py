@@ -151,7 +151,9 @@ class KorobovSpectrum:
             raise DomainError("dense_values needs a positive floor")
         if limit < 3 or floor > self.g:
             return np.ones(1)
-        m_max = int((self.g / floor) ** (1.0 / (2.0 * self.r)))
+        # the estimate of the last pair may round down by one when the floor
+        # is a value itself, so the next pair is tested against it too
+        m_max = int((self.g / floor) ** (1.0 / (2.0 * self.r))) + 1
         m_max = min(m_max, (limit - 1) // 2)
         if m_max < 1:
             return np.ones(1)

@@ -5,15 +5,15 @@ one factor per coordinate.  The minimal number of linear functionals
 needed to cut the initial error by a factor eps is the smallest n whose
 top-n eigenvalue sum reaches (1 - eps^2) times the exact trace.
 
-Small answers come from a max-heap over multi-indices that enumerates
-product eigenvalues in non-increasing order, generating each index
-exactly once: from index z, coordinate i may be incremented only if every
-later coordinate still sits at index 1.  Values are handled as sums of
-logarithms so the ordering survives arbitrarily small products; partial
-sums are accumulated in linear space with compensated summation.  Large
-answers come from a level-set fold that counts and sums the products
-above a value level without materializing them, and sorts only the
-boundary slice where the partial sum crosses the threshold.
+Answers within 64 products come from a max-heap over multi-indices that
+enumerates product eigenvalues in non-increasing order, generating each
+index exactly once: from index z, coordinate i may be incremented only if
+every later coordinate still sits at index 1.  Values are handled as sums
+of logarithms so the ordering survives small products; partial sums are
+accumulated in linear space with compensated summation.  Every other
+answer comes from a level-set fold that counts and sums the products above
+a value level without materializing them, and sorts only the boundary
+slice where the partial sum crosses the threshold.
 
 A result is *certified* when the coordinate truncation mass plus a
 rounding allowance provably cannot move the integer answer.
@@ -288,10 +288,11 @@ def info_complexity(
     about the integer answer.  Uncertified results carry the bracketing
     interval [n_low, n_high] and report the conservative (larger) end.
 
-    Answers within _HANDOFF_POPS heap pops come out of the lazy heap; past
-    that the call hands off, once, to the level-set fold, which serves
-    every later truncation too.  ``pops`` counts heap pops plus, per fold
-    decision, the products at or above its final lower level.
+    Answers within _HANDOFF_POPS heap pops above the heap's floor come out
+    of the lazy heap; otherwise the call hands off, once, to the level-set
+    fold, which serves every later truncation too.  ``pops`` counts heap
+    pops plus, per fold decision, the products at or above its final lower
+    level.
     """
     if not 0.0 < epsilon <= 1.0:
         raise DomainError(f"epsilon must be in (0, 1], got {epsilon}")
@@ -340,8 +341,7 @@ def info_complexity(
         if not views:  # all single atoms: one eigenvalue carries the trace
             found = (True, 1, 1.0, 0.0, 1)
         elif heap_left:
-            found, used, hint = _heap_scan(views, threshold, slack, heap_left,
-                                           budget.heap_entries(d), eps2)
+            found, used, hint = _heap_scan(views, threshold, slack, heap_left, eps2)
             pops += used
             heap_left = heap_left - used if found else 0
         if found is None:
@@ -349,7 +349,7 @@ def info_complexity(
             # the fold, and so its decision, unchanged
             if fold is None or not fold.covers(views):
                 fold, decided, ranked, hint = _fold_decide(
-                    views, threshold, hint, budget, pops)
+                    views, threshold, trace_norm, hint, budget, pops)
                 pops += ranked
             found = decided
         crossed, n, partial, prev, n_low = found
@@ -368,48 +368,38 @@ def info_complexity(
                             pops=pops, n_low=n_low, n_high=n)
 
 
-# Heap pops one call may spend before handing off to the fold.  A pop
-# costs ~6 us at d=6 and ~50 us at d=20, so a large answer loses at most
-# 12 ms to 0.1 s on the heap prefix.  A fold decision on a small answer
-# costs 1-3 ms, so past ~100 pops it beats the heap; the cap keeps every
-# point of the heap-only small_answers benchmark (<= 1,963 pops) on it.
-_HANDOFF_POPS = 2048
+# Heap pops one call may spend before handing off to the fold.  ms per
+# small_answers point (seed 0), heap / fold, by heap pops: < 16 (739 points)
+# 0.81 / 0.94, 16-63 (205) 0.88 / 1.04, 64-255 (45) 0.83 / 0.68, 256-1023
+# (10) 2.64 / 0.87, >= 1024 (1) 8.78 / 1.20.  So not 0: the heap is faster
+# on the 94% of points below 64 pops, and the fold on every point above.
+_HANDOFF_POPS = 64
 
 # Relative margin of _LevelFold.covers: 2^-49 is 8 to 16 ulps, against the
 # one ulp by which numpy's and Python's powers have been seen to differ.
 _COVER_MARGIN = 2.0 ** -49
 
 
-def _heap_scan(views, threshold, slack, pops_left, max_entries, eps2):
+def _heap_scan(views, threshold, slack, pops_left, eps2):
     """Lazy-heap decision for one truncation: (found, pops, hint).  found is
-    (crossed, n, partial, partial_prev, n_low), or None when the pops or the
-    heap's memory ran out first; the crossing then lies below ``hint``."""
-    # Value floor, lowered in small steps whenever the stream runs dry: near
-    # the n-th eigenvalue, it bounds the heap size by a modest multiple of n.
+    (True, n, partial, partial_prev, n_low), or None when the pops or the
+    values above the heap's floor ran out first; the crossing then lies
+    below ``hint`` = (level, step in ln), where the fold starts.  At most
+    _HANDOFF_POPS pops keep the heap within 1 + 64 d entries."""
     log_floor = max(min(-8.0, math.log(eps2) - 2.0), -64.0)
-    pops = 0
-    hint = (1.0, 1.0)
-    while True:
-        acc, prev, n, n_low = CompensatedSum(), 0.0, 0, 0
-        try:
-            for _z, logv in _stream_normalized(views, log_floor, max_entries):
-                if pops == pops_left:
-                    return None, pops, hint
-                pops += 1
-                prev = acc.value
-                value = math.exp(logv) if logv > -745.0 else 0.0
-                acc.add(value)
-                n += 1
-                if not n_low and acc.value + slack >= threshold:
-                    n_low = n
-                if acc.value >= threshold:
-                    return (True, n, acc.value, prev, n_low or n), pops, hint
-                hint = (value, 1.0)
-        except BudgetExceededError:
-            return None, pops, hint
-        if log_floor < -744.0:
-            return (False, n, acc.value, prev, n_low or n), pops, hint
-        log_floor = max(log_floor - 4.0, -745.0)
+    acc, n, n_low, level = CompensatedSum(), 0, 0, 1.0
+    for _z, logv in _stream_normalized(views, log_floor, math.inf):
+        if n == pops_left:
+            return None, n, (level, 1.0)
+        prev = acc.value
+        level = math.exp(logv)
+        acc.add(level)
+        n += 1
+        if not n_low and acc.value + slack >= threshold:
+            n_low = n
+        if acc.value >= threshold:
+            return (True, n, acc.value, prev, n_low), n, (level, 1.0)
+    return None, n, (math.exp(log_floor), 1.0)
 
 
 def _dense_fold(arrays, floor, max_entries):
@@ -428,21 +418,34 @@ def _dense_fold(arrays, floor, max_entries):
     return prod
 
 
-_SLICE_ENTRIES = 1 << 16  # a boundary slice this small is sorted, not split
+def _prefix_sums(x):
+    """Compensated prefix sums: np.cumsum plus the cumsum of each addition's
+    exact error (Knuth's TwoSum), rounded once.  For x >= 0, u = 2^-53 and
+    S_k = sum(x[:k+1]): each error e_i <= u hi_i <~ u S_k, their rounded
+    cumsum errs by <= (k-1) u sum e_i <= k^2 u^2 S_k, and entry k lies within
+    u + k^2 u^2 of S_k, relative: a correct rounding but within k^2 u^2 of a tie."""
+    hi = np.cumsum(x)
+    err = np.concatenate(([0.0], hi[:-1]))  # the sum before each addition
+    part = hi - err  # the part of x[k] that the addition kept
+    err -= hi - part
+    err += x - part
+    return hi + np.cumsum(err, out=err)
+
+
+_SLICE_ENTRIES = 1 << 16  # per 2^18 rows, a slice this small is sorted, not split
 
 
 class _LevelFold:
     """Every normalized product eigenvalue >= floor, held as level sets.
 
     The coordinate with the most values >= floor stays a descending array
-    ``col``; the others are folded into ``rows``.  The products >= a level t
-    in row i are the first c_i = #{j : col_j >= t / rows_i} entries of
-    ``col``, summing to rows_i * prefix(c_i): a level costs a searchsorted
-    per row, memory that of the (d-1)-fold.  The prefix sums (sequential
-    cumsum plus the cumsum of each addition's exact error, by TwoSum) are
-    exact within m^2 u^2 (u = 2^-53, m = len(col)), so each row term is within
-    2u and each sum decided on within 6u of exact, far inside the rounding
-    allowance of the certification.
+    ``col``; the others are folded into ascending ``rows``.  The products
+    >= a level t in row i are the first c_i = #{j : col_j >= t / rows_i}
+    entries of ``col``, summing to rows_i * prefix(c_i): a level costs a
+    pass over the rows, memory that of the (d-1)-fold.  Prefix sums within
+    u + m^2 u^2 of exact (_prefix_sums; u = 2^-53, m = len(col)) put each
+    row term within 2u + m^2 u^2, and a _prefix_sums total of k of them
+    within 3u + (m^2 + k^2) u^2 of exact: below 4u for m, k < 6e7.
 
     No column holds more than ``cap`` = n_max + 1 values: a column reaching
     cap raises the floor to its cap-th value.  Times the other coordinates'
@@ -465,22 +468,25 @@ class _LevelFold:
         if max(len(c) for c in cols) > max_entries:
             raise BudgetExceededError("dense enumeration exceeded its memory budget")
         self.col = cols.pop(max(range(len(cols)), key=lambda i: len(cols[i])))
-        self.rows = _dense_fold(cols, floor, max_entries)
+        self._neg_col = -self.col
+        self.rows = np.sort(_dense_fold(cols, floor, max_entries))  # see counts
         self.views, self.floor, self.max_entries = views, floor, max_entries
-        hi = np.cumsum(self.col)  # sequential: hi[k] = hi[k-1] + col[k], rounded
-        before = np.concatenate(([0.0], hi[:-1]))
-        part = hi - before
-        err = (before - (hi - part)) + (self.col - part)
-        self.pre_hi = np.concatenate(([0.0], hi))
-        self.pre_lo = np.concatenate(([0.0], np.cumsum(err)))
-        self.bottom = self.counts(floor, self.rows)
+        self._ends = np.concatenate((self.col, [0.0, math.inf]))  # empty-slice pads
+        self.prefix = np.concatenate(([0.0], _prefix_sums(self.col)))
+        self.bottom = self.counts(floor)
 
-    def counts(self, level, rows):
-        return np.searchsorted(-self.col, -(level / rows), side="right")
+    def counts(self, level):
+        """c_i = #{j : -col_j <= keys_i = -level / rows_i}; keys ascend with the
+        rows, so past len(col) rows each col value is placed among the keys."""
+        keys = -level / self.rows
+        if len(keys) < len(self.col):
+            return np.searchsorted(self._neg_col, keys, side="right")
+        first = np.searchsorted(keys, self._neg_col, side="left")
+        return np.cumsum(np.bincount(first, minlength=len(keys) + 1))[:-1]
 
     def mass(self, rows, counts):
         """rows_i * (col[0] + ... + col[counts_i - 1]), per row."""
-        return rows * (self.pre_hi[counts] + self.pre_lo[counts])
+        return rows * self.prefix[counts]
 
     def covers(self, views):
         """Whether ``views`` add only values below the floor to this fold's.
@@ -498,73 +504,62 @@ class _LevelFold:
     def first_reaching(self, target, upper):
         """(n, partial_n, partial_(n-1), count at the final lower level, n-th
         value) for the first n whose top-n sum reaches target, or None.
-        Bisects the levels between the floor and ``upper`` on the rows whose
-        counts differ, until at most _SLICE_ENTRIES values lie between or
-        they all tie; _first_reaching then decides on that sorted slice."""
-        settled = CompensatedSum()  # exact sum over rows whose count is fixed
-        count = 0
+        Bisects the levels between the floor and ``upper`` until the slice
+        of values between them is small (see _SLICE_ENTRIES) or all tie;
+        _first_reaching then decides on that sorted slice."""
+        rows, lo = self.rows, self.bottom
+        hi = self.counts(upper)
 
-        def reaches(rows, counts):
+        def reaches(counts):
             terms = self.mass(rows, counts)
-            total = settled.value + float(terms.sum())
+            total = float(terms.sum())
             # any summation order errs by at most (k-1)u of the sum, so only
-            # a total this close to the target needs the exact sum
+            # a total this close to the target needs the compensated sum
             if abs(total - target) <= 2.3e-16 * (len(terms) + 4) * total:
-                total = settled.value + math.fsum(terms)
+                total = float(_prefix_sums(terms)[-1])
             return total >= target
 
-        def settle(rows, hi, lo):
-            nonlocal count
-            done = hi == lo
-            settled.add(math.fsum(self.mass(rows[done], hi[done])))
-            count += int(hi[done].sum())
-            return rows[~done], hi[~done], lo[~done]
-
-        rows, lo = self.rows, self.bottom
-        hi = self.counts(upper, rows)
-        if reaches(rows, hi):
+        if reaches(hi):
             hi = np.zeros_like(lo)
-        rows, hi, lo = settle(rows, hi, lo)
-        while int((lo - hi).sum()) > _SLICE_ENTRIES:
-            a = float((rows * self.col[hi]).max())  # largest value in the slice
-            b = float((rows * self.col[lo - 1]).min())  # smallest
+        while int((lo - hi).sum()) > _SLICE_ENTRIES * max(1, len(rows) >> 18):
+            a = float((rows * self._ends[hi]).max())  # largest value in the slice
+            b = float((rows * self._ends[lo - 1]).min())  # smallest
             if a <= b * (1.0 + 2.0 ** -40):
                 break  # one tied value fills the slice: no level splits it
-            mid = self.counts(math.sqrt(a) * math.sqrt(b), rows)
-            if reaches(rows, mid):
+            mid = self.counts(math.sqrt(a) * math.sqrt(b))
+            if reaches(mid):
                 lo = mid
             else:
                 hi = mid
-            rows, hi, lo = settle(rows, hi, lo)
-        settled.add(math.fsum(self.mass(rows, hi)))
-        count += int(hi.sum())
+        z = max(int(np.searchsorted(hi, 1)) - 1, 0)  # counts ascend with rows
+        base = float(_prefix_sums(self.mass(rows[z:], hi[z:]))[-1])
         width = lo - hi
-        size = int(width.sum())
+        size, count = int(width.sum()), int(hi.sum())
         if size > self.max_entries:
             raise BudgetExceededError("dense enumeration exceeded its memory budget")
         idx = np.repeat(hi - (np.cumsum(width) - width), width) + np.arange(size)
         values = np.repeat(rows, width) * self.col[idx]
         values[::-1].sort()  # descending
-        crossed, k, partial, prev = _first_reaching(values, target, settled.value)
+        crossed, k, partial, prev = _first_reaching(values, target, base)
         return (count + k, partial, prev, count + size, float(values[k - 1])
                 ) if crossed else None
 
 
-def _fold_decide(views, threshold, hint, budget, pops):
+def _fold_decide(views, threshold, trace, hint, budget, pops):
     """Level-set decision for one truncation: folds at floors stepping down
-    from ``hint`` = (level, step in ln) until the values reach the threshold,
-    each step extrapolated from the slope of the level sums in ln(level) and
-    clamped to [0.25, 2] (the fold grows like a power of 1/floor).  When
-    the extrapolated crossing lies below every positive kept product and
-    they all fit the budgets, the next fold takes them all; a fold holding
-    every one of them ends the walk uncertified (a declared tail is then
-    what keeps the values below the threshold).  Returns (fold, found as
-    _heap_scan's with n_low None, the count at its final lower level, hint
-    for the next truncation)."""
+    from ``hint`` = (level, step in ln) until the values reach the threshold.
+    The mass below a level falls about like a power of it, so the next floor
+    extrapolates ln(trace - sum) in ln(level) from the last two levels to 10%
+    past the crossing (a fold a little too low costs less than creeping up to
+    it), in steps of 2 while that lies more than 3 below.  Past every positive
+    kept product, the next fold takes them all if they fit the budgets; one
+    holding all ends the walk uncertified (a declared tail keeps it short).
+    Returns (fold, found with n_low None, count at its lower level, hint)."""
     # a fold keeps about eight float arrays per column or row entry
     max_entries = max(budget.heap_bytes // 64, 1 << 20)
     kept, lowest = _kept_products(views)
     upper, step = hint
+    above = None  # the sum of the values >= upper, once known
     while True:
         floor = max(upper * math.exp(-step), 1e-300)
         fold = _LevelFold(views, floor, max_entries, budget.n_max + 1)
@@ -586,10 +581,14 @@ def _fold_decide(views, threshold, hint, budget, pops):
             # the crossing provably lies beyond n_max
             raise BudgetExceededError("answer exceeds the enumeration budget",
                                       n_lower=count, pops=pops + count)
-        above = fold.mass(fold.rows, fold.counts(floor * math.exp(0.5), fold.rows))
-        slope = 2.0 * (total - float(above.sum()))
-        gap = 1.1 * (threshold - total) / slope if slope > 0.0 else 2.0
-        upper, step = floor, min(2.0, max(0.25, gap))
+        if above is None:
+            above = float(fold.mass(fold.rows, fold.counts(upper)).sum())
+        fall = (math.log((trace - above) / (trace - total))
+                if total < threshold < trace else 0.0)
+        gap = 1.1 * math.log((trace - total) / (trace - threshold)) * math.log(
+            upper / floor) / fall if fall > 0.0 else 2.0
+        upper, above = floor, total
+        step = max(gap, 0.25) if gap <= 3.0 else 2.0
         if floor * math.exp(-gap) < lowest and kept <= min(budget.n_max, max_entries):
             step = math.log(floor / lowest) + 0.5  # just below the smallest
 

@@ -273,12 +273,16 @@ class TestBadInput:
          "'tol_rel' must be a number in (0, 1), got True"),
         ({"budgets": {"tol_rel": 1.5}},
          "'tol_rel' must be a number in (0, 1), got 1.5"),
-        ({"delta": "abc"}, "'delta' must be a number in (0, 1), got 'abc'"),
-        ({"delta": float("nan")}, "'delta' must be a number in (0, 1), got nan"),
-        ({"delta": 0}, "'delta' must be a number in (0, 1), got 0"),
+        # the top-level delta was never read; any value is now rejected
+        ({"delta": "abc"}, "unknown config fields: ['delta']"),
+        ({"delta": float("nan")}, "unknown config fields: ['delta']"),
+        ({"delta": 0}, "unknown config fields: ['delta']"),
+        ({"delta": 0.5}, "unknown config fields: ['delta']"),
+        ({"classify": {}}, "unknown config fields: ['classify']"),
     ], ids=["n_max_text", "n_max_fraction", "horizon_text", "tol_rel_text",
             "tol_rel_numeric_text", "tol_rel_bool", "tol_rel_range",
-            "delta_text", "delta_nan", "delta_zero"])
+            "delta_text", "delta_nan", "delta_zero", "delta_valid",
+            "classify_field"])
     def test_non_integer_config_counts(self, tmp_path, capsys, extra, message):
         path = write_config(tmp_path, {**BASIC, **extra})
         with pytest.raises(ValidationError):

@@ -86,6 +86,18 @@ class TestKorobov:
         assert len(vals) == len(direct)
         assert np.allclose(vals, np.array(direct), rtol=1e-14, atol=0.0)
 
+    @pytest.mark.parametrize("g, r", [(0.5, 1.0), (0.37, 1.3), (0.9, 0.6),
+                                      (0.05, 2.5)])
+    def test_dense_values_keep_the_pair_at_the_floor(self, g, r):
+        # a floor equal to pair m's value, as dense_values computes it, keeps
+        # that pair; the estimate of the last pair used to round it away
+        spec = KorobovSpectrum(g, r)
+        pairs = spec.dense_values(1e-14, 6_001)[1::2]
+        for m in range(1, len(pairs) + 1):
+            floor = float(pairs[m - 1])
+            vals = spec.dense_values(floor, 10**7)
+            assert len(vals) == 2 * m + 1 and vals[-1] == floor
+
     def test_entropy_is_positive(self):
         assert KorobovSpectrum(0.5, 1.0).entropy() > 0.0
 

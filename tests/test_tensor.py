@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 
@@ -80,17 +81,29 @@ class TestInfoComplexity:
             assert info_complexity(p1, eps).n == info_complexity(p2, eps).n
 
     def test_dense_engine_matches_heap_engine(self, monkeypatch):
-        # same point computed once per engine by moving the heap-to-fold
-        # cutover to either extreme
+        # the fold's answer, after 64 heap pops and after one, against the
+        # heap enumeration of top_eigenvalues summed exactly
         import tractlab.tensor as tensor_mod
+        from tractlab.spectra import TruncatedView
 
-        p = ProductProblem(tuple(KorobovSpectrum(0.5, 1.0) for _ in range(3)))
-        monkeypatch.setattr(tensor_mod, "_HANDOFF_POPS", 10**9)
-        heap = info_complexity(p, 0.15)
+        korobov, eps = KorobovSpectrum(0.5, 1.0), 0.15
+        p = ProductProblem((korobov,) * 3)
+        default = info_complexity(p, eps)
         monkeypatch.setattr(tensor_mod, "_HANDOFF_POPS", 1)
-        dense = info_complexity(p, 0.15)
-        assert heap.certified and dense.certified
-        assert heap.n == dense.n == 23200
+        dense = info_complexity(p, eps)
+        assert default.certified and dense.certified
+        assert default.n == dense.n == 23200
+        # views of 20,001 values leave out only products <= 0.5 / 10001^2,
+        # far below the 23,201st
+        views = [TruncatedView(korobov, 20_001, 0.0)] * 3
+        values = [v for _, v in top_eigenvalues(p, 23_201, views=views)]
+        assert values[-1] > 1e3 * 0.5 / 10_001**2
+        trace = p.trace_d()
+        threshold = (1.0 - eps * eps) * trace
+        short, reached = math.fsum(values[:23_199]), math.fsum(values[:23_200])
+        # n = 23,200 is the first to reach, by margins far beyond rounding
+        assert threshold - short > 1e-9 * trace
+        assert reached - threshold > 1e-9 * trace
 
     def test_large_answer_pays_the_heap_prefix_once(self):
         # two truncation attempts; the heap runs only in the first
@@ -150,6 +163,52 @@ class TestInfoComplexity:
             3_024_654, False, 89, 3_024_654)
         assert len(folds) <= 5
 
+    def test_heap_stream_that_runs_dry_hands_off_to_the_fold(self, monkeypatch):
+        # the 45 products above the heap's floor (e^-8 at eps 0.1) fall
+        # short of the threshold: the heap stops there and the fold answers
+        import tractlab.tensor as tensor_mod
+
+        scans = []
+        heap_scan = tensor_mod._heap_scan
+        monkeypatch.setattr(tensor_mod, "_heap_scan",
+                            lambda *args: scans.append(heap_scan(*args)) or scans[-1])
+        geometric = ExplicitSpectrum(tuple(0.05**j for j in range(6)))
+        p = ProductProblem((geometric,) * 8)
+        res = info_complexity(p, 0.1)
+        assert [(found, pops) for found, pops, _hint in scans] == [(None, 45)]
+        oracle = brute_force_complexity(p, 0.1)
+        assert res.certified and oracle.certified
+        assert (res.n, res.n_low, res.n_high) == (oracle.n, oracle.n_low,
+                                                  oracle.n_high) == (64, 64, 64)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_walk_builds_at_most_twice_the_final_fold(self, monkeypatch, seed):
+        # the timed points of perfbench's large_answers: curse and
+        # g_k = k^-3 weights, scaled as its seed draws them
+        import tractlab.tensor as tensor_mod
+
+        rows = []
+        init = tensor_mod._LevelFold.__init__
+
+        def counting_init(self, *args):
+            init(self, *args)
+            rows.append(len(self.rows))
+
+        monkeypatch.setattr(tensor_mod._LevelFold, "__init__", counting_init)
+        rng = random.Random(seed)
+        curse, strong = (1.0 - (rng.uniform(0.0, 0.01) if seed else 0.0)
+                         for _ in range(2))
+        points = [
+            ((KorobovSpectrum(0.5 * curse, 1.0),) * 6, 0.5),
+            ((KorobovSpectrum(0.5 * curse, 1.0),) * 6, 0.45),
+            (tuple(KorobovSpectrum(strong * k**-3.0, 1.0) for k in range(1, 21)),
+             0.1),
+        ]
+        for coords, eps in points:
+            rows.clear()
+            assert info_complexity(ProductProblem(coords), eps).certified
+            assert sum(rows) <= 2.0 * rows[-1]
+
     def test_fold_columns_stay_within_the_n_budget(self, monkeypatch):
         # the answer lies far beyond n_max, and the top n_max products
         # never need a column of more than n_max + 1 values
@@ -189,6 +248,38 @@ class TestInfoComplexity:
         # a floor a little higher leaves the new pair clearly below it
         above = _LevelFold([view], floor * (1.0 + 1e-12), 1 << 20, 10**6)
         assert above.covers([refined])
+
+    def test_fold_counts_match_a_search_per_row(self):
+        # with more rows than col values, counts places the col values among
+        # the rows' keys; a binary search of each key in col is the reference
+        import numpy as np
+        from tractlab.tensor import _LevelFold
+
+        p = ProductProblem((KorobovSpectrum(0.5, 1.0),) * 4)
+        fold = _LevelFold([c.truncate(1e-6) for c in p.coordinates], 1e-4,
+                          1 << 22, 10**7)
+        assert len(fold.rows) > 10 * len(fold.col)
+        rng = random.Random(7)
+        levels = [math.inf, fold.floor, 1.0]
+        for _ in range(60):  # products themselves, and an ulp either side
+            v = float(fold.rows[rng.randrange(len(fold.rows))]
+                      * fold.col[rng.randrange(len(fold.col))])
+            levels += [v, math.nextafter(v, 0.0), math.nextafter(v, 1.0)]
+        for level in levels:
+            want = np.searchsorted(-fold.col, -level / fold.rows, side="right")
+            assert np.array_equal(fold.counts(level), want)
+
+    def test_prefix_sums_round_like_fsum(self):
+        # within u + k^2 u^2 of exact: a correct rounding on any seeded input
+        import numpy as np
+        from tractlab.tensor import _prefix_sums
+
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            x = rng.random(int(rng.integers(1, 20_000))) ** rng.uniform(1.0, 40.0)
+            sums = _prefix_sums(x)
+            for k in [len(x) - 1] + list(rng.integers(0, len(x), 5)):
+                assert sums[k] == math.fsum(x[: k + 1])
 
     def test_budget_rejects_non_positive_limits(self):
         for kwargs in ({"n_max": 0}, {"n_max": -1}, {"heap_bytes": 0}):
@@ -279,6 +370,12 @@ class TestOracleAgreement:
         for a, b in ((heap, fold), (fold, heap)):
             if a.certified:
                 assert b.n_low <= a.n <= b.n_high
+        # answers past 64 pops come from the fold on both sides: the
+        # oracle's bracket, which always holds the answer, checks them
+        oracle = brute_force_complexity(problem, eps)
+        for res in (heap, fold):
+            if res.certified:
+                assert oracle.n_low <= res.n <= oracle.n_high
 
     def test_seeded_batch_agrees(self):
         rng = random.Random(20240817)
@@ -331,3 +428,110 @@ class TestResultInvariants:
         if res.certified and res.n > 0:
             threshold = (1.0 - eps * eps) * res.trace
             assert res.partial_sum >= threshold * (1.0 - 1e-9)
+
+
+def _exact_top_sums(problem, n):
+    """(S_(n-1), S_n, trace) at 40 digits: the sums of the n-1 and the n
+    largest products of the exact eigenvalues, and the exact trace."""
+    mpmath = pytest.importorskip("mpmath")
+    import numpy as np
+
+    coords = problem.coordinates
+    lead = math.prod(c.leading() for c in coords)
+    pairs = 8
+    while True:  # grids long enough that every product left out is below the n-th
+        lengths = [2 * pairs + 1 if isinstance(c, KorobovSpectrum) else len(c.values)
+                   for c in coords]
+        grid = np.ones(1)
+        for c, m in zip(coords, lengths):
+            grid = np.multiply.outer(grid, [c.eigenvalue(j) for j in range(1, m + 1)])
+            grid = grid.ravel()
+        nth = float(np.sort(grid)[::-1][n - 1]) if len(grid) >= n else 0.0
+        left_out = max(c.eigenvalue(m + 1) / c.leading() * lead
+                       for c, m in zip(coords, lengths))
+        if left_out < nth * (1.0 - 1e-9):
+            break
+        pairs *= 2
+    with mpmath.workdps(40):
+        @functools.lru_cache(maxsize=None)
+        def value(c, j):
+            if isinstance(c, ExplicitSpectrum):
+                return mpmath.mpf(c.values[j - 1])
+            if j == 1:
+                return mpmath.mpf(1)
+            if j % 2:
+                return value(c, j - 1)
+            return mpmath.mpf(c.g) * mpmath.mpf(j // 2) ** (-2 * mpmath.mpf(c.r))
+
+        def trace(c):
+            if isinstance(c, ExplicitSpectrum):
+                return mpmath.fsum(c.values) + c.tail
+            return 1 + 2 * mpmath.mpf(c.g) * mpmath.zeta(2 * mpmath.mpf(c.r))
+
+        # the exact top n lie among the float products within 1e-9 of the n-th
+        near = np.flatnonzero(grid >= nth * (1.0 - 1e-9))
+        exact = sorted((mpmath.fprod(value(c, int(j) + 1) for c, j in
+                                     zip(coords, np.unravel_index(i, lengths)))
+                        for i in near), reverse=True)
+        head = mpmath.fsum(exact[: n - 1])
+        return head, head + exact[n - 1], mpmath.fprod(trace(c) for c in coords)
+
+
+class TestDecisionAtHighPrecision:
+    """Certified answers of the fold (handed off after one pop, and also
+    bisecting down to slices of 16 values) and of the oracle, decided again
+    from the exact products at 40 digits."""
+
+    @staticmethod
+    def engines(problem, eps, monkeypatch):
+        import tractlab.tensor as tensor_mod
+
+        results = []
+        with monkeypatch.context() as mp:
+            mp.setattr(tensor_mod, "_HANDOFF_POPS", 1)
+            results.append(info_complexity(problem, eps))
+            mp.setattr(tensor_mod, "_SLICE_ENTRIES", 16)
+            results.append(info_complexity(problem, eps))
+        return results + [brute_force_complexity(problem, eps)]
+
+    @staticmethod
+    def check(res, eps, sums):
+        short, reached, trace = sums
+        threshold = (1 - eps**2) * trace
+        # n - 1 products fall short by more than the rounding allowance of
+        # the certification slack, and n reach the threshold
+        assert threshold - short > 1e-12 * trace
+        assert reached >= threshold
+        assert abs(res.partial_sum - reached) <= 1e-13 * reached
+        return reached - threshold
+
+    def test_seeded_problems(self, monkeypatch):
+        rng = random.Random(20261018)
+        checked = 0
+        for _ in range(12):
+            coords = []
+            for _ in range(rng.randint(1, 3)):
+                if rng.random() < 0.5:
+                    coords.append(KorobovSpectrum(rng.uniform(0.1, 1.0),
+                                                  rng.uniform(1.5, 3.0)))
+                else:
+                    a, q = rng.uniform(0.5, 2.0), rng.uniform(0.2, 0.7)
+                    coords.append(ExplicitSpectrum(tuple(a * q**j for j in range(12))))
+            p = ProductProblem(tuple(coords))
+            for eps in (0.6, 0.3, 0.1, 0.05):
+                for res in self.engines(p, eps, monkeypatch):
+                    if res.certified:
+                        self.check(res, eps, _exact_top_sums(p, res.n))
+                        checked += 1
+        assert checked >= 90
+
+    def test_crossing_within_1e_minus_10_of_the_threshold(self, monkeypatch):
+        # eps puts the threshold 1e-11 (relative) below the 40th top sum
+        mpmath = pytest.importorskip("mpmath")
+        p = ProductProblem((KorobovSpectrum(0.5, 1.0), KorobovSpectrum(0.3, 1.5)))
+        sums = _exact_top_sums(p, 40)
+        with mpmath.workdps(40):
+            eps = float(mpmath.sqrt(1 - sums[1] * (1 - mpmath.mpf(1e-11)) / sums[2]))
+        for res in self.engines(p, eps, monkeypatch):
+            assert res.certified and res.n == 40
+            assert 0 <= self.check(res, eps, sums) <= 1e-10 * sums[2]
