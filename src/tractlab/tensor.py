@@ -5,11 +5,11 @@ one factor per coordinate.  The minimal number of linear functionals
 needed to cut the initial error by a factor eps is the smallest n whose
 top-n eigenvalue sum reaches (1 - eps^2) times the exact trace.
 
-Answers within 64 products come from a max-heap over multi-indices that
-enumerates product eigenvalues in non-increasing order, generating each
-index exactly once: from index z, coordinate i may be incremented only if
-every later coordinate still sits at index 1.  Values are handled as sums
-of logarithms so the ordering survives small products; partial sums are
+Small answers come from a max-heap over multi-indices that enumerates
+product eigenvalues in non-increasing order, generating each index
+exactly once: from index z, coordinate i may be incremented only if every
+later coordinate still sits at index 1.  Values are handled as sums of
+logarithms so the ordering survives small products; partial sums are
 accumulated in linear space with compensated summation.  Every other
 answer comes from a level-set fold that counts and sums the products above
 a value level without materializing them, and sorts only the boundary
@@ -288,11 +288,10 @@ def info_complexity(
     about the integer answer.  Uncertified results carry the bracketing
     interval [n_low, n_high] and report the conservative (larger) end.
 
-    Answers within _HANDOFF_POPS heap pops above the heap's floor come out
-    of the lazy heap; otherwise the call hands off, once, to the level-set
-    fold, which serves every later truncation too.  ``pops`` counts heap
-    pops plus, per fold decision, the products at or above its final lower
-    level.
+    Answers within _HANDOFF_POPS heap pops come out of the lazy heap; when the
+    pops left cannot reach the threshold, the call hands off to the level-set
+    fold, which serves every later truncation too.  ``pops`` counts heap pops
+    plus, per fold decision, the products at or above its final lower level.
     """
     if not 0.0 < epsilon <= 1.0:
         raise DomainError(f"epsilon must be in (0, 1], got {epsilon}")
@@ -326,7 +325,7 @@ def info_complexity(
 
     tol = tol_rel if tol_rel is not None else min(1e-3 * (1.0 - eps2), 1e-6) / d
     pops = 0
-    heap_left = min(_HANDOFF_POPS, budget.n_max)
+    heap_left = min(_HANDOFF_POPS, budget.n_max, budget.heap_entries(d) // d)
     hint = (1.0, 1.0)  # the fold's first floor: (upper level, step in ln)
     fold = last = None
     prev_t_mass = math.inf
@@ -368,12 +367,10 @@ def info_complexity(
                             pops=pops, n_low=n_low, n_high=n)
 
 
-# Heap pops one call may spend before handing off to the fold.  ms per
-# small_answers point (seed 0), heap / fold, by heap pops: < 16 (739 points)
-# 0.81 / 0.94, 16-63 (205) 0.88 / 1.04, 64-255 (45) 0.83 / 0.68, 256-1023
-# (10) 2.64 / 0.87, >= 1024 (1) 8.78 / 1.20.  So not 0: the heap is faster
-# on the 94% of points below 64 pops, and the fold on every point above.
-_HANDOFF_POPS = 64
+# Heap pops a call may spend before the fold takes over, sooner once the pops
+# left, each at most the last value, cannot reach the threshold.  The cap keeps
+# every small_answers point (<= 1,963 pops) on the heap; timings in CHANGES.md.
+_HANDOFF_POPS = 2048
 
 # Relative margin of _LevelFold.covers: 2^-49 is 8 to 16 ulps, against the
 # one ulp by which numpy's and Python's powers have been seen to differ.
@@ -382,15 +379,13 @@ _COVER_MARGIN = 2.0 ** -49
 
 def _heap_scan(views, threshold, slack, pops_left, eps2):
     """Lazy-heap decision for one truncation: (found, pops, hint).  found is
-    (True, n, partial, partial_prev, n_low), or None when the pops or the
-    values above the heap's floor ran out first; the crossing then lies
-    below ``hint`` = (level, step in ln), where the fold starts.  At most
-    _HANDOFF_POPS pops keep the heap within 1 + 64 d entries."""
+    (True, n, partial, partial_prev, n_low), or None when the values above
+    the heap's floor or the reach of its pops left ran out; the crossing then
+    lies below ``hint`` = (level, step in ln), where the fold starts.  A pop
+    adds at most d heap entries, so the pops left bound the heap's memory."""
     log_floor = max(min(-8.0, math.log(eps2) - 2.0), -64.0)
     acc, n, n_low, level = CompensatedSum(), 0, 0, 1.0
     for _z, logv in _stream_normalized(views, log_floor, math.inf):
-        if n == pops_left:
-            return None, n, (level, 1.0)
         prev = acc.value
         level = math.exp(logv)
         acc.add(level)
@@ -399,6 +394,8 @@ def _heap_scan(views, threshold, slack, pops_left, eps2):
             n_low = n
         if acc.value >= threshold:
             return (True, n, acc.value, prev, n_low), n, (level, 1.0)
+        if threshold - acc.value > (pops_left - n) * level:
+            return None, n, (level, 1.0)
     return None, n, (math.exp(log_floor), 1.0)
 
 
@@ -432,7 +429,14 @@ def _prefix_sums(x):
     return hi + np.cumsum(err, out=err)
 
 
-_SLICE_ENTRIES = 1 << 16  # per 2^18 rows, a slice this small is sorted, not split
+_SLICE_ENTRIES = 1 << 16  # a boundary slice this small is sorted, not split
+
+
+def _total(x):
+    """_prefix_sums(x)[-1] in the memory of one 2^16-value slice: the slices'
+    totals added by fsum, within 2u + 2^32 u^2 of exact for x >= 0."""
+    return math.fsum(float(_prefix_sums(x[k:k + _SLICE_ENTRIES])[-1])
+                     for k in range(0, len(x), _SLICE_ENTRIES))
 
 
 class _LevelFold:
@@ -444,8 +448,8 @@ class _LevelFold:
     entries of ``col``, summing to rows_i * prefix(c_i): a level costs a
     pass over the rows, memory that of the (d-1)-fold.  Prefix sums within
     u + m^2 u^2 of exact (_prefix_sums; u = 2^-53, m = len(col)) put each
-    row term within 2u + m^2 u^2, and a _prefix_sums total of k of them
-    within 3u + (m^2 + k^2) u^2 of exact: below 4u for m, k < 6e7.
+    row term within 2u + m^2 u^2, and their _total within 4u + (m^2 +
+    2^32) u^2 of exact: below 5u for m < 6e7.
 
     No column holds more than ``cap`` = n_max + 1 values: a column reaching
     cap raises the floor to its cap-th value.  Times the other coordinates'
@@ -481,8 +485,8 @@ class _LevelFold:
         keys = -level / self.rows
         if len(keys) < len(self.col):
             return np.searchsorted(self._neg_col, keys, side="right")
-        first = np.searchsorted(keys, self._neg_col, side="left")
-        return np.cumsum(np.bincount(first, minlength=len(keys) + 1))[:-1]
+        c = np.bincount(np.searchsorted(keys, self._neg_col), minlength=len(keys) + 1)
+        return np.cumsum(c, out=c)[:-1]
 
     def mass(self, rows, counts):
         """rows_i * (col[0] + ... + col[counts_i - 1]), per row."""
@@ -504,8 +508,8 @@ class _LevelFold:
     def first_reaching(self, target, upper):
         """(n, partial_n, partial_(n-1), count at the final lower level, n-th
         value) for the first n whose top-n sum reaches target, or None.
-        Bisects the levels between the floor and ``upper`` until the slice
-        of values between them is small (see _SLICE_ENTRIES) or all tie;
+        Bisects the levels between the floor and ``upper`` until at most
+        _SLICE_ENTRIES values lie between them or they all tie;
         _first_reaching then decides on that sorted slice."""
         rows, lo = self.rows, self.bottom
         hi = self.counts(upper)
@@ -516,12 +520,12 @@ class _LevelFold:
             # any summation order errs by at most (k-1)u of the sum, so only
             # a total this close to the target needs the compensated sum
             if abs(total - target) <= 2.3e-16 * (len(terms) + 4) * total:
-                total = float(_prefix_sums(terms)[-1])
+                total = _total(terms)
             return total >= target
 
         if reaches(hi):
             hi = np.zeros_like(lo)
-        while int((lo - hi).sum()) > _SLICE_ENTRIES * max(1, len(rows) >> 18):
+        while int((lo - hi).sum()) > _SLICE_ENTRIES:
             a = float((rows * self._ends[hi]).max())  # largest value in the slice
             b = float((rows * self._ends[lo - 1]).min())  # smallest
             if a <= b * (1.0 + 2.0 ** -40):
@@ -532,12 +536,13 @@ class _LevelFold:
             else:
                 hi = mid
         z = max(int(np.searchsorted(hi, 1)) - 1, 0)  # counts ascend with rows
-        base = float(_prefix_sums(self.mass(rows[z:], hi[z:]))[-1])
+        base = _total(self.mass(rows[z:], hi[z:]))
         width = lo - hi
         size, count = int(width.sum()), int(hi.sum())
         if size > self.max_entries:
             raise BudgetExceededError("dense enumeration exceeded its memory budget")
-        idx = np.repeat(hi - (np.cumsum(width) - width), width) + np.arange(size)
+        ends = np.cumsum(width)  # row i's slice: idx hi_i to lo_i - 1
+        idx = np.repeat(np.subtract(lo, ends, out=ends), width) + np.arange(size)
         values = np.repeat(rows, width) * self.col[idx]
         values[::-1].sort()  # descending
         crossed, k, partial, prev = _first_reaching(values, target, base)
@@ -549,12 +554,13 @@ def _fold_decide(views, threshold, trace, hint, budget, pops):
     """Level-set decision for one truncation: folds at floors stepping down
     from ``hint`` = (level, step in ln) until the values reach the threshold.
     The mass below a level falls about like a power of it, so the next floor
-    extrapolates ln(trace - sum) in ln(level) from the last two levels to 10%
-    past the crossing (a fold a little too low costs less than creeping up to
-    it), in steps of 2 while that lies more than 3 below.  Past every positive
-    kept product, the next fold takes them all if they fit the budgets; one
-    holding all ends the walk uncertified (a declared tail keeps it short).
-    Returns (fold, found with n_low None, count at its lower level, hint)."""
+    extrapolates ln(trace - sum) in ln(level) from the last two levels to the
+    crossing, in steps clamped to [0.25, 2]; that power grows with depth on
+    the curse and k^-3 weights, so the walk lands a little below the crossing.
+    Past every positive kept product, the next fold takes them all if they
+    fit the budgets; one holding all ends the walk uncertified (a declared
+    tail keeps it short).  Returns (fold, found with n_low None, count at its
+    lower level, hint)."""
     # a fold keeps about eight float arrays per column or row entry
     max_entries = max(budget.heap_bytes // 64, 1 << 20)
     kept, lowest = _kept_products(views)
@@ -568,9 +574,9 @@ def _fold_decide(views, threshold, trace, hint, budget, pops):
         total = float(fold.mass(fold.rows, fold.bottom).sum())
         hit = fold.first_reaching(threshold, upper) if total >= threshold else None
         if hit:
-            if hit[0] > budget.n_max:
+            if hit[0] > budget.n_max:  # the top hit[0] - 1 values fall short
                 raise BudgetExceededError("answer exceeds the enumeration budget",
-                                          n_lower=budget.n_max, pops=pops + hit[3])
+                                          n_lower=hit[0] - 1, pops=pops + hit[3])
             # the next truncation's crossing sits close to this one
             hint = (hit[4] * math.exp(0.25), 0.5)
             return fold, (True,) + hit[:3] + (None,), hit[3], hint
@@ -585,10 +591,9 @@ def _fold_decide(views, threshold, trace, hint, budget, pops):
             above = float(fold.mass(fold.rows, fold.counts(upper)).sum())
         fall = (math.log((trace - above) / (trace - total))
                 if total < threshold < trace else 0.0)
-        gap = 1.1 * math.log((trace - total) / (trace - threshold)) * math.log(
+        gap = math.log((trace - total) / (trace - threshold)) * math.log(
             upper / floor) / fall if fall > 0.0 else 2.0
-        upper, above = floor, total
-        step = max(gap, 0.25) if gap <= 3.0 else 2.0
+        upper, above, step = floor, total, min(max(gap, 0.25), 2.0)
         if floor * math.exp(-gap) < lowest and kept <= min(budget.n_max, max_entries):
             step = math.log(floor / lowest) + 0.5  # just below the smallest
 

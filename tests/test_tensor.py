@@ -63,6 +63,14 @@ class TestInfoComplexity:
             info_complexity(p, 0.1, budget=Budget(n_max=10_000))
         assert exc_info.value.n_lower >= 10_000
 
+    def test_budget_exhaustion_past_a_found_crossing_reports_it(self):
+        # the fold lands below the crossing (n = 23,200) and finds it past
+        # n_max: the top 23,199 values fall short, which beats n_max
+        p = ProductProblem((KorobovSpectrum(0.5, 1.0),) * 3)
+        with pytest.raises(BudgetExceededError) as exc_info:
+            info_complexity(p, 0.15, budget=Budget(n_max=22_500))
+        assert exc_info.value.n_lower == 23_199
+
     def test_normalization_invariance(self):
         base = ExplicitSpectrum((1.0, 0.6, 0.3, 0.05))
         scaled = ExplicitSpectrum(tuple(7.5 * v for v in base.values))
@@ -81,8 +89,9 @@ class TestInfoComplexity:
             assert info_complexity(p1, eps).n == info_complexity(p2, eps).n
 
     def test_dense_engine_matches_heap_engine(self, monkeypatch):
-        # the fold's answer, after 64 heap pops and after one, against the
-        # heap enumeration of top_eigenvalues summed exactly
+        # the answer with the default hand-off and with the fold after one
+        # heap pop, against the heap enumeration of top_eigenvalues summed
+        # exactly
         import tractlab.tensor as tensor_mod
         from tractlab.spectra import TruncatedView
 
@@ -181,11 +190,35 @@ class TestInfoComplexity:
         assert (res.n, res.n_low, res.n_high) == (oracle.n, oracle.n_low,
                                                   oracle.n_high) == (64, 64, 64)
 
+    def test_heap_memory_budget_caps_its_pops(self, monkeypatch):
+        # heap_bytes=1 leaves the minimum of 1024 heap entries: 51 pops
+        # that add at most d = 20 entries each, which cannot reach n = 78;
+        # the fold answers instead
+        import tractlab.tensor as tensor_mod
+
+        scans = []
+        heap_scan = tensor_mod._heap_scan
+        monkeypatch.setattr(tensor_mod, "_heap_scan",
+                            lambda *args: scans.append(heap_scan(*args)) or scans[-1])
+        p = ProductProblem(tuple(KorobovSpectrum(k**-3.0, 1.0) for k in range(1, 21)))
+        free = info_complexity(p, 0.5)
+        assert [found is None for found, _pops, _hint in scans] == [False]
+        scans.clear()
+        capped = info_complexity(p, 0.5, budget=Budget(heap_bytes=1))
+        (found, pops, _hint), = scans
+        assert found is None and pops <= 1024 // 20
+        assert (capped.n, capped.certified, capped.n_low, capped.n_high) == (
+            free.n, free.certified, free.n_low, free.n_high) == (78, True, 78, 78)
+
     @pytest.mark.parametrize("seed", [0, 3])
     def test_walk_builds_at_most_twice_the_final_fold(self, monkeypatch, seed):
         # the timed points of perfbench's large_answers: curse and
-        # g_k = k^-3 weights, scaled as its seed draws them
+        # g_k = k^-3 weights, scaled as its seed draws them.  The final fold
+        # is also no larger than where the earlier walk, stepping by the
+        # local slope of the sum in ln(level), landed
         import tractlab.tensor as tensor_mod
+
+        earlier = {0: (86_983, 184_713, 36_125), 3: (86_983, 176_233, 35_971)}
 
         rows = []
         init = tensor_mod._LevelFold.__init__
@@ -204,10 +237,10 @@ class TestInfoComplexity:
             (tuple(KorobovSpectrum(strong * k**-3.0, 1.0) for k in range(1, 21)),
              0.1),
         ]
-        for coords, eps in points:
+        for (coords, eps), final in zip(points, earlier[seed]):
             rows.clear()
             assert info_complexity(ProductProblem(coords), eps).certified
-            assert sum(rows) <= 2.0 * rows[-1]
+            assert sum(rows) <= 2.0 * rows[-1] and rows[-1] <= final
 
     def test_fold_columns_stay_within_the_n_budget(self, monkeypatch):
         # the answer lies far beyond n_max, and the top n_max products
@@ -370,8 +403,8 @@ class TestOracleAgreement:
         for a, b in ((heap, fold), (fold, heap)):
             if a.certified:
                 assert b.n_low <= a.n <= b.n_high
-        # answers past 64 pops come from the fold on both sides: the
-        # oracle's bracket, which always holds the answer, checks them
+        # answers the heap cannot reach come from the fold on both sides:
+        # the oracle's bracket, which always holds the answer, checks them
         oracle = brute_force_complexity(problem, eps)
         for res in (heap, fold):
             if res.certified:
