@@ -457,3 +457,30 @@ def pt_log_criterion(family: Family, tau: float, d_max: int) -> BoundEvaluation:
         finite=math.isfinite(q_log),
         extra={"linear": q_lin, "sup_coordinate": sup_coord},
     )
+
+
+# The bounds a config may request: name -> (value at (problem, d, eps,
+# **params), parameter defaults).  The lambdas look each function up when
+# called, so a wrapper set on this module's attributes sees every call.
+BOUND_REQUESTS = {
+    "chebyshev": (lambda p, d, eps, tau, z: chebyshev_bound(
+        p, eps, tau=tau, z=tau if z is None else z), {"tau": 0.9, "z": None}),
+    "curse": (lambda p, d, eps: curse_lower_bound(p, eps), {}),
+    "jensen_lhs": (lambda p, d, eps, gamma: jensen_lhs(p, gamma), {"gamma": 0.25}),
+    "jensen_lower": (lambda p, d, eps, gamma: jensen_lower_bound(p, gamma),
+                     {"gamma": 0.25}),
+    "entropy": (lambda p, d, eps: entropy_sum(p).value, {}),
+    "weak_theta": (lambda p, d, eps, tau: weak_tract_theta(p, tau, d), {"tau": 0.9}),
+    "poltract_ratio": (lambda p, d, eps, q, tau: poly_tract_ratio(p, q=q, tau=tau),
+                       {"q": 0.0, "tau": 0.9}),
+    "pt_log": (lambda p, d, eps, tau: pt_log_criterion(p, tau, d).value, {"tau": 0.9}),
+}
+
+
+def requested_bound(name: str, params, problem: ProductProblem, d: int,
+                    eps: float) -> float:
+    """The value of the request (name, params) at one grid point: ``params``
+    holds the given (parameter, number) pairs; the others take their
+    defaults from BOUND_REQUESTS."""
+    value, defaults = BOUND_REQUESTS[name]
+    return value(problem, d, eps, **{**defaults, **{k: float(x) for k, x in params}})

@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
+from ._descriptors import NUMBER, NUMBERS, OBJECT, read_kind
 from .errors import DomainError, ValidationError
 from .numutil import CompensatedSum, ln_plus
 from .spectra import KorobovSpectrum
@@ -29,10 +30,20 @@ NO = "no"
 UNKNOWN = "unknown"
 UNKNOWN_GAP = "unknown - open case"
 
-_SMOOTHNESS_KINDS = ("constant", "logarithmic", "power", "explicit")
-_WEIGHT_KINDS = (
-    "power", "geometric_in_r", "polynomial_in_r", "constant", "explicit",
-)
+# kind -> (fields, defaults) of each descriptor, read by _descriptors.read_kind
+_SMOOTHNESS_FIELDS = {
+    "constant": ({"r0": NUMBER}, {}),
+    "logarithmic": ({"a": NUMBER, "b": NUMBER}, {}),
+    "power": ({"c": NUMBER, "s": NUMBER}, {}),
+    "explicit": ({"values": NUMBERS}, {}),
+}
+_WEIGHT_FIELDS = {
+    "power": ({"rho": NUMBER}, {}),
+    "geometric_in_r": ({"v": NUMBER, "smoothness": OBJECT}, {}),
+    "polynomial_in_r": ({"s": NUMBER, "smoothness": OBJECT}, {}),
+    "constant": ({"g0": NUMBER}, {}),
+    "explicit": ({"values": NUMBERS, "asymptote": OBJECT}, {"asymptote": None}),
+}
 
 
 @dataclass(frozen=True)
@@ -52,7 +63,7 @@ class SmoothnessFamily:
     values: Optional[tuple] = None
 
     def __post_init__(self):
-        if self.kind not in _SMOOTHNESS_KINDS:
+        if self.kind not in _SMOOTHNESS_FIELDS:
             raise DomainError(f"unknown smoothness kind {self.kind!r}")
         if self.kind == "constant" and (self.r0 is None or self.r0 <= 0.5):
             raise DomainError("constant smoothness needs r0 > 1/2")
@@ -137,7 +148,7 @@ class WeightFamily:
     asymptote: Optional[dict] = None
 
     def __post_init__(self):
-        if self.kind not in _WEIGHT_KINDS:
+        if self.kind not in _WEIGHT_FIELDS:
             raise DomainError(f"unknown weight kind {self.kind!r}")
         if self.kind == "power" and (self.rho is None or self.rho <= 0.0):
             raise DomainError("power weights need rho > 0")
@@ -426,59 +437,12 @@ class KorobovFamily:
 
 
 def weight_family_from_config(desc: dict) -> WeightFamily:
-    if not isinstance(desc, dict) or "kind" not in desc:
-        raise DomainError(f"weight descriptor needs a 'kind' field: {desc!r}")
-    kind = desc["kind"]
-    known = {
-        "power": {"rho"},
-        "geometric_in_r": {"v", "smoothness"},
-        "polynomial_in_r": {"s", "smoothness"},
-        "constant": {"g0"},
-        "explicit": {"values", "asymptote"},
-    }
-    if kind not in known:
-        raise DomainError(f"unknown weight kind {kind!r}")
-    extra = set(desc) - known[kind] - {"kind"}
-    if extra:
-        raise DomainError(f"unknown weight fields: {sorted(extra)}")
-    sub = None
-    if "smoothness" in desc:
-        sub = smoothness_family_from_config(desc["smoothness"])
-    return WeightFamily(
-        kind=kind,
-        rho=desc.get("rho"),
-        v=desc.get("v"),
-        s=desc.get("s"),
-        g0=desc.get("g0"),
-        values=tuple(desc["values"]) if "values" in desc else None,
-        smoothness=sub,
-        asymptote=desc.get("asymptote"),
-    )
+    kind, fields = read_kind(desc, "weights", _WEIGHT_FIELDS)
+    if "smoothness" in fields:
+        fields["smoothness"] = smoothness_family_from_config(fields["smoothness"])
+    return WeightFamily(kind=kind, **fields)
 
 
 def smoothness_family_from_config(desc: dict) -> SmoothnessFamily:
-    if not isinstance(desc, dict) or "kind" not in desc:
-        raise DomainError(
-            f"smoothness descriptor needs a 'kind' field: {desc!r}"
-        )
-    kind = desc["kind"]
-    known = {
-        "constant": {"r0"},
-        "logarithmic": {"a", "b"},
-        "power": {"c", "s"},
-        "explicit": {"values"},
-    }
-    if kind not in known:
-        raise DomainError(f"unknown smoothness kind {kind!r}")
-    extra = set(desc) - known[kind] - {"kind"}
-    if extra:
-        raise DomainError(f"unknown smoothness fields: {sorted(extra)}")
-    return SmoothnessFamily(
-        kind=kind,
-        r0=desc.get("r0"),
-        a=desc.get("a"),
-        b=desc.get("b"),
-        c=desc.get("c"),
-        s=desc.get("s"),
-        values=tuple(desc["values"]) if "values" in desc else None,
-    )
+    kind, fields = read_kind(desc, "smoothness", _SMOOTHNESS_FIELDS)
+    return SmoothnessFamily(kind=kind, **fields)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import json
 import multiprocessing
 import os
@@ -69,7 +68,7 @@ def _complexity_point(task):
     cfg, d, eps = task
     problem = cfg.build_problem(d)
     try:
-        res = info_complexity(problem, eps, budget=cfg.budget, tol_rel=cfg.tol_rel)
+        res = info_complexity(problem, eps, budget=cfg.budget)
     except BudgetExceededError as exc:
         return {
             "d": d, "epsilon": eps, "n": None, "certified": False,
@@ -84,52 +83,11 @@ def _complexity_point(task):
     }
 
 
-# bound name -> (value at (problem, d, eps, **params), parameter defaults)
-_BOUNDS = {
-    "chebyshev": (lambda p, d, eps, tau, z: bounds_mod.chebyshev_bound(
-        p, eps, tau=tau, z=tau if z is None else z), {"tau": 0.9, "z": None}),
-    "curse": (lambda p, d, eps: bounds_mod.curse_lower_bound(p, eps), {}),
-    "jensen_lhs": (lambda p, d, eps, gamma: bounds_mod.jensen_lhs(p, gamma),
-                   {"gamma": 0.25}),
-    "jensen_lower": (lambda p, d, eps, gamma: bounds_mod.jensen_lower_bound(
-        p, gamma), {"gamma": 0.25}),
-    "entropy": (lambda p, d, eps: bounds_mod.entropy_sum(p).value, {}),
-    "weak_theta": (lambda p, d, eps, tau: bounds_mod.weak_tract_theta(
-        p, tau, d), {"tau": 0.9}),
-    "poltract_ratio": (lambda p, d, eps, q, tau: bounds_mod.poly_tract_ratio(
-        p, q=q, tau=tau), {"q": 0.0, "tau": 0.9}),
-    "pt_log": (lambda p, d, eps, tau: bounds_mod.pt_log_criterion(
-        p, tau, d).value, {"tau": 0.9}),
-}
-
-
-def _bound_requests(requests) -> list:
-    """(name, value at (problem, d, eps)) per request, checked against
-    _BOUNDS before any grid point runs."""
-    checked = []
-    for request in requests:
-        params = dict(request)
-        name = params.pop("name")
-        if not isinstance(name, str) or name not in _BOUNDS:
-            raise DomainError(f"unknown bound name {name!r}")
-        value, defaults = _BOUNDS[name]
-        unknown = sorted(set(params) - set(defaults))
-        if unknown:
-            raise DomainError(f"unknown parameters for bound {name!r}: {unknown}")
-        for key, x in params.items():
-            if isinstance(x, bool) or not isinstance(x, (int, float)):
-                raise DomainError(
-                    f"parameter {key!r} of bound {name!r} must be a number, "
-                    f"got {x!r}")
-        args = {**defaults, **{key: float(x) for key, x in params.items()}}
-        checked.append((name, functools.partial(value, **args)))
-    return checked
-
-
-def _bound_row(value, problem, d, eps) -> dict:
-    """{"status", "value"} of one bound at one grid point."""
+def _bound_row(request, problem, d, eps) -> dict:
+    """{"status", "value"} of one bound request at one grid point."""
     try:
-        return {"status": "ok", "value": value(problem, d, eps)}
+        return {"status": "ok",
+                "value": bounds_mod.requested_bound(*request, problem, d, eps)}
     except DivergenceError:
         return {"status": "divergent", "value": None}
 
@@ -172,38 +130,31 @@ def cmd_complexity(cfg: ExperimentConfig, jobs: int, fmt: str, out) -> int:
 
 
 def cmd_bounds(cfg: ExperimentConfig, fmt: str, out) -> int:
-    requests = _bound_requests(
-        [dict(items) for items in cfg.bounds]
-        or [{"name": "chebyshev"}, {"name": "curse"}])
+    requests = cfg.bounds or (("chebyshev", ()), ("curse", ()))
     rows = []
     with zeta_scope():
         for d in cfg.dims:
             problem = cfg.build_problem(d)
             for eps in cfg.epsilons:
-                for name, value in requests:
-                    rows.append({"d": d, "epsilon": eps, "bound": name,
-                                 **_bound_row(value, problem, d, eps)})
+                for request in requests:
+                    rows.append({"d": d, "epsilon": eps, "bound": request[0],
+                                 **_bound_row(request, problem, d, eps)})
     columns = ("d", "epsilon", "bound", "value", "status")
     _emit(rows, columns, fmt, out)
     return _exit_code(rows)
 
 
 def cmd_sweep(cfg: ExperimentConfig, jobs: int, fmt: str, out) -> int:
-    requests = [dict(items) for items in cfg.bounds]
-    values = _bound_requests(requests)
-    colnames = []
-    for request in requests:
-        label = "_".join(
-            str(request[k]) for k in sorted(request) if k != "name"
-        )
-        colnames.append(request["name"] + ("_" + label if label else ""))
+    # a column is named after its request's given parameters
+    colnames = ["_".join([name] + [str(x) for _key, x in params])
+                for name, params in cfg.bounds]
     rows = _map_tasks(_grid(cfg), jobs)
     with zeta_scope():
-        problems = {d: cfg.build_problem(d) for d in cfg.dims} if values else {}
+        problems = {d: cfg.build_problem(d) for d in cfg.dims} if cfg.bounds else {}
         for row in rows:
             d, eps = row["d"], row["epsilon"]
-            for colname, (_name, value) in zip(colnames, values):
-                row[colname] = _bound_row(value, problems[d], d, eps)["value"]
+            for colname, request in zip(colnames, cfg.bounds):
+                row[colname] = _bound_row(request, problems[d], d, eps)["value"]
     _emit(rows, tuple(_COMPLEXITY_COLUMNS) + tuple(colnames), fmt, out)
     return _exit_code(rows)
 

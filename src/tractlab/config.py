@@ -2,69 +2,73 @@
 
 A config names one problem family, the (epsilon, d) grid to run it on,
 optional budgets, and what to do (which bounds, classifier horizon...).
-Unknown fields are rejected everywhere so typos fail loudly instead of
-silently running defaults.
+Every descriptor in it goes through one reader (_descriptors.py), which
+rejects unknown fields and values of the wrong type, so typos fail
+loudly instead of silently running defaults.  The whole config, its
+bound requests and problem included, is checked once when it loads.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
+from ._descriptors import (
+    LIST, NUMBER, OBJECT, OBJECTS, integer, is_number, list_of, read, read_kind,
+)
+from .bounds import BOUND_REQUESTS
 from .classifier import (
     KorobovFamily,
     smoothness_family_from_config,
     weight_family_from_config,
 )
-from .errors import ValidationError
-from .fixtures import tower_problem, uniform_block_problem
+from .errors import DomainError, ValidationError
+from .fixtures import tower_problem, uniform_block_problem, uniform_block_size
 from .spectra import spectrum_from_config
 from .tensor import Budget, ProductProblem
 
-_TOP_FIELDS = {
-    "problem", "epsilons", "dims", "budgets", "bounds", "horizon",
+# (fields, defaults) of each descriptor, read by _descriptors.read(_kind)
+_CONFIG = (
+    {"problem": OBJECT, "epsilons": LIST,
+     "dims": list_of(integer(1), "integers of at least 1"),
+     "budgets": OBJECT, "bounds": OBJECTS, "horizon": integer(10)},
+    {"budgets": {}, "bounds": [], "horizon": 10_000},
+)
+_BUDGETS = (
+    {"n_max": integer(1), "heap_bytes": integer(1)},
+    {"n_max": Budget().n_max, "heap_bytes": Budget().heap_bytes},
+)
+_PROBLEMS = {
+    "korobov_family": ({"weights": OBJECT, "smoothness": OBJECT}, {}),
+    "coordinates": ({"coordinates": OBJECTS}, {}),
+    "uniform_block": ({"M": NUMBER, "delta": NUMBER}, {"M": 2.0, "delta": 0.5}),
+    "tower_ordering": ({}, {}),
 }
-_BUDGET_FIELDS = {"n_max", "heap_bytes", "tol_rel"}
-_PROBLEM_KINDS = {
-    "korobov_family", "coordinates", "uniform_block", "tower_ordering",
-}
+_REQUESTS = {name: (dict.fromkeys(defaults, NUMBER), defaults)
+             for name, (_value, defaults) in BOUND_REQUESTS.items()}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A validated experiment description."""
+    """A checked experiment description that every command can run.
 
-    problem: dict
+    ``problem`` maps d to the ProductProblem; like every field it pickles,
+    so the config travels to worker processes.  ``bounds`` holds each bound
+    request as (name, its given (parameter, number) pairs, sorted)."""
+
+    problem: Callable[[int], ProductProblem] = field(compare=False)
     epsilons: tuple
     dims: tuple
     budget: Budget
-    tol_rel: Optional[float] = None
     bounds: tuple = ()
     horizon: int = 10_000
     family: Optional[KorobovFamily] = field(default=None, compare=False)
 
     def build_problem(self, d: int) -> ProductProblem:
         """The ProductProblem at dimension d for this config's family."""
-        kind = self.problem["kind"]
-        if kind == "korobov_family":
-            return self.family.problem(d)
-        if kind == "coordinates":
-            coords = [
-                spectrum_from_config(c) for c in self.problem["coordinates"]
-            ]
-            if d > len(coords):
-                raise ValidationError(
-                    f"d={d} exceeds the {len(coords)} configured coordinates"
-                )
-            return ProductProblem(tuple(coords[:d]))
-        if kind == "uniform_block":
-            return uniform_block_problem(
-                d,
-                big_m=float(self.problem.get("M", 2.0)),
-                delta=float(self.problem.get("delta", 0.5)),
-            )
-        return tower_problem(d)
+        return self.problem(d)
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -72,118 +76,65 @@ def _require(cond: bool, msg: str) -> None:
         raise ValidationError(msg)
 
 
-def _integer(value, name: str, minimum: int) -> int:
-    _require(
-        isinstance(value, int) and not isinstance(value, bool) and value >= minimum,
-        f"'{name}' must be an integer of at least {minimum}, got {value!r}",
-    )
-    return value
+def _first_coordinates(coords: tuple, d: int) -> ProductProblem:
+    _require(d <= len(coords),
+             f"d={d} exceeds the {len(coords)} configured coordinates")
+    return ProductProblem(coords[:d])
 
 
-def _fraction(value, name: str) -> float:
-    _require(
-        isinstance(value, (int, float)) and not isinstance(value, bool)
-        and 0.0 < value < 1.0,
-        f"'{name}' must be a number in (0, 1), got {value!r}",
-    )
-    return float(value)
-
-
-def _validate_problem(desc) -> dict:
-    _require(isinstance(desc, dict), "'problem' must be an object")
-    _require("kind" in desc, "'problem' needs a 'kind' field")
-    kind = desc["kind"]
-    _require(
-        kind in _PROBLEM_KINDS,
-        f"unknown problem kind {kind!r}; expected one of {sorted(_PROBLEM_KINDS)}",
-    )
-    allowed = {
-        "korobov_family": {"kind", "weights", "smoothness"},
-        "coordinates": {"kind", "coordinates"},
-        "uniform_block": {"kind", "M", "delta"},
-        "tower_ordering": {"kind"},
-    }[kind]
-    extra = set(desc) - allowed
-    _require(not extra, f"unknown problem fields: {sorted(extra)}")
+def _resolve_problem(desc, d_max: int):
+    """(problem: d -> ProductProblem, family or None) of a problem
+    descriptor, checked up to dimension d_max."""
+    kind, fields = read_kind(desc, "problem", _PROBLEMS)
     if kind == "korobov_family":
-        _require(
-            "weights" in desc and "smoothness" in desc,
-            "korobov_family needs 'weights' and 'smoothness'",
+        family = KorobovFamily(
+            weights=weight_family_from_config(fields["weights"]),
+            smoothness=smoothness_family_from_config(fields["smoothness"]),
         )
+        return family.problem, family
     if kind == "coordinates":
-        _require(
-            isinstance(desc.get("coordinates"), list) and desc["coordinates"],
-            "'coordinates' must be a non-empty list",
-        )
-    return desc
+        coords = tuple(spectrum_from_config(c) for c in fields["coordinates"])
+        _require(coords, "'coordinates' must be a non-empty list")
+        _first_coordinates(coords, d_max)  # raises if dims exceed the coordinates
+        return functools.partial(_first_coordinates, coords), None
+    if kind == "uniform_block":
+        big_m, delta = float(fields["M"]), float(fields["delta"])
+        uniform_block_size(1, big_m, delta)  # checks M > 1 and delta in (0, 1)
+        return functools.partial(uniform_block_problem, big_m=big_m, delta=delta), None
+    return tower_problem, None
+
+
+def _checked_config(raw) -> ExperimentConfig:
+    top = read(raw, "config", *_CONFIG)
+    _require(top["epsilons"], "'epsilons' must be a non-empty list")
+    for e in top["epsilons"]:
+        _require(is_number(e) and 0.0 < e <= 1.0,
+                 f"epsilon values must be in (0, 1], got {e!r}")
+    _require(top["dims"], "'dims' must be a non-empty list")
+    problem, family = _resolve_problem(top["problem"], max(top["dims"]))
+    bounds = []
+    for request in top["bounds"]:
+        name, _args = read_kind(request, "bound", _REQUESTS, key="name")
+        bounds.append((name, tuple(sorted(
+            (key, x) for key, x in request.items() if key != "name"))))
+    return ExperimentConfig(
+        problem=problem,
+        epsilons=tuple(float(e) for e in top["epsilons"]),
+        dims=tuple(top["dims"]),
+        budget=Budget(**read(top["budgets"], "budget", *_BUDGETS)),
+        bounds=tuple(bounds),
+        horizon=top["horizon"],
+        family=family,
+    )
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    _require(isinstance(raw, dict), "config must be a JSON object")
-    extra = set(raw) - _TOP_FIELDS
-    _require(not extra, f"unknown config fields: {sorted(extra)}")
-    problem = _validate_problem(raw.get("problem"))
-
-    epsilons = raw.get("epsilons", [])
-    _require(
-        isinstance(epsilons, list) and epsilons,
-        "'epsilons' must be a non-empty list",
-    )
-    eps = []
-    for e in epsilons:
-        _require(
-            isinstance(e, (int, float)) and not isinstance(e, bool)
-            and 0.0 < float(e) <= 1.0,
-            f"epsilon values must be in (0, 1], got {e!r}",
-        )
-        eps.append(float(e))
-
-    dims = raw.get("dims", [])
-    _require(isinstance(dims, list) and dims, "'dims' must be a non-empty list")
-    ds = [_integer(d, "dims", 1) for d in dims]
-
-    budgets = raw.get("budgets", {})
-    _require(isinstance(budgets, dict), "'budgets' must be an object")
-    bextra = set(budgets) - _BUDGET_FIELDS
-    _require(not bextra, f"unknown budget fields: {sorted(bextra)}")
-    budget = Budget(
-        n_max=_integer(budgets.get("n_max", Budget().n_max), "n_max", 1),
-        heap_bytes=_integer(
-            budgets.get("heap_bytes", Budget().heap_bytes), "heap_bytes", 1),
-    )
-    tol_rel = budgets.get("tol_rel")
-    if tol_rel is not None:
-        tol_rel = _fraction(tol_rel, "tol_rel")
-
-    bounds = raw.get("bounds", [])
-    _require(isinstance(bounds, list), "'bounds' must be a list")
-    for b in bounds:
-        _require(
-            isinstance(b, dict) and "name" in b,
-            f"each bound request needs a 'name': {b!r}",
-        )
-
-    horizon = _integer(raw.get("horizon", 10_000), "horizon", 10)
-
-    family = None
-    if problem["kind"] == "korobov_family":
-        family = KorobovFamily(
-            weights=weight_family_from_config(problem["weights"]),
-            smoothness=smoothness_family_from_config(problem["smoothness"]),
-        )
-
-    return ExperimentConfig(
-        problem=problem,
-        epsilons=tuple(eps),
-        dims=tuple(ds),
-        budget=budget,
-        tol_rel=tol_rel,
-        bounds=tuple(
-            tuple(sorted(b.items())) for b in bounds
-        ),
-        horizon=horizon,
-        family=family,
-    )
+    """The checked config of a parsed JSON document; any fault in it raises
+    ValidationError."""
+    try:
+        return _checked_config(raw)
+    except DomainError as exc:
+        raise ValidationError(str(exc)) from exc
 
 
 def load_config(path: str) -> ExperimentConfig:

@@ -19,6 +19,7 @@ from typing import Union
 
 import numpy as np
 
+from ._descriptors import NUMBER, NUMBERS, read_kind
 from .errors import DivergenceError, DomainError, IrreducibleTailError
 from .numutil import CompensatedSum, comp_sum
 from .zeta import scoped, zeta, zeta_log_weighted
@@ -272,21 +273,15 @@ class ExplicitSpectrum:
 Spectrum = Union[KorobovSpectrum, ExplicitSpectrum]
 
 
+_SPECTRUM_FIELDS = {
+    "korobov": ({"g": NUMBER, "r": NUMBER}, {}),
+    "explicit": ({"values": NUMBERS, "tail": NUMBER}, {"tail": 0.0}),
+}
+
+
 def spectrum_from_config(desc: dict) -> Spectrum:
     """Build a spectrum from its JSON descriptor."""
-    if not isinstance(desc, dict) or "kind" not in desc:
-        raise DomainError(f"spectrum descriptor needs a 'kind' field: {desc!r}")
-    kind = desc["kind"]
+    kind, fields = read_kind(desc, "spectrum", _SPECTRUM_FIELDS)
     if kind == "korobov":
-        extra = set(desc) - {"kind", "g", "r"}
-        if extra:
-            raise DomainError(f"unknown spectrum fields: {sorted(extra)}")
-        return KorobovSpectrum(g=float(desc["g"]), r=float(desc["r"]))
-    if kind == "explicit":
-        extra = set(desc) - {"kind", "values", "tail"}
-        if extra:
-            raise DomainError(f"unknown spectrum fields: {sorted(extra)}")
-        return ExplicitSpectrum(
-            values=tuple(desc["values"]), tail=float(desc.get("tail", 0.0))
-        )
-    raise DomainError(f"unknown spectrum kind {kind!r}")
+        return KorobovSpectrum(g=float(fields["g"]), r=float(fields["r"]))
+    return ExplicitSpectrum(values=tuple(fields["values"]), tail=float(fields["tail"]))

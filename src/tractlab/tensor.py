@@ -40,7 +40,9 @@ from .spectra import Spectrum, TruncatedView
 
 _DEFAULT_N_MAX = 10_000_000
 _DEFAULT_HEAP_BYTES = 2 << 30
+# brute_force_complexity's limits: product grid entries, values per coordinate
 _BRUTE_GRID_CAP = 10_000_000
+_BRUTE_COORD_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -125,9 +127,6 @@ class ProductProblem:
     def power_sum_d(self, tau: float) -> float:
         lp = self.log_power_sum_d(tau)
         return math.exp(lp) if lp < 709.0 else math.inf
-
-    def power_sum_d_exact(self, tau: float) -> bool:
-        return all(c.power_sum_exact(tau) for c in self.coordinates)
 
     def log_leading(self) -> float:
         return math.fsum(math.log(c.leading()) for c in self.coordinates)
@@ -348,7 +347,7 @@ def info_complexity(
             # the fold, and so its decision, unchanged
             if fold is None or not fold.covers(views):
                 fold, decided, ranked, hint = _fold_decide(
-                    views, threshold, trace_norm, hint, budget, pops)
+                    views, threshold, threshold - slack, trace_norm, hint, budget, pops)
                 pops += ranked
             found = decided
         crossed, n, partial, prev, n_low = found
@@ -550,7 +549,7 @@ class _LevelFold:
                 ) if crossed else None
 
 
-def _fold_decide(views, threshold, trace, hint, budget, pops):
+def _fold_decide(views, threshold, low, trace, hint, budget, pops):
     """Level-set decision for one truncation: folds at floors stepping down
     from ``hint`` = (level, step in ln) until the values reach the threshold.
     The mass below a level falls about like a power of it, so the next floor
@@ -560,12 +559,25 @@ def _fold_decide(views, threshold, trace, hint, budget, pops):
     Past every positive kept product, the next fold takes them all if they
     fit the budgets; one holding all ends the walk uncertified (a declared
     tail keeps it short).  Returns (fold, found with n_low None, count at its
-    lower level, hint)."""
+    lower level, hint).
+
+    Past n_max it raises BudgetExceededError.  Its n_lower is proven with
+    ``low`` = threshold - slack (truncation mass plus rounding): top sets of
+    kept values that fall short of ``low`` leave their exact counterparts
+    short of the threshold.  That holds for every top set below the first
+    reaching ``low``, and for the whole fold when its total stays below it."""
     # a fold keeps about eight float arrays per column or row entry
     max_entries = max(budget.heap_bytes // 64, 1 << 20)
     kept, lowest = _kept_products(views)
     upper, step = hint
     above = None  # the sum of the values >= upper, once known
+
+    def exceeded(ranked):
+        hit = fold.first_reaching(low, math.inf) if total >= low else None
+        return BudgetExceededError("answer exceeds the enumeration budget",
+                                   n_lower=hit[0] - 1 if hit else count,
+                                   pops=pops + ranked)
+
     while True:
         floor = max(upper * math.exp(-step), 1e-300)
         fold = _LevelFold(views, floor, max_entries, budget.n_max + 1)
@@ -574,19 +586,15 @@ def _fold_decide(views, threshold, trace, hint, budget, pops):
         total = float(fold.mass(fold.rows, fold.bottom).sum())
         hit = fold.first_reaching(threshold, upper) if total >= threshold else None
         if hit:
-            if hit[0] > budget.n_max:  # the top hit[0] - 1 values fall short
-                raise BudgetExceededError("answer exceeds the enumeration budget",
-                                          n_lower=hit[0] - 1, pops=pops + hit[3])
+            if hit[0] > budget.n_max:
+                raise exceeded(hit[3])
             # the next truncation's crossing sits close to this one
             hint = (hit[4] * math.exp(0.25), 0.5)
             return fold, (True,) + hit[:3] + (None,), hit[3], hint
         if floor <= 1e-300 or (count == kept and kept <= budget.n_max):
             return fold, (False, count, total, total, None), count, (floor, 2.0)
-        if count > budget.n_max:
-            # the fold holds a top set of `count` values and falls short:
-            # the crossing provably lies beyond n_max
-            raise BudgetExceededError("answer exceeds the enumeration budget",
-                                      n_lower=count, pops=pops + count)
+        if count > budget.n_max:  # the fold holds a top set that falls short
+            raise exceeded(count)
         if above is None:
             above = float(fold.mass(fold.rows, fold.counts(upper)).sum())
         fall = (math.log((trace - above) / (trace - total))
@@ -648,12 +656,7 @@ def _first_reaching(values, target, base=0.0, cs=None):
     return False, len(values), acc.value, prev
 
 
-def brute_force_complexity(
-    problem: ProductProblem,
-    epsilon: float,
-    per_coord_cap: int = 1_000_000,
-    grid_cap: int = _BRUTE_GRID_CAP,
-) -> ComplexityResult:
+def brute_force_complexity(problem: ProductProblem, epsilon: float) -> ComplexityResult:
     """Oracle engine: materialize every truncated product, sort, scan.
 
     Shares the decision and certification semantics of info_complexity
@@ -663,8 +666,6 @@ def brute_force_complexity(
     """
     if not 0.0 < epsilon <= 1.0:
         raise DomainError(f"epsilon must be in (0, 1], got {epsilon}")
-    if per_coord_cap < 1:
-        raise DomainError("per_coord_cap must be positive")
     d = problem.d
     eps2 = epsilon * epsilon
 
@@ -680,8 +681,9 @@ def brute_force_complexity(
             trace=trace_norm * scale, certified=True, pops=0, n_low=0, n_high=0,
         )
 
-    if 2 ** min(d, 60) > grid_cap:
-        raise GridSizeError(f"product grid would exceed {grid_cap} entries at d={d}")
+    if 2 ** min(d, 60) > _BRUTE_GRID_CAP:
+        raise GridSizeError(
+            f"product grid would exceed {_BRUTE_GRID_CAP} entries at d={d}")
 
     def lengths_at(tol):
         out = []
@@ -690,21 +692,21 @@ def brute_force_complexity(
                 length = c.truncate(tol).length
             except IrreducibleTailError:
                 length = len(c.values)
-            out.append(min(length, per_coord_cap))
+            out.append(min(length, _BRUTE_COORD_CAP))
         return out
 
     tol = 0.01 / d  # coarse first pass; the margin drives refinement below
-    while math.prod(lengths_at(tol)) > grid_cap:
+    while math.prod(lengths_at(tol)) > _BRUTE_GRID_CAP:
         tol *= 4.0
         if tol > 0.5:
             raise GridSizeError(
-                f"no truncation below tol=0.5 fits {grid_cap} grid entries")
+                f"no truncation below tol=0.5 fits {_BRUTE_GRID_CAP} grid entries")
     pops = 0
     result = None
     prev_lengths = None
     for _attempt in range(24):
         lengths = lengths_at(tol)
-        if math.prod(lengths) > grid_cap or lengths == prev_lengths:
+        if math.prod(lengths) > _BRUTE_GRID_CAP or lengths == prev_lengths:
             break  # certification needs a grid the cap cannot hold
         prev_lengths = lengths
         grids = [c.dense_values(1e-300, m)

@@ -1,5 +1,7 @@
 import io
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -178,11 +180,13 @@ class TestBoundRequests:
     """Bound requests are checked before any grid point runs."""
 
     @pytest.mark.parametrize("request_, message", [
-        ({"name": "nosuch"}, "unknown bound name 'nosuch'"),
-        ({"name": "curse", "tau": 0.5},
-         "unknown parameters for bound 'curse': ['tau']"),
+        ({"name": "nosuch"},
+         "unknown bound name 'nosuch'; expected one of ['chebyshev', 'curse', "
+         "'entropy', 'jensen_lhs', 'jensen_lower', 'poltract_ratio', 'pt_log', "
+         "'weak_theta']"),
+        ({"name": "curse", "tau": 0.5}, "unknown curse bound fields: ['tau']"),
         ({"name": "chebyshev", "tau": "0.5"},
-         "parameter 'tau' of bound 'chebyshev' must be a number, got '0.5'"),
+         "'tau' of chebyshev bound must be a finite number, got '0.5'"),
     ], ids=["name", "parameter", "value"])
     def test_sweep_fails_before_the_grid(self, tmp_path, capsys, monkeypatch,
                                          request_, message):
@@ -196,7 +200,7 @@ class TestBoundRequests:
         code = main(["sweep", "--config", path, "--jobs", "1"])
         captured = capsys.readouterr()
         assert code == 1 and captured.out == "" and calls == []
-        assert captured.err == f"error: {message}\n"
+        assert captured.err == f"error: {path}: {message}\n"
 
     def test_parameters_and_defaults(self, tmp_path, capsys):
         # z defaults to tau, and an integer parameter reads as its float
@@ -265,14 +269,12 @@ class TestBadInput:
          "'n_max' must be an integer of at least 1, got 1.5"),
         ({"horizon": "ten"},
          "'horizon' must be an integer of at least 10, got 'ten'"),
-        ({"budgets": {"tol_rel": "abc"}},
-         "'tol_rel' must be a number in (0, 1), got 'abc'"),
-        ({"budgets": {"tol_rel": "1e-3"}},
-         "'tol_rel' must be a number in (0, 1), got '1e-3'"),
-        ({"budgets": {"tol_rel": True}},
-         "'tol_rel' must be a number in (0, 1), got True"),
-        ({"budgets": {"tol_rel": 1.5}},
-         "'tol_rel' must be a number in (0, 1), got 1.5"),
+        # the engine sets its own tolerance; tol_rel is no longer a config
+        # field, so any value is now rejected
+        ({"budgets": {"tol_rel": "abc"}}, "unknown budget fields: ['tol_rel']"),
+        ({"budgets": {"tol_rel": "1e-3"}}, "unknown budget fields: ['tol_rel']"),
+        ({"budgets": {"tol_rel": True}}, "unknown budget fields: ['tol_rel']"),
+        ({"budgets": {"tol_rel": 1.5}}, "unknown budget fields: ['tol_rel']"),
         # the top-level delta was never read; any value is now rejected
         ({"delta": "abc"}, "unknown config fields: ['delta']"),
         ({"delta": float("nan")}, "unknown config fields: ['delta']"),
@@ -291,6 +293,79 @@ class TestBadInput:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert captured.err == f"error: {path}: {message}\n"
+
+
+def _coordinate(spectrum):
+    return {"problem": {"kind": "coordinates", "coordinates": [spectrum]}}
+
+
+def _family(**descriptors):
+    return {"problem": {**FAMILY["problem"], **descriptors}}
+
+
+class TestMalformedConfig:
+    """A malformed config fails at load: one error line, no grid point run."""
+
+    @pytest.mark.parametrize("extra, message", [
+        (_coordinate({"kind": "korobov", "g": "abc", "r": 1}),
+         "'g' of korobov spectrum must be a finite number, got 'abc'"),
+        (_coordinate({"kind": "korobov", "r": 1}),
+         "missing korobov spectrum fields: ['g']"),
+        (_coordinate({"kind": "explicit", "values": [1, "x"]}),
+         "'values' of explicit spectrum must be a list of finite numbers, "
+         "got [1, 'x']"),
+        (_coordinate({"kind": "explicit", "values": 5}),
+         "'values' of explicit spectrum must be a list of finite numbers, got 5"),
+        (_family(weights={"kind": "power", "rho": "2"}),
+         "'rho' of power weights must be a finite number, got '2'"),
+        (_family(weights={"kind": "explicit", "values": "abc"}),
+         "'values' of explicit weights must be a list of finite numbers, "
+         "got 'abc'"),
+        (_family(smoothness={"kind": "logarithmic", "a": "x", "b": 1}),
+         "'a' of logarithmic smoothness must be a finite number, got 'x'"),
+        ({"problem": {"kind": "uniform_block", "M": "x"}},
+         "'M' of uniform_block problem must be a finite number, got 'x'"),
+        ({**FAMILY, "bounds": [{"name": "nope"}]},
+         "unknown bound name 'nope'; expected one of ['chebyshev', 'curse', "
+         "'entropy', 'jensen_lhs', 'jensen_lower', 'poltract_ratio', 'pt_log', "
+         "'weak_theta']"),
+    ], ids=["korobov_text", "korobov_missing", "explicit_text_value",
+            "explicit_number", "weights_text", "weights_text_values",
+            "smoothness_text", "uniform_block_text", "unknown_bound"])
+    def test_fails_at_load(self, tmp_path, capsys, monkeypatch, extra, message):
+        import tractlab.cli as cli_mod
+
+        calls = []
+        monkeypatch.setattr(cli_mod, "info_complexity",
+                            lambda *args, **kwargs: calls.append(args))
+        cfg = {**BASIC, **extra}
+        with pytest.raises(ValidationError):
+            config_from_dict(cfg)
+        path = write_config(tmp_path, cfg)
+        code = main(["complexity", "--config", path, "--jobs", "1"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "" and calls == []
+        assert captured.err == f"error: {path}: {message}\n"
+
+
+class TestReadmeExamples:
+    """The config examples in README.md run as written."""
+
+    @staticmethod
+    def examples():
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = text.split("### Config examples", 1)[1].split("\n## ", 1)[0]
+        return [json.loads(block) for block in
+                re.findall(r"```json\n(.*?)```", section, flags=re.S)]
+
+    def test_examples_run(self, tmp_path, capsys):
+        examples = self.examples()
+        assert len(examples) == 2
+        for i, example in enumerate(examples):
+            path = write_config(tmp_path, example, name=f"example{i}.json")
+            for command in ("complexity", "bounds"):
+                assert main([command, "--config", path, "--jobs", "1"]) == 0
+        capsys.readouterr()
 
 
 class TestVerifyCommand:
