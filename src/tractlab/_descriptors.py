@@ -44,6 +44,7 @@ def list_of(item: FieldType, description: str) -> FieldType:
 
 NUMBER = FieldType("a finite number", is_number)
 OBJECT = FieldType("an object", lambda x: isinstance(x, dict))
+BOOLEAN = FieldType("a boolean", lambda x: isinstance(x, bool))
 LIST = FieldType("a list", lambda x: isinstance(x, list))
 NUMBERS = list_of(NUMBER, "finite numbers")
 OBJECTS = list_of(OBJECT, "objects")

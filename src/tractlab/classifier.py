@@ -7,6 +7,11 @@ of rho_g, the weight limit, and the quasi-polynomial criterion, and the
 numeric fallback is clearly tagged "estimated" and produces "unknown"
 verdicts rather than guesses.
 
+The criteria assume weights g_k non-increasing in (0, 1] and smoothness
+r_k non-decreasing above 1/2.  Each family checks that when it is built
+(an explicit list value by value), so a family that exists meets the
+assumptions and every command that loads it agrees on that.
+
 Verdict semantics: "yes" / "no" are backed by a known criterion that
 applies to the given family; "unknown" means the criterion's hypotheses
 cannot be checked symbolically (or, for the quasi-polynomial branch,
@@ -15,11 +20,14 @@ that no known criterion decides the case either way).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ._descriptors import NUMBER, NUMBERS, OBJECT, read_kind
+from ._descriptors import (
+    BOOLEAN, NUMBER, NUMBERS, OBJECT, FieldType, is_number, read, read_kind,
+)
 from .errors import DomainError, ValidationError
 from .numutil import CompensatedSum, ln_plus
 from .spectra import KorobovSpectrum
@@ -43,6 +51,14 @@ _WEIGHT_FIELDS = {
     "polynomial_in_r": ({"s": NUMBER, "smoothness": OBJECT}, {}),
     "constant": ({"g0": NUMBER}, {}),
     "explicit": ({"values": NUMBERS, "asymptote": OBJECT}, {"asymptote": None}),
+}
+# the declared asymptotics of explicit weights; every field is optional and
+# one left out stays undeclared
+_ASYMPTOTE_FIELDS = {
+    "rho_g": FieldType('a finite number or "inf"',
+                       lambda x: x == "inf" or is_number(x)),
+    "g_to_zero": BOOLEAN,
+    "qpt_sum_bounded": BOOLEAN,
 }
 
 
@@ -78,9 +94,15 @@ class SmoothnessFamily:
         if self.kind == "explicit":
             if not self.values:
                 raise DomainError("explicit smoothness needs values")
-            object.__setattr__(
-                self, "values", tuple(float(v) for v in self.values)
-            )
+            vals = tuple(float(v) for v in self.values)
+            object.__setattr__(self, "values", vals)
+            for k, r in enumerate(vals, start=1):
+                if not r > 0.5:
+                    raise ValidationError(f"smoothness r_{k} = {r} must exceed 1/2")
+                if k > 1 and r < vals[k - 2]:
+                    raise ValidationError(
+                        f"smoothness must be non-decreasing; "
+                        f"r_{k} = {r} < r_{k-1} = {vals[k - 2]}")
 
     def r(self, k: int) -> float:
         if k < 1:
@@ -94,33 +116,17 @@ class SmoothnessFamily:
         vals = self.values
         return vals[k - 1] if k <= len(vals) else vals[-1]
 
-    def liminf_r_over_ln_k(self) -> Optional[float]:
-        """liminf r_k / ln k, or None when not symbolically known."""
-        if self.kind == "constant":
-            return 0.0
+    def liminf_r_over_ln_k(self) -> float:
+        """liminf r_k / ln k."""
         if self.kind == "logarithmic":
             return self.a
         if self.kind == "power":
             return math.inf if self.s > 0.0 else 0.0
-        return 0.0  # explicit families are eventually constant
+        return 0.0  # constant and explicit families are eventually constant
 
-    def liminf_ln_r_over_ln_k(self) -> Optional[float]:
-        """liminf ln(r_k) / ln k, or None when not symbolically known."""
-        if self.kind in ("constant", "logarithmic"):
-            return 0.0
-        if self.kind == "power":
-            return self.s
-        return 0.0
-
-    def to_record(self) -> dict:
-        rec = {"kind": self.kind}
-        for name in ("r0", "a", "b", "c", "s"):
-            v = getattr(self, name)
-            if v is not None:
-                rec[name] = v
-        if self.values is not None:
-            rec["values"] = list(self.values)
-        return rec
+    def liminf_ln_r_over_ln_k(self) -> float:
+        """liminf ln(r_k) / ln k."""
+        return self.s if self.kind == "power" else 0.0
 
 
 @dataclass(frozen=True)
@@ -132,8 +138,11 @@ class WeightFamily:
     (finite list, constant afterwards, with an optional declared
     asymptotic tag for the quantities a prefix cannot determine).
 
-    The r-coupled kinds carry their smoothness family so that g_k is a
-    standalone function of k.
+    The closed-form kinds are non-increasing in (0, 1] for every parameter
+    they accept (g_k may still underflow to 0.0 for large k); an explicit
+    list is checked value by value, and its asymptote field by field, when
+    the family is built.  The r-coupled kinds carry their smoothness family
+    so that g_k is a standalone function of k.
     """
 
     kind: str
@@ -169,9 +178,18 @@ class WeightFamily:
         if self.kind == "explicit":
             if not self.values:
                 raise DomainError("explicit weights need values")
-            object.__setattr__(
-                self, "values", tuple(float(v) for v in self.values)
-            )
+            vals = tuple(float(v) for v in self.values)
+            object.__setattr__(self, "values", vals)
+            for k, g in enumerate(vals, start=1):
+                if not 0.0 < g <= 1.0:
+                    raise ValidationError(f"weight g_{k} = {g} outside (0, 1]")
+                if k > 1 and g > vals[k - 2]:
+                    raise ValidationError(
+                        f"weights must be non-increasing; "
+                        f"g_{k} = {g} > g_{k-1} = {vals[k - 2]}")
+        if self.asymptote is not None:
+            read(self.asymptote, "asymptote", _ASYMPTOTE_FIELDS,
+                 dict.fromkeys(_ASYMPTOTE_FIELDS), " of asymptote")
 
     def g(self, k: int) -> float:
         if k < 1:
@@ -200,9 +218,7 @@ class WeightFamily:
             return (sm.kind == "logarithmic" and sm.a > 0.0) or (
                 sm.kind == "power" and sm.s > 0.0
             )
-        if self.asymptote and "g_to_zero" in self.asymptote:
-            return bool(self.asymptote["g_to_zero"])
-        return None
+        return self._declared("g_to_zero")
 
     def qpt_sum_bounded(self) -> Optional[bool]:
         """Whether sum_{k<=d} g_k ln_+(1/g_k) = O(ln d); None if unknown.
@@ -213,49 +229,30 @@ class WeightFamily:
         liminf-style rho_g says nothing about sums over sparse bursts.
         """
         if self.kind == "explicit":
-            if self.asymptote and "qpt_sum_bounded" in self.asymptote:
-                return bool(self.asymptote["qpt_sum_bounded"])
-            return None
-        rho, mode = self.rho_g_symbolic()
-        if mode == "symbolic":
-            return rho > 1.0
-        return None
+            return self._declared("qpt_sum_bounded")
+        return self.rho_g_symbolic()[0] > 1.0
 
     def rho_g_symbolic(self):
-        """(rho_g, "symbolic") when the kind admits a closed form, else
-        (None, "estimated")."""
+        """(rho_g, "symbolic") for the closed-form kinds and explicit
+        weights with a declared rho_g, else (None, "estimated")."""
         if self.kind == "power":
             return self.rho, "symbolic"
         if self.kind == "constant":
             return 0.0, "symbolic"
+        # an infinite liminf stays infinite: ln(1/v) > 0 and s > 0
+        sm = self.smoothness
         if self.kind == "geometric_in_r":
-            rho_r = self.smoothness.liminf_r_over_ln_k()
-            if rho_r is not None:
-                if math.isinf(rho_r):
-                    return math.inf, "symbolic"
-                return rho_r * math.log(1.0 / self.v), "symbolic"
+            return sm.liminf_r_over_ln_k() * math.log(1.0 / self.v), "symbolic"
         if self.kind == "polynomial_in_r":
-            rho_r = self.smoothness.liminf_ln_r_over_ln_k()
-            if rho_r is not None:
-                if math.isinf(rho_r):
-                    return math.inf, "symbolic"
-                return self.s * rho_r, "symbolic"
-        if self.kind == "explicit" and self.asymptote and "rho_g" in self.asymptote:
-            v = self.asymptote["rho_g"]
-            return math.inf if v == "inf" else float(v), "symbolic"
-        return None, "estimated"
+            return self.s * sm.liminf_ln_r_over_ln_k(), "symbolic"
+        v = self._declared("rho_g")
+        if v is None:
+            return None, "estimated"
+        return math.inf if v == "inf" else float(v), "symbolic"
 
-    def to_record(self) -> dict:
-        rec = {"kind": self.kind}
-        for name in ("rho", "v", "s", "g0"):
-            v = getattr(self, name)
-            if v is not None:
-                rec[name] = v
-        if self.values is not None:
-            rec["values"] = list(self.values)
-        if self.asymptote is not None:
-            rec["asymptote"] = dict(self.asymptote)
-        return rec
+    def _declared(self, name: str):
+        """The asymptote's declared value of ``name``, or None."""
+        return (self.asymptote or {}).get(name)
 
 
 def rho_g(weights: WeightFamily, horizon: int = 10_000):
@@ -284,7 +281,11 @@ def qpt_condition_value(weights: WeightFamily, d: int) -> float:
     acc = CompensatedSum()
     for k in range(1, d + 1):
         g = weights.g(k)
-        acc.add(g * ln_plus(1.0 / g))
+        if g == 0.0:
+            continue  # an underflowed weight adds its limit, 0
+        inv = 1.0 / g
+        # 1/g overflows for g below 1/DBL_MAX, where ln_+(1/g) = -ln g
+        acc.add(g * ln_plus(inv) if inv < math.inf else -g * math.log(g))
     return acc.value / ln_plus(float(d))
 
 
@@ -303,43 +304,7 @@ class TractabilityReport:
     diagnostics: dict = field(default_factory=dict)
 
     def to_record(self) -> dict:
-        return {
-            "spt": self.spt,
-            "pt": self.pt,
-            "qpt": self.qpt,
-            "wt": self.wt,
-            "curse": self.curse,
-            "exponent": self.exponent,
-            "rho_g": self.rho_g,
-            "rho_g_mode": self.rho_g_mode,
-            "diagnostics": self.diagnostics,
-        }
-
-
-def _validate_families(
-    weights: WeightFamily, smoothness: SmoothnessFamily, horizon: int
-) -> None:
-    check = min(horizon, 1000)
-    g_prev = None
-    r_prev = None
-    for k in range(1, check + 1):
-        g = weights.g(k)
-        r = smoothness.r(k)
-        if not 0.0 < g <= 1.0:
-            raise ValidationError(
-                f"weight g_{k} = {g} outside (0, 1]"
-            )
-        if g_prev is not None and g > g_prev * (1.0 + 1e-12):
-            raise ValidationError(
-                f"weights must be non-increasing; g_{k} = {g} > g_{k-1} = {g_prev}"
-            )
-        if r <= 0.5:
-            raise ValidationError(f"smoothness r_{k} = {r} must exceed 1/2")
-        if r_prev is not None and r < r_prev * (1.0 - 1e-12):
-            raise ValidationError(
-                f"smoothness must be non-decreasing; r_{k} = {r} < r_{k-1} = {r_prev}"
-            )
-        g_prev, r_prev = g, r
+        return dataclasses.asdict(self)
 
 
 def classify(
@@ -357,7 +322,6 @@ def classify(
     smoothness one fails, the answer is genuinely open and reported so.
     Weak tractability holds exactly when g_k -> 0.
     """
-    _validate_families(weights, smoothness, horizon)
     rho, mode = rho_g(weights, horizon)
     diagnostics = {
         "qpt_condition_values": {
@@ -397,7 +361,7 @@ def classify(
         needed = smoothness.liminf_r_over_ln_k()
         if sum_bounded is False:
             qpt = NO  # the weight-sum condition is necessary
-        elif sum_bounded is None or needed is None:
+        elif sum_bounded is None:
             qpt = UNKNOWN
         elif needed > 0.0:
             qpt = YES
@@ -423,9 +387,7 @@ class KorobovFamily:
     smoothness: SmoothnessFamily
 
     def spectrum(self, k: int) -> KorobovSpectrum:
-        return KorobovSpectrum(
-            g=min(self.weights.g(k), 1.0), r=self.smoothness.r(k)
-        )
+        return KorobovSpectrum(g=self.weights.g(k), r=self.smoothness.r(k))
 
     def problem(self, d: int) -> ProductProblem:
         return ProductProblem(

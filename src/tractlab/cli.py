@@ -148,13 +148,18 @@ def cmd_sweep(cfg: ExperimentConfig, jobs: int, fmt: str, out) -> int:
     # a column is named after its request's given parameters
     colnames = ["_".join([name] + [str(x) for _key, x in params])
                 for name, params in cfg.bounds]
-    rows = _map_tasks(_grid(cfg), jobs)
+    # the bound columns are evaluated first, so that a bad bound parameter
+    # fails before the complexity grid runs
+    values = {}
     with zeta_scope():
-        problems = {d: cfg.build_problem(d) for d in cfg.dims} if cfg.bounds else {}
-        for row in rows:
-            d, eps = row["d"], row["epsilon"]
-            for colname, request in zip(colnames, cfg.bounds):
-                row[colname] = _bound_row(request, problems[d], d, eps)["value"]
+        for d in cfg.dims:
+            problem = cfg.build_problem(d)
+            for eps in cfg.epsilons:
+                values[d, eps] = [_bound_row(request, problem, d, eps)["value"]
+                                  for request in cfg.bounds]
+    rows = _map_tasks(_grid(cfg), jobs)
+    for row in rows:
+        row.update(zip(colnames, values[row["d"], row["epsilon"]]))
     _emit(rows, tuple(_COMPLEXITY_COLUMNS) + tuple(colnames), fmt, out)
     return _exit_code(rows)
 

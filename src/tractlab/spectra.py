@@ -6,7 +6,8 @@ Two concrete spectrum kinds:
   (value g/m^(2r) shared by the indices 2m and 2m+1).  Traces and power
   sums have closed forms through the Riemann zeta function.
 * ``ExplicitSpectrum(values, tail)``: a finite non-increasing list plus a
-  caller-declared mass of omitted eigenvalues.
+  caller-declared mass of omitted eigenvalues, each at most the last
+  listed one.
 
 Both are immutable and safe to share between workers.
 """
@@ -90,9 +91,6 @@ class KorobovSpectrum:
             )
         return 1.0 + 2.0 * self.g ** tau * scoped(zeta, 2.0 * self.r * tau)
 
-    def power_sum_exact(self, tau: float) -> bool:
-        return True
-
     def excess_power_sum(self, tau: float) -> float:
         """sum_{j>=2} (eigenvalue(j)/eigenvalue(1))^tau."""
         if 2.0 * self.r * tau <= 1.0:
@@ -170,7 +168,14 @@ class KorobovSpectrum:
 
 @dataclass(frozen=True)
 class ExplicitSpectrum:
-    """A finite, non-increasing eigenvalue list plus a declared omitted mass."""
+    """A finite, non-increasing eigenvalue list plus a declared omitted mass.
+
+    The omitted eigenvalues are unknown beyond their total, the tail, and
+    each being at most the last listed value, so power sums bound them from
+    above: tail * v_last^(tau - 1) for tau > 1 and the tail itself at tau = 1.
+    Below tau = 1 the tail may be split into arbitrarily many values and
+    its power sum is unbounded (DivergenceError).
+    """
 
     values: tuple
     tail: float = 0.0
@@ -189,6 +194,8 @@ class ExplicitSpectrum:
             raise DomainError("eigenvalues must be non-negative")
         if self.tail < 0.0:
             raise DomainError(f"declared tail must be non-negative, got {self.tail}")
+        if self.tail > 0.0 and vals[-1] == 0.0:
+            raise DomainError("a declared tail cannot follow a zero eigenvalue")
 
     def eigenvalue(self, j: int) -> float:
         if j < 1:
@@ -206,7 +213,18 @@ class ExplicitSpectrum:
         return comp_sum(self.values) + self.tail
 
     def tau_min(self) -> float:
-        return 0.0
+        return 1.0 if self.tail > 0.0 else 0.0
+
+    def _tail_power_sum(self, tau: float, lead: float = 1.0) -> float:
+        """The most the omitted eigenvalues, divided by ``lead``, can add to
+        a power sum at exponent tau."""
+        if tau == 1.0 or self.tail == 0.0:
+            return self.tail / lead
+        if tau < 1.0:
+            raise DivergenceError(
+                f"power sum of the declared tail diverges at tau={tau} "
+                f"(needs tau >= 1)", tau_min=1.0)
+        return self.tail / lead * (self.values[-1] / lead) ** (tau - 1.0)
 
     def power_sum(self, tau: float) -> float:
         if tau <= 0:
@@ -215,14 +233,8 @@ class ExplicitSpectrum:
         for v in self.values:
             if v > 0.0:
                 acc.add(v if tau == 1.0 else v ** tau)
-        if tau == 1.0:
-            acc.add(self.tail)
-        # For tau != 1 the omitted mass cannot be converted to a power sum;
-        # the result is then a lower bound (see power_sum_exact).
+        acc.add(self._tail_power_sum(tau))
         return acc.value
-
-    def power_sum_exact(self, tau: float) -> bool:
-        return self.tail == 0.0 or tau == 1.0
 
     def excess_power_sum(self, tau: float) -> float:
         lead = self.values[0]
@@ -230,8 +242,7 @@ class ExplicitSpectrum:
         for v in self.values[1:]:
             if v > 0.0:
                 acc.add((v / lead) ** tau)
-        if tau == 1.0:
-            acc.add(self.tail / lead)
+        acc.add(self._tail_power_sum(tau, lead))
         return acc.value
 
     def entropy(self) -> float:

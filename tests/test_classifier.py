@@ -161,15 +161,33 @@ class TestQptBranches:
 
 
 class TestValidation:
+    """A family checks the paper's assumptions when it is built."""
+
     def test_increasing_weights_rejected(self):
-        w = WeightFamily(kind="explicit", values=(0.25, 0.5))
-        with pytest.raises(ValidationError):
-            classify(w, R_CONST)
+        with pytest.raises(ValidationError, match=r"g_2 = 0.5 > g_1 = 0.25"):
+            WeightFamily(kind="explicit", values=(0.25, 0.5))
 
     def test_small_smoothness_rejected(self):
-        sm = SmoothnessFamily(kind="explicit", values=(0.6, 0.4))
-        with pytest.raises(ValidationError):
-            classify(WeightFamily(kind="power", rho=2.0), sm)
+        with pytest.raises(ValidationError, match=r"r_2 = 0.4 must exceed 1/2"):
+            SmoothnessFamily(kind="explicit", values=(0.6, 0.4))
+
+    def test_decreasing_smoothness_rejected(self):
+        with pytest.raises(ValidationError, match=r"r_3 = 0.9 < r_2 = 1.0"):
+            SmoothnessFamily(kind="explicit", values=(0.8, 1.0, 0.9))
+
+    @pytest.mark.parametrize("asymptote", [
+        {"rho_g": "abc"}, {"rho_g": True}, {"g_to_zero": "no"},
+        {"qpt_sum_bounded": 1}, {"rho_g": 2.0, "oops": True}, [],
+    ])
+    def test_asymptote_fields_are_typed(self, asymptote):
+        with pytest.raises(DomainError):
+            WeightFamily(kind="explicit", values=(0.5,), asymptote=asymptote)
+
+    def test_undeclared_asymptote_fields_stay_unknown(self):
+        w = WeightFamily(kind="explicit", values=(0.5,),
+                         asymptote={"rho_g": "inf"})
+        assert w.rho_g_symbolic() == (math.inf, "symbolic")
+        assert w.g_to_zero() is None and w.qpt_sum_bounded() is None
 
     def test_constructor_guards(self):
         with pytest.raises(DomainError):
@@ -178,6 +196,35 @@ class TestValidation:
             WeightFamily(kind="geometric_in_r", v=1.5, smoothness=R_CONST)
         with pytest.raises(DomainError):
             SmoothnessFamily(kind="constant", r0=0.5)
+
+
+class TestFastDecay:
+    """Weights that underflow to 0.0 are valid and the fastest to decay."""
+
+    def test_geometric_weights_on_linear_smoothness(self):
+        # g_k = 10^-k, r_k = k: rho_g is infinite, and g_k = 0.0 from k = 324
+        sm = SmoothnessFamily(kind="power", c=1.0, s=1.0)
+        w = WeightFamily(kind="geometric_in_r", v=0.1, smoothness=sm)
+        assert w.g(324) == 0.0 and 0.0 < w.g(323) < 1e-300
+        report = classify(w, sm)
+        assert (report.spt, report.pt, report.qpt, report.wt) == (
+            YES, YES, YES, YES)
+        assert report.curse == NO
+        assert report.rho_g == math.inf
+        values = report.diagnostics["qpt_condition_values"]
+        assert all(math.isfinite(v) for v in values.values())
+        assert_verdict_chain(report)
+
+    def test_power_weights_with_huge_rho(self):
+        report = classify(WeightFamily(kind="power", rho=400.0), R_CONST)
+        assert report.spt == YES
+
+    def test_qpt_condition_value_past_the_overflow_of_one_over_g(self):
+        # 1/g overflows for g = 1e-320; the term is then -g ln g (a
+        # subnormal, so only a few digits are exact)
+        w = WeightFamily(kind="explicit", values=(1e-320,))
+        want = 1e-320 * 320.0 * math.log(10.0)
+        assert qpt_condition_value(w, 1) == pytest.approx(want, rel=1e-3)
 
 
 class TestRandomizedChain:

@@ -160,6 +160,21 @@ class TestBoundsCommand:
         assert lines[1] == "d,epsilon,bound,value,status"
         assert len(lines) == 2 + 3 * 1 * 2  # dims x epsilons x bounds
 
+    def test_declared_tail_makes_low_exponents_divergent(self, tmp_path, capsys):
+        # the tail's mass may be split into arbitrarily many small values, so
+        # no power sum below tau = 1 is bounded; the curse bound still holds
+        cfg = {"problem": {"kind": "coordinates", "coordinates": [
+            {"kind": "explicit", "values": [1.0], "tail": 1.0}]},
+            "epsilons": [0.9], "dims": [1],
+            "bounds": [{"name": "chebyshev"}, {"name": "curse"},
+                       {"name": "jensen_lhs"}]}
+        path = write_config(tmp_path, cfg)
+        assert main(["bounds", "--config", path, "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [(row["bound"], row["status"]) for row in rows] == [
+            ("chebyshev", "divergent"), ("curse", "ok"), ("jensen_lhs", "divergent")]
+        assert rows[1]["value"] == pytest.approx(0.38)
+
 
 class TestSweepCommand:
     def test_bound_columns_join_complexity(self, tmp_path, capsys):
@@ -201,6 +216,20 @@ class TestBoundRequests:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == "" and calls == []
         assert captured.err == f"error: {path}: {message}\n"
+
+    def test_sweep_checks_bound_parameters_before_the_grid(
+            self, tmp_path, capsys, monkeypatch):
+        import tractlab.cli as cli_mod
+
+        calls = []
+        monkeypatch.setattr(cli_mod, "info_complexity",
+                            lambda *args, **kwargs: calls.append(args))
+        cfg = {**FAMILY, "bounds": [{"name": "weak_theta", "tau": 1}]}
+        path = write_config(tmp_path, cfg)
+        code = main(["sweep", "--config", path, "--jobs", "1"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "" and calls == []
+        assert captured.err == "error: tau must be in (0, 1), got 1.0\n"
 
     def test_parameters_and_defaults(self, tmp_path, capsys):
         # z defaults to tau, and an integer parameter reads as its float
@@ -329,9 +358,33 @@ class TestMalformedConfig:
          "unknown bound name 'nope'; expected one of ['chebyshev', 'curse', "
          "'entropy', 'jensen_lhs', 'jensen_lower', 'poltract_ratio', 'pt_log', "
          "'weak_theta']"),
+        # the paper's assumptions on the families, checked at every listed k
+        (_family(weights={"kind": "explicit", "values": [0.5, 0.9]}),
+         "weights must be non-increasing; g_2 = 0.9 > g_1 = 0.5"),
+        (_family(weights={"kind": "explicit", "values": [2.0, 1.5]}),
+         "weight g_1 = 2.0 outside (0, 1]"),
+        (_family(smoothness={"kind": "explicit", "values": [0.8, 0.4]}),
+         "smoothness r_2 = 0.4 must exceed 1/2"),
+        (_family(weights={"kind": "explicit",
+                          "values": [0.5] * 1050 + [0.6] * 50}),
+         "weights must be non-increasing; g_1051 = 0.6 > g_1050 = 0.5"),
+        (_family(weights={"kind": "explicit", "values": [0.5],
+                          "asymptote": {"rho_g": "abc"}}),
+         "'rho_g' of asymptote must be a finite number or \"inf\", got 'abc'"),
+        (_family(weights={"kind": "explicit", "values": [0.5],
+                          "asymptote": {"g_to_zero": "no"}}),
+         "'g_to_zero' of asymptote must be a boolean, got 'no'"),
+        (_family(weights={"kind": "explicit", "values": [0.5],
+                          "asymptote": {"rho_g": 2, "oops": True}}),
+         "unknown asymptote fields: ['oops']"),
+        (_coordinate({"kind": "explicit", "values": [1, 0], "tail": 0.5}),
+         "a declared tail cannot follow a zero eigenvalue"),
     ], ids=["korobov_text", "korobov_missing", "explicit_text_value",
             "explicit_number", "weights_text", "weights_text_values",
-            "smoothness_text", "uniform_block_text", "unknown_bound"])
+            "smoothness_text", "uniform_block_text", "unknown_bound",
+            "weights_rising", "weights_above_one", "smoothness_low",
+            "weights_rising_late", "asymptote_text", "asymptote_not_boolean",
+            "asymptote_unknown", "tail_after_zero"])
     def test_fails_at_load(self, tmp_path, capsys, monkeypatch, extra, message):
         import tractlab.cli as cli_mod
 
@@ -342,10 +395,11 @@ class TestMalformedConfig:
         with pytest.raises(ValidationError):
             config_from_dict(cfg)
         path = write_config(tmp_path, cfg)
-        code = main(["complexity", "--config", path, "--jobs", "1"])
-        captured = capsys.readouterr()
-        assert code == 1 and captured.out == "" and calls == []
-        assert captured.err == f"error: {path}: {message}\n"
+        for command in ("complexity", "bounds", "sweep", "classify"):
+            code = main([command, "--config", path, "--jobs", "1"])
+            captured = capsys.readouterr()
+            assert code == 1 and captured.out == "" and calls == []
+            assert captured.err == f"error: {path}: {message}\n"
 
 
 class TestReadmeExamples:
@@ -363,9 +417,10 @@ class TestReadmeExamples:
         assert len(examples) == 2
         for i, example in enumerate(examples):
             path = write_config(tmp_path, example, name=f"example{i}.json")
-            for command in ("complexity", "bounds"):
+            for command in ("complexity", "bounds", "sweep"):
                 assert main([command, "--config", path, "--jobs", "1"]) == 0
-        capsys.readouterr()
+        assert main(["classify", "--config", path, "--jobs", "1"]) == 0
+        assert "# spt    yes" in capsys.readouterr().out
 
 
 class TestVerifyCommand:

@@ -128,11 +128,26 @@ class TestExplicit:
         spec = ExplicitSpectrum((1.0, 0.5), tail=0.25)
         assert spec.trace() == 1.75
 
-    def test_power_sum_exactness_flag(self):
-        spec = ExplicitSpectrum((1.0, 0.5), tail=0.25)
-        assert spec.power_sum_exact(1.0)
-        assert not spec.power_sum_exact(0.5)
-        assert ExplicitSpectrum((1.0, 0.5)).power_sum_exact(0.5)
+    def test_declared_tail_bounds_power_sums(self):
+        # the omitted mass 0.25 is spread over values of at most 0.5
+        spec = ExplicitSpectrum((2.0, 0.5), tail=0.25)
+        assert spec.power_sum(1.0) == 2.75
+        assert spec.power_sum(2.0) == 4.0 + 0.25 + 0.25 * 0.5
+        assert spec.excess_power_sum(1.0) == (0.5 + 0.25) / 2.0
+        assert spec.excess_power_sum(2.0) == 0.0625 + 0.125 * 0.25
+        # below tau = 1 the tail may be split into arbitrarily many values
+        for power_sum in (spec.power_sum, spec.excess_power_sum):
+            with pytest.raises(DivergenceError) as exc_info:
+                power_sum(0.9)
+            assert exc_info.value.tau_min == 1.0
+        assert spec.tau_min() == 1.0
+        bare = ExplicitSpectrum((2.0, 0.5))
+        assert bare.power_sum(0.5) == math.sqrt(2.0) + math.sqrt(0.5)
+        assert bare.tau_min() == 0.0
+
+    def test_rejects_tail_after_zero(self):
+        with pytest.raises(DomainError):
+            ExplicitSpectrum((1.0, 0.0), tail=0.1)
 
     def test_truncate_respects_declared_tail(self):
         spec = ExplicitSpectrum((1.0, 0.5, 0.25), tail=0.5)
