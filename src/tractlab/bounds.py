@@ -70,9 +70,25 @@ class BoundEvaluation:
         return rec
 
 
+# Parameter range checks, shared by the bound functions and check_request.
 def _in_unit_interval(name: str, x: float) -> None:
     if not 0.0 < x < 1.0:
         raise DomainError(f"{name} must be in (0, 1), got {x}")
+
+
+def _below_one(name: str, x: float) -> None:
+    if not 0.0 <= x < 1.0:
+        raise DomainError(f"{name} must be in [0, 1), got {x}")
+
+
+def _positive(name: str, x: float) -> None:
+    if not x > 0.0:
+        raise DomainError(f"{name} must be positive, got {x}")
+
+
+def _non_negative(name: str, x: float) -> None:
+    if not x >= 0.0:
+        raise DomainError(f"{name} must be non-negative, got {x}")
 
 
 def _exp(log_val: float) -> float:
@@ -169,8 +185,7 @@ def chebyshev_bound(
     value overflows doubles; that is still a valid (vacuous) upper bound.
     """
     _in_unit_interval("tau", tau)
-    if z <= 0.0:
-        raise DomainError(f"z must be positive, got {z}")
+    _positive("z", z)
     _in_unit_interval("eps", eps)
     log_s1 = problem.log_trace_d()
     log_sz = problem.log_power_sum_d(z)
@@ -188,8 +203,7 @@ def poly_tract_ratio(problem: ProductProblem, q: float, tau: float) -> float:
     """(S_tau,d)^(1/tau) / S_1,d * d^(-q), the quantity whose supremum
     over d is the polynomial-tractability constant C_{q,tau}."""
     _in_unit_interval("tau", tau)
-    if q < 0.0:
-        raise DomainError(f"q must be non-negative, got {q}")
+    _non_negative("q", q)
     log_val = (
         problem.log_power_sum_d(tau) / tau
         - problem.log_trace_d()
@@ -364,8 +378,7 @@ def jensen_lower_bound(problem: ProductProblem, gamma: float) -> float:
     """exp(gamma * sum_k H_k), a lower bound for the normalized power sum
     sum_j (lambda_{d,j}/Lambda_d)^{1-gamma}; H_k is the entropy of the
     trace-normalized coordinate spectrum."""
-    if gamma < 0.0:
-        raise DomainError(f"gamma must be non-negative, got {gamma}")
+    _non_negative("gamma", gamma)
     h = math.fsum(c.entropy() for c in problem.coordinates)
     log_val = gamma * h
     return _exp(log_val)
@@ -375,8 +388,7 @@ def jensen_lower_bound(problem: ProductProblem, gamma: float) -> float:
 def jensen_lhs(problem: ProductProblem, gamma: float) -> float:
     """The quantity Jensen bounds from below:
     sum_j lambda_{d,j}^{1-gamma} / Lambda_d^{1-gamma}."""
-    if not 0.0 <= gamma < 1.0:
-        raise DomainError(f"gamma must be in [0, 1), got {gamma}")
+    _below_one("gamma", gamma)
     if gamma == 0.0:
         return 1.0
     tau = 1.0 - gamma
@@ -460,21 +472,35 @@ def pt_log_criterion(family: Family, tau: float, d_max: int) -> BoundEvaluation:
 
 
 # The bounds a config may request: name -> (value at (problem, d, eps,
-# **params), parameter defaults).  The lambdas look each function up when
-# called, so a wrapper set on this module's attributes sees every call.
+# **params), parameter defaults, parameter range checks).  The lambdas look
+# each function up when called, so a wrapper set on this module's attributes
+# sees every call.
 BOUND_REQUESTS = {
     "chebyshev": (lambda p, d, eps, tau, z: chebyshev_bound(
-        p, eps, tau=tau, z=tau if z is None else z), {"tau": 0.9, "z": None}),
-    "curse": (lambda p, d, eps: curse_lower_bound(p, eps), {}),
-    "jensen_lhs": (lambda p, d, eps, gamma: jensen_lhs(p, gamma), {"gamma": 0.25}),
+        p, eps, tau=tau, z=tau if z is None else z), {"tau": 0.9, "z": None},
+        {"tau": _in_unit_interval, "z": _positive}),
+    "curse": (lambda p, d, eps: curse_lower_bound(p, eps), {}, {}),
+    "jensen_lhs": (lambda p, d, eps, gamma: jensen_lhs(p, gamma), {"gamma": 0.25},
+                   {"gamma": _below_one}),
     "jensen_lower": (lambda p, d, eps, gamma: jensen_lower_bound(p, gamma),
-                     {"gamma": 0.25}),
-    "entropy": (lambda p, d, eps: entropy_sum(p).value, {}),
-    "weak_theta": (lambda p, d, eps, tau: weak_tract_theta(p, tau, d), {"tau": 0.9}),
+                     {"gamma": 0.25}, {"gamma": _non_negative}),
+    "entropy": (lambda p, d, eps: entropy_sum(p).value, {}, {}),
+    "weak_theta": (lambda p, d, eps, tau: weak_tract_theta(p, tau, d), {"tau": 0.9},
+                   {"tau": _in_unit_interval}),
     "poltract_ratio": (lambda p, d, eps, q, tau: poly_tract_ratio(p, q=q, tau=tau),
-                       {"q": 0.0, "tau": 0.9}),
-    "pt_log": (lambda p, d, eps, tau: pt_log_criterion(p, tau, d).value, {"tau": 0.9}),
+                       {"q": 0.0, "tau": 0.9},
+                       {"q": _non_negative, "tau": _in_unit_interval}),
+    "pt_log": (lambda p, d, eps, tau: pt_log_criterion(p, tau, d).value, {"tau": 0.9},
+               {"tau": _in_unit_interval}),
 }
+
+
+def check_request(name: str, params) -> None:
+    """Raise DomainError when a given (parameter, number) pair of the
+    request (name, params) lies outside the range its bound accepts."""
+    checks = BOUND_REQUESTS[name][2]
+    for key, x in params:
+        checks[key](key, float(x))
 
 
 def requested_bound(name: str, params, problem: ProductProblem, d: int,
@@ -482,5 +508,5 @@ def requested_bound(name: str, params, problem: ProductProblem, d: int,
     """The value of the request (name, params) at one grid point: ``params``
     holds the given (parameter, number) pairs; the others take their
     defaults from BOUND_REQUESTS."""
-    value, defaults = BOUND_REQUESTS[name]
+    value, defaults, _checks = BOUND_REQUESTS[name]
     return value(problem, d, eps, **{**defaults, **{k: float(x) for k, x in params}})

@@ -387,7 +387,10 @@ class KorobovFamily:
     smoothness: SmoothnessFamily
 
     def spectrum(self, k: int) -> KorobovSpectrum:
-        return KorobovSpectrum(g=self.weights.g(k), r=self.smoothness.r(k))
+        g = self.weights.g(k)
+        if g == 0.0:  # a valid weight in (0, 1] that double range cannot hold
+            raise DomainError(f"coordinate k={k}: weight g_k underflows to 0.0")
+        return KorobovSpectrum(g=g, r=self.smoothness.r(k))
 
     def problem(self, d: int) -> ProductProblem:
         return ProductProblem(

@@ -6,7 +6,7 @@ Subcommands::
     tractlab bounds     --config cfg.json ...
     tractlab sweep      --config cfg.json ...   (complexity + bounds joined)
     tractlab classify   --config cfg.json ...
-    tractlab verify     [--seed N] [--instances N] ...
+    tractlab verify     [--seed N] [--instances N] [--timings] ...
 
 Exit codes: 0 full success, 2 when any grid point is uncertified, 3 when
 any grid point hits its enumeration budget (3 wins over 2).  ``verify``
@@ -180,8 +180,13 @@ def cmd_classify(cfg: ExperimentConfig, fmt: str, out) -> int:
     return 0
 
 
-def cmd_verify(seed: int, instances: int, out) -> int:
-    results = run_verify(seed, instances=instances)
+def _write_timing(result, seconds: float) -> None:
+    sys.stderr.write(f"{result.name} {seconds:.6f}\n")
+
+
+def cmd_verify(seed: int, instances: int, out, timings: bool) -> int:
+    results = run_verify(seed, instances=instances,
+                         timed=_write_timing if timings else None)
     out.write(render_report(results, seed))
     return 0 if all(r.passed for r in results) else 1
 
@@ -202,6 +207,8 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--instances", type=int, default=50)
     v.add_argument("--out", default=None)
+    v.add_argument("--timings", action="store_true",
+                   help="write one '{check} {seconds}' line per check to stderr")
     return parser
 
 
@@ -214,7 +221,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         close = True
     try:
         if args.command == "verify":
-            return cmd_verify(args.seed, args.instances, out)
+            return cmd_verify(args.seed, args.instances, out, args.timings)
         cfg = load_config(args.config)
         cfg = dataclasses.replace(cfg, budget=_apply_env_budget(cfg.budget))
         if args.command == "complexity":

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 from ._descriptors import (
     LIST, NUMBER, OBJECT, OBJECTS, integer, is_number, list_of, read, read_kind,
 )
-from .bounds import BOUND_REQUESTS
+from .bounds import BOUND_REQUESTS, check_request
 from .classifier import (
     KorobovFamily,
     smoothness_family_from_config,
@@ -47,7 +47,7 @@ _PROBLEMS = {
     "tower_ordering": ({}, {}),
 }
 _REQUESTS = {name: (dict.fromkeys(defaults, NUMBER), defaults)
-             for name, (_value, defaults) in BOUND_REQUESTS.items()}
+             for name, (_value, defaults, _checks) in BOUND_REQUESTS.items()}
 
 
 @dataclass(frozen=True)
@@ -115,8 +115,9 @@ def _checked_config(raw) -> ExperimentConfig:
     bounds = []
     for request in top["bounds"]:
         name, _args = read_kind(request, "bound", _REQUESTS, key="name")
-        bounds.append((name, tuple(sorted(
-            (key, x) for key, x in request.items() if key != "name"))))
+        params = tuple(sorted((key, x) for key, x in request.items() if key != "name"))
+        check_request(name, params)
+        bounds.append((name, params))
     return ExperimentConfig(
         problem=problem,
         epsilons=tuple(float(e) for e in top["epsilons"]),

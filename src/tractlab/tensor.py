@@ -656,38 +656,26 @@ def _first_reaching(values, target, base=0.0, cs=None):
     return False, len(values), acc.value, prev
 
 
-def brute_force_complexity(problem: ProductProblem, epsilon: float) -> ComplexityResult:
-    """Oracle engine: materialize every truncated product, sort, scan.
+class _BruteForceOracle:
+    """The brute-force oracle of one problem, called with an epsilon.
 
-    Shares the decision and certification semantics of info_complexity
-    but is limited to small d by the grid cap.  Each attempt sorts its
-    grid in place and takes one cumsum of it, which the scans for n and,
-    when uncertified, for n_low share.
+    Each attempt materializes every product of its truncation lengths,
+    sorts them and takes one cumsum, which the scans for n and, when
+    uncertified, for n_low share.  The grid depends on epsilon only through
+    those lengths: the first attempt's come from tol = 0.01/d and the grid
+    cap alone.  So the oracle keeps the last attempt's lengths, descending
+    grid, cumsum and log kept mass for the next call, and drops them before
+    it builds a grid for other lengths: at most one grid is alive.
     """
-    if not 0.0 < epsilon <= 1.0:
-        raise DomainError(f"epsilon must be in (0, 1], got {epsilon}")
-    d = problem.d
-    eps2 = epsilon * epsilon
 
-    trace_norm = problem.normalized_trace()
-    threshold = (1.0 - eps2) * trace_norm
-    rounding = 1e-12 * trace_norm
-    log_scale = problem.log_leading()
-    scale = math.exp(log_scale) if log_scale < 709.0 else math.inf
+    def __init__(self, problem: ProductProblem):
+        self.problem = problem
+        self._lengths = None
+        self._grid = None  # (descending grid, its cumsum, log kept mass)
 
-    if threshold <= 0.0:
-        return ComplexityResult(
-            epsilon=epsilon, d=d, n=0, partial_sum=0.0,
-            trace=trace_norm * scale, certified=True, pops=0, n_low=0, n_high=0,
-        )
-
-    if 2 ** min(d, 60) > _BRUTE_GRID_CAP:
-        raise GridSizeError(
-            f"product grid would exceed {_BRUTE_GRID_CAP} entries at d={d}")
-
-    def lengths_at(tol):
+    def _lengths_at(self, tol):
         out = []
-        for c in problem.coordinates:
+        for c in self.problem.coordinates:
             try:
                 length = c.truncate(tol).length
             except IrreducibleTailError:
@@ -695,54 +683,95 @@ def brute_force_complexity(problem: ProductProblem, epsilon: float) -> Complexit
             out.append(min(length, _BRUTE_COORD_CAP))
         return out
 
-    tol = 0.01 / d  # coarse first pass; the margin drives refinement below
-    while math.prod(lengths_at(tol)) > _BRUTE_GRID_CAP:
-        tol *= 4.0
-        if tol > 0.5:
+    def _sorted_grid(self, lengths):
+        if lengths != self._lengths:
+            self._lengths = self._grid = None  # free the old grid first
+            coords = self.problem.coordinates
+            grids = [c.dense_values(1e-300, m) for c, m in zip(coords, lengths)]
+            prod = np.ones(1)  # a fresh grid even at d = 1, so grids stay unsorted
+            for arr in grids:
+                prod = np.multiply.outer(prod, arr).ravel()
+            prod.sort()
+            order = prod[::-1]
+            log_kept = math.fsum(
+                math.log(max(float(np.sum(g)) / (c.trace() / c.leading()), 1e-300))
+                for g, c in zip(grids, coords)
+            )
+            self._grid = (order, np.cumsum(order), log_kept)
+            self._lengths = lengths
+        return self._grid
+
+    def __call__(self, epsilon: float) -> ComplexityResult:
+        if not 0.0 < epsilon <= 1.0:
+            raise DomainError(f"epsilon must be in (0, 1], got {epsilon}")
+        problem = self.problem
+        d = problem.d
+        eps2 = epsilon * epsilon
+
+        trace_norm = problem.normalized_trace()
+        threshold = (1.0 - eps2) * trace_norm
+        rounding = 1e-12 * trace_norm
+        log_scale = problem.log_leading()
+        scale = math.exp(log_scale) if log_scale < 709.0 else math.inf
+
+        if threshold <= 0.0:
+            return ComplexityResult(
+                epsilon=epsilon, d=d, n=0, partial_sum=0.0,
+                trace=trace_norm * scale, certified=True, pops=0, n_low=0, n_high=0,
+            )
+
+        if 2 ** min(d, 60) > _BRUTE_GRID_CAP:
             raise GridSizeError(
-                f"no truncation below tol=0.5 fits {_BRUTE_GRID_CAP} grid entries")
-    pops = 0
-    result = None
-    prev_lengths = None
-    for _attempt in range(24):
-        lengths = lengths_at(tol)
-        if math.prod(lengths) > _BRUTE_GRID_CAP or lengths == prev_lengths:
-            break  # certification needs a grid the cap cannot hold
-        prev_lengths = lengths
-        grids = [c.dense_values(1e-300, m)
-                 for c, m in zip(problem.coordinates, lengths)]
-        prod = np.ones(1)  # a fresh grid even at d = 1, so grids stay unsorted
-        for arr in grids:
-            prod = np.multiply.outer(prod, arr).ravel()
-        prod.sort()
-        order = prod[::-1]
-        cs = np.cumsum(order)
-        pops += len(order)
+                f"product grid would exceed {_BRUTE_GRID_CAP} entries at d={d}")
 
-        log_kept = math.fsum(
-            math.log(max(float(np.sum(g)) / (c.trace() / c.leading()), 1e-300))
-            for g, c in zip(grids, problem.coordinates)
-        )
-        t_mass = max(trace_norm * (1.0 - math.exp(min(log_kept, 0.0))), 0.0)
+        tol = 0.01 / d  # coarse first pass; the margin drives refinement below
+        while math.prod(self._lengths_at(tol)) > _BRUTE_GRID_CAP:
+            tol *= 4.0
+            if tol > 0.5:
+                raise GridSizeError(
+                    f"no truncation below tol=0.5 fits {_BRUTE_GRID_CAP} grid entries")
+        pops = 0
+        result = None
+        prev_lengths = None
+        for _attempt in range(24):
+            lengths = self._lengths_at(tol)
+            if math.prod(lengths) > _BRUTE_GRID_CAP or lengths == prev_lengths:
+                break  # certification needs a grid the cap cannot hold
+            prev_lengths = lengths
+            order, cs, log_kept = self._sorted_grid(lengths)
+            pops += len(order)
+            t_mass = max(trace_norm * (1.0 - math.exp(min(log_kept, 0.0))), 0.0)
 
-        crossed, n, partial, prev = _first_reaching(order, threshold, cs=cs)
-        certified = crossed and threshold - prev > t_mass + rounding
-        result = ComplexityResult(
-            epsilon=epsilon, d=d, n=n, partial_sum=partial * scale,
-            trace=trace_norm * scale, certified=certified, pops=pops,
-            n_low=n if certified else _first_reaching(
-                order, threshold - t_mass - rounding, cs=cs)[1],
-            n_high=n,
-        )
-        if certified:
-            return result
-        if crossed:
-            # jump straight to a tolerance that makes the total truncation
-            # mass comfortably smaller than the observed margin
-            need = max(threshold - prev, rounding) / (8.0 * trace_norm * d)
-        else:
-            need = tol * 0.0625  # kept mass below threshold: just add length
-        if t_mass <= 0.0:
-            break
-        tol = max(min(need, tol * 0.25), 1e-16)
-    return result
+            crossed, n, partial, prev = _first_reaching(order, threshold, cs=cs)
+            certified = crossed and threshold - prev > t_mass + rounding
+            result = ComplexityResult(
+                epsilon=epsilon, d=d, n=n, partial_sum=partial * scale,
+                trace=trace_norm * scale, certified=certified, pops=pops,
+                n_low=n if certified else _first_reaching(
+                    order, threshold - t_mass - rounding, cs=cs)[1],
+                n_high=n,
+            )
+            if certified:
+                return result
+            if crossed:
+                # jump straight to a tolerance that makes the total truncation
+                # mass comfortably smaller than the observed margin
+                need = max(threshold - prev, rounding) / (8.0 * trace_norm * d)
+            else:
+                need = tol * 0.0625  # kept mass below threshold: just add length
+            if t_mass <= 0.0:
+                break
+            tol = max(min(need, tol * 0.25), 1e-16)
+        return result
+
+
+def brute_force_complexity(problem: ProductProblem, epsilon: float) -> ComplexityResult:
+    """Oracle engine: materialize every truncated product, sort, scan.
+
+    Shares the decision and certification semantics of info_complexity
+    but is limited to small d by the grid cap.  This is a one-shot call of
+    the problem's oracle, which serves every epsilon of the problem from the
+    grids it builds and holds at most one grid at a time; see
+    _BruteForceOracle.
+    """
+    return _BruteForceOracle(problem)(epsilon)

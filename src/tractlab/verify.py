@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
@@ -29,7 +30,7 @@ from .spectra import ExplicitSpectrum, KorobovSpectrum
 from .tensor import (
     Budget,
     ProductProblem,
-    brute_force_complexity,
+    _BruteForceOracle,
     info_complexity,
     top_eigenvalues,
 )
@@ -120,23 +121,25 @@ def _check_oracle_batch(rng: random.Random, instances: int) -> CheckResult:
     over = []  # proved lower bounds of points over the n budget
     for _ in range(instances):
         p = random_instance(rng)
+        # the engine runs first, so that no oracle grid is alive beside it
+        fast = {}
         for eps in (0.9, 0.5, 0.1):
             total += 1
             try:
-                fast = info_complexity(p, eps)
+                fast[eps] = info_complexity(p, eps)
             except BudgetExceededError as exc:
                 over.append(exc.n_lower)
-                continue
-            if fast.certified:
-                certified += 1
+        certified += sum(res.certified for res in fast.values())
+        oracle = _BruteForceOracle(p)  # one per instance: its grid serves every eps
+        for eps, res in fast.items():
             try:
-                slow = brute_force_complexity(p, eps)
+                slow = oracle(eps)
             except (BudgetExceededError, GridSizeError):
                 continue
-            if fast.certified and slow.certified:
+            if res.certified and slow.certified:
                 compared += 1
-                if fast.n != slow.n:
-                    mismatches += 1
+                mismatches += res.n != slow.n
+        del oracle  # release the grid before the next instance's engine calls
     ok = (
         mismatches == 0
         and certified >= 0.95 * (total - len(over))
@@ -321,20 +324,33 @@ def _check_broken_spectrum(rng: random.Random) -> CheckResult:
     )
 
 
-def run_verify(seed: int, instances: int = 50) -> List[CheckResult]:
-    """Run every check with one seeded generator; order is fixed."""
+def run_verify(
+    seed: int,
+    instances: int = 50,
+    timed: Optional[Callable[[CheckResult, float], None]] = None,
+) -> List[CheckResult]:
+    """Run every check with one seeded generator; order is fixed.
+    ``timed``, when given, is called with each result and the seconds its
+    check took, as soon as the check ends."""
     rng = random.Random(seed)
-    return [
-        _check_uniform_block(rng),
-        _check_tower_cap(rng),
-        _check_oracle_batch(rng, instances),
-        _check_bound_sandwich(rng, max(instances // 2, 10)),
-        _check_jensen(rng, 100),
-        _check_entropy_identity(rng),
-        _check_enumeration_order(rng),
-        _check_normalization(rng, max(instances // 5, 5)),
-        _check_broken_spectrum(rng),
-    ]
+    checks = (
+        lambda: _check_uniform_block(rng),
+        lambda: _check_tower_cap(rng),
+        lambda: _check_oracle_batch(rng, instances),
+        lambda: _check_bound_sandwich(rng, max(instances // 2, 10)),
+        lambda: _check_jensen(rng, 100),
+        lambda: _check_entropy_identity(rng),
+        lambda: _check_enumeration_order(rng),
+        lambda: _check_normalization(rng, max(instances // 5, 5)),
+        lambda: _check_broken_spectrum(rng),
+    )
+    results = []
+    for check in checks:
+        start = time.perf_counter()
+        results.append(check())
+        if timed is not None:
+            timed(results[-1], time.perf_counter() - start)
+    return results
 
 
 def render_report(results: List[CheckResult], seed: int) -> str:

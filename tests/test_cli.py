@@ -217,20 +217,6 @@ class TestBoundRequests:
         assert code == 1 and captured.out == "" and calls == []
         assert captured.err == f"error: {path}: {message}\n"
 
-    def test_sweep_checks_bound_parameters_before_the_grid(
-            self, tmp_path, capsys, monkeypatch):
-        import tractlab.cli as cli_mod
-
-        calls = []
-        monkeypatch.setattr(cli_mod, "info_complexity",
-                            lambda *args, **kwargs: calls.append(args))
-        cfg = {**FAMILY, "bounds": [{"name": "weak_theta", "tau": 1}]}
-        path = write_config(tmp_path, cfg)
-        code = main(["sweep", "--config", path, "--jobs", "1"])
-        captured = capsys.readouterr()
-        assert code == 1 and captured.out == "" and calls == []
-        assert captured.err == "error: tau must be in (0, 1), got 1.0\n"
-
     def test_parameters_and_defaults(self, tmp_path, capsys):
         # z defaults to tau, and an integer parameter reads as its float
         cfg = {**FAMILY, "dims": [2], "bounds": [
@@ -290,6 +276,21 @@ class TestBadInput:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert "epsilon values must be in (0, 1], got True" in captured.err
+
+    @pytest.mark.parametrize("command", ["complexity", "bounds", "sweep"])
+    def test_underflowing_weight_names_its_coordinate(self, tmp_path, capsys,
+                                                      command):
+        # g_k = 10^-k is a valid weight that double range cannot hold past k = 323
+        power = {"kind": "power", "c": 1, "s": 1}
+        cfg = {**FAMILY, "dims": [400], "problem": {
+            "kind": "korobov_family", "smoothness": power,
+            "weights": {"kind": "geometric_in_r", "v": 0.1, "smoothness": power}}}
+        path = write_config(tmp_path, cfg)
+        code = main([command, "--config", path, "--jobs", "1"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == (
+            "error: coordinate k=324: weight g_k underflows to 0.0\n")
 
     @pytest.mark.parametrize("extra, message", [
         ({"budgets": {"n_max": "abc"}},
@@ -379,12 +380,27 @@ class TestMalformedConfig:
          "unknown asymptote fields: ['oops']"),
         (_coordinate({"kind": "explicit", "values": [1, 0], "tail": 0.5}),
          "a declared tail cannot follow a zero eigenvalue"),
+        # bound parameters outside the range their bound accepts
+        ({**FAMILY, "bounds": [{"name": "weak_theta", "tau": 1}]},
+         "tau must be in (0, 1), got 1.0"),
+        ({**FAMILY, "bounds": [{"name": "chebyshev", "z": 0}]},
+         "z must be positive, got 0.0"),
+        ({**FAMILY, "bounds": [{"name": "jensen_lhs", "gamma": 1}]},
+         "gamma must be in [0, 1), got 1.0"),
+        ({**FAMILY, "bounds": [{"name": "jensen_lower", "gamma": -0.5}]},
+         "gamma must be non-negative, got -0.5"),
+        ({**FAMILY, "bounds": [{"name": "poltract_ratio", "q": -1}]},
+         "q must be non-negative, got -1.0"),
+        ({**FAMILY, "bounds": [{"name": "pt_log", "tau": 0}]},
+         "tau must be in (0, 1), got 0.0"),
     ], ids=["korobov_text", "korobov_missing", "explicit_text_value",
             "explicit_number", "weights_text", "weights_text_values",
             "smoothness_text", "uniform_block_text", "unknown_bound",
             "weights_rising", "weights_above_one", "smoothness_low",
             "weights_rising_late", "asymptote_text", "asymptote_not_boolean",
-            "asymptote_unknown", "tail_after_zero"])
+            "asymptote_unknown", "tail_after_zero", "bound_tau_range",
+            "bound_z_range", "bound_gamma_below_one", "bound_gamma_negative",
+            "bound_q_range", "bound_tau_zero"])
     def test_fails_at_load(self, tmp_path, capsys, monkeypatch, extra, message):
         import tractlab.cli as cli_mod
 
@@ -434,6 +450,26 @@ class TestVerifyCommand:
             reports.append(target.read_bytes())
         assert reports[0] == reports[1]
         assert b"9/9 checks passed" in reports[0]
+
+    def test_timings_go_to_stderr_alone(self, tmp_path, capsys):
+        plain = tmp_path / "plain.txt"
+        timed = tmp_path / "timed.txt"
+        assert main(["verify", "--seed", "3", "--instances", "5",
+                     "--out", str(plain)]) == 0
+        assert capsys.readouterr().err == ""
+        assert main(["verify", "--seed", "3", "--instances", "5",
+                     "--out", str(timed), "--timings"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "" and timed.read_bytes() == plain.read_bytes()
+        # stdout is unchanged too, and one line per check names it
+        assert main(["verify", "--seed", "3", "--instances", "5", "--timings"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.encode() == plain.read_bytes()
+        checks = [line.split("  ", 1)[1].split(":")[0]
+                  for line in captured.out.splitlines()[1:-1]]
+        timings = [line.split(" ") for line in captured.err.splitlines()]
+        assert [name for name, _seconds in timings] == checks
+        assert all(float(seconds) >= 0.0 for _name, seconds in timings)
 
     def test_over_budget_points_are_counted_apart(self, capsys):
         # two of seed 2's points have answers beyond the default n budget

@@ -6,15 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tractlab.errors import BudgetExceededError, DomainError
+from tractlab.errors import BudgetExceededError, DomainError, GridSizeError
 from tractlab.spectra import ExplicitSpectrum, KorobovSpectrum
 from tractlab.tensor import (
     Budget,
     ProductProblem,
+    _BruteForceOracle,
     brute_force_complexity,
     info_complexity,
     top_eigenvalues,
 )
+from tractlab.verify import random_instance
 
 
 def small_problem():
@@ -452,6 +454,53 @@ class TestOracleUncrossed:
         exact = math.fsum(grid)
         assert p.log_leading() == 0.0
         assert abs(res.partial_sum - exact) <= (len(grid) - 1) * 2.0**-53 * exact
+
+
+class TestPerProblemOracle:
+    """One oracle serves every eps of a problem, as fresh calls would."""
+
+    @staticmethod
+    def outcome(oracle, eps):
+        try:
+            return oracle(eps)
+        except GridSizeError as exc:
+            return str(exc)
+
+    def test_matches_fresh_calls(self):
+        rng = random.Random(4)
+        outcomes = []
+        # d <= 3 builds grids; d up to 30 also meets both grid size errors
+        for d_max in (3,) * 16 + (30,) * 6:
+            p = random_instance(rng, d_max)
+            oracle = _BruteForceOracle(p)
+            for eps in (0.9, 0.5, 0.1, 0.5, 0.25):
+                got = self.outcome(oracle, eps)
+                fresh = self.outcome(_BruteForceOracle(p), eps)
+                assert got == fresh == self.outcome(
+                    lambda e: brute_force_complexity(p, e), eps)
+                outcomes.append(got)
+        errors = {o.split(" ", 1)[0] for o in outcomes if isinstance(o, str)}
+        assert errors == {"product", "no"}
+        assert any(not o.certified for o in outcomes if not isinstance(o, str))
+
+    def test_one_grid_serves_three_eps(self, monkeypatch):
+        rng = random.Random(2)
+        random_instance(rng)
+        p = random_instance(rng)  # the first grid certifies eps 0.9, 0.5 and 0.1
+        built = []
+        for cls in (KorobovSpectrum, ExplicitSpectrum):
+            dense = cls.dense_values
+            monkeypatch.setattr(cls, "dense_values", lambda self, *args, dense=dense: (
+                built.append(self), dense(self, *args))[1])
+        for eps in (0.9, 0.5, 0.1):
+            brute_force_complexity(p, eps)
+        assert len(built) == 3 * p.d
+        built.clear()
+        oracle = _BruteForceOracle(p)
+        results = [oracle(eps) for eps in (0.9, 0.5, 0.1)]
+        assert len(built) == p.d
+        assert [r.n for r in results] == [131, 980, 2198]
+        assert all(r.certified and r.pops == 2430 for r in results)
 
 
 class TestResultInvariants:
