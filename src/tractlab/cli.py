@@ -18,6 +18,7 @@ header line on CSV.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import multiprocessing
@@ -32,6 +33,7 @@ from .errors import (
     DivergenceError,
     DomainError,
     TractlabError,
+    ValidationError,
 )
 from .tensor import Budget, info_complexity
 from .verify import render_report, run_verify
@@ -61,6 +63,8 @@ def _apply_env_budget(budget: Budget) -> Budget:
         raise DomainError(
             f"TRACTLAB_BUDGET_NMAX must be an integer, got {raw!r}"
         ) from None
+    if n_max < 1:
+        raise DomainError(f"TRACTLAB_BUDGET_NMAX must be at least 1, got {raw!r}")
     return Budget(n_max=n_max, heap_bytes=budget.heap_bytes)
 
 
@@ -165,10 +169,6 @@ def cmd_sweep(cfg: ExperimentConfig, jobs: int, fmt: str, out) -> int:
 
 
 def cmd_classify(cfg: ExperimentConfig, fmt: str, out) -> int:
-    if cfg.family is None:
-        raise DomainError(
-            "classify needs a problem of kind 'korobov_family'"
-        )
     report = cfg.family.classify(horizon=cfg.horizon)
     record = report.to_record()
     out.write(json.dumps(record, indent=2, default=str))
@@ -212,31 +212,39 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _open_out(path: Optional[str]):
+    """The ``--out`` file opened for writing, or stdout (left open) without one."""
+    if not path:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot write output: {exc.strerror}") from exc
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    out = sys.stdout
-    close = False
-    if args.out:
-        out = open(args.out, "w", encoding="utf-8", newline="\n")
-        close = True
     try:
         if args.command == "verify":
-            return cmd_verify(args.seed, args.instances, out, args.timings)
+            with _open_out(args.out) as out:
+                return cmd_verify(args.seed, args.instances, out, args.timings)
+        # the output opens only once the config has loaded, so that a bad
+        # config leaves no empty file behind
         cfg = load_config(args.config)
         cfg = dataclasses.replace(cfg, budget=_apply_env_budget(cfg.budget))
-        if args.command == "complexity":
-            return cmd_complexity(cfg, args.jobs, args.format, out)
-        if args.command == "bounds":
-            return cmd_bounds(cfg, args.format, out)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, args.jobs, args.format, out)
-        return cmd_classify(cfg, args.format, out)
+        if args.command == "classify" and cfg.family is None:
+            raise DomainError("classify needs a problem of kind 'korobov_family'")
+        with _open_out(args.out) as out:
+            if args.command == "complexity":
+                return cmd_complexity(cfg, args.jobs, args.format, out)
+            if args.command == "bounds":
+                return cmd_bounds(cfg, args.format, out)
+            if args.command == "sweep":
+                return cmd_sweep(cfg, args.jobs, args.format, out)
+            return cmd_classify(cfg, args.format, out)
     except TractlabError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    finally:
-        if close:
-            out.close()
 
 
 if __name__ == "__main__":

@@ -242,104 +242,116 @@ def top_eigenvalues(
         count += 1
 
 
-def _reduced_views(problem: ProductProblem, tol_per_coord: float) -> list:
-    """Truncate every coordinate; drop coordinates that reduce to a single
-    eigenvalue with no tail (they only rescale the problem).  Coordinates
-    whose declared tail cannot meet the budget keep all their values and
-    carry the irreducible tail into the certification mass."""
-    views = []
+def _truncated(c: Spectrum, tol: float) -> TruncatedView:
+    """c truncated at tol, or all its values when its declared tail exceeds tol."""
+    try:
+        return c.truncate(tol)
+    except IrreducibleTailError:
+        return TruncatedView(c, len(c.values), c.tail)
+
+
+def _reduced_views(problem: ProductProblem, tol_per_coord: float) -> tuple:
+    """(views, ln of the share of the trace they keep).  Coordinates that
+    truncate to one eigenvalue with no tail only rescale the problem and are
+    dropped; an irreducible declared tail stays in its view's tail mass."""
+    views, log_kept = [], 0.0
     for c in problem.coordinates:
-        try:
-            view = c.truncate(tol_per_coord)
-        except IrreducibleTailError:
-            view = TruncatedView(c, len(c.values), c.tail)
+        view = _truncated(c, tol_per_coord)
         if view.length == 1 and view.tail_mass == 0.0:
             continue
+        a = c.trace() / c.leading()
+        log_kept += math.log(max(a - view.tail_mass / c.leading(), 1e-300) / a)
         views.append(view)
-    return views
+    return views, log_kept
 
 
-def _truncation_mass(views: Sequence[TruncatedView], log_trace_norm: float) -> float:
-    """Upper bound on the normalized product mass lost to truncation."""
-    if not views:
-        return 0.0
-    log_kept = 0.0
-    for view in views:
-        src = view.source
-        a = src.trace() / src.leading()
-        tail = view.tail_mass / src.leading()
-        kept = max(a - tail, 1e-300)
-        log_kept += math.log(kept / a)
-    t_norm = math.exp(log_trace_norm) * (1.0 - math.exp(min(log_kept, 0.0)))
-    return max(t_norm, 0.0)
+class _Target:
+    """The decision at one (problem, eps) point, shared by both engines.
+
+    Values are normalized by the leading product eigenvalue; the answer is
+    the first n whose top-n sum S_n reaches ``threshold`` = (1 - eps^2) *
+    ``trace``.  Truncations keeping a share exp(log_kept) of the trace leave
+    out at most ``lost(log_kept)``; ``rounding``, a 10^-12 share of the
+    trace, covers the summation error.  A crossing at n is certified when
+    threshold - S_(n-1) > lost + rounding; top sets of kept values short of
+    ``low(lost)`` = threshold - (lost + rounding) leave their exact
+    counterparts short of the threshold, a lower bound for uncertified and
+    over-budget answers.  ``trivial`` is the n = 0 answer of eps = 1."""
+
+    def __init__(self, problem: ProductProblem, epsilon: float):
+        if not 0.0 < epsilon <= 1.0:
+            raise DomainError(f"epsilon must be in (0, 1], got {epsilon}")
+        self.epsilon, self.d = epsilon, problem.d
+        self.log_scale = problem.log_leading()
+        self.trace = problem.normalized_trace()
+        self.threshold = (1.0 - epsilon * epsilon) * self.trace
+        self.rounding = 1e-12 * self.trace
+        self.trivial = (self.result(0, 0.0, True, 0, 0)
+                        if self.threshold <= 0.0 else None)
+
+    def lost(self, log_kept: float) -> float:
+        return max(self.trace * (1.0 - math.exp(min(log_kept, 0.0))), 0.0)
+
+    def low(self, lost: float) -> float:
+        return self.threshold - (lost + self.rounding)
+
+    def certified(self, crossed: bool, prev: float, lost: float) -> bool:
+        return crossed and self.threshold - prev > lost + self.rounding
+
+    def _scaled(self, x: float) -> float:
+        """x times the leading product eigenvalue, formed in log space."""
+        lv = math.log(x) + self.log_scale if x > 0.0 else -math.inf
+        return math.exp(lv) if lv < 709.0 else math.inf
+
+    def result(self, n, partial, certified, pops, n_low) -> ComplexityResult:
+        return ComplexityResult(
+            epsilon=self.epsilon, d=self.d, n=n, partial_sum=self._scaled(partial),
+            trace=self._scaled(self.trace), certified=certified, pops=pops,
+            n_low=n_low, n_high=n)
 
 
-def info_complexity(
-    problem: ProductProblem,
-    epsilon: float,
-    budget: Optional[Budget] = None,
-    tol_rel: Optional[float] = None,
-) -> ComplexityResult:
+def info_complexity(problem: ProductProblem, epsilon: float,
+                    budget: Optional[Budget] = None) -> ComplexityResult:
     """Exact n^avg(eps, d): minimal n with top-n sum >= (1 - eps^2) * trace.
 
-    The decision is made against the exact closed-form trace; truncation
-    and rounding are accounted for so that a certified result is a proof
-    about the integer answer.  Uncertified results carry the bracketing
-    interval [n_low, n_high] and report the conservative (larger) end.
+    The decision (_Target) is made against the exact closed-form trace;
+    truncation and rounding are accounted for so that a certified result is
+    a proof about the integer answer.  Uncertified results carry the
+    bracketing interval [n_low, n_high] and report its larger end.
 
     Answers within _HANDOFF_POPS heap pops come out of the lazy heap; when the
     pops left cannot reach the threshold, the call hands off to the level-set
     fold, which serves every later truncation too.  ``pops`` counts heap pops
     plus, per fold decision, the products at or above its final lower level.
     """
-    if not 0.0 < epsilon <= 1.0:
-        raise DomainError(f"epsilon must be in (0, 1], got {epsilon}")
+    target = _Target(problem, epsilon)
     budget = budget or Budget()
-    d = problem.d
+    if problem.normalized_log_trace() > 690.0:  # the curse bound alone is past any budget
+        raise BudgetExceededError("normalized trace overflows double range; n is "
+                                  "astronomically large (curse of dimensionality)",
+                                  n_lower=budget.n_max)
+    if target.trivial:
+        return target.trivial
+    d, threshold = problem.d, target.threshold
     eps2 = epsilon * epsilon
-    log_t_norm = problem.normalized_log_trace()
-    log_scale = problem.log_leading()
-
-    def _scaled(x: float) -> float:
-        if x <= 0.0 or not math.isfinite(log_scale):
-            return 0.0
-        lv = math.log(x) + log_scale
-        return math.exp(lv) if lv < 709.0 else math.inf
-
-    if log_t_norm > 690.0:
-        # The curse lower bound alone exceeds any realistic budget.
-        raise BudgetExceededError(
-            "normalized trace overflows double range; "
-            "n is astronomically large (curse of dimensionality)",
-            n_lower=budget.n_max,
-        )
-    trace_norm = problem.normalized_trace()
-    threshold = (1.0 - eps2) * trace_norm
-    rounding = 1e-12 * trace_norm
-    if threshold <= 0.0:
-        return ComplexityResult(
-            epsilon=epsilon, d=d, n=0, partial_sum=0.0, trace=_scaled(trace_norm),
-            certified=True, pops=0, n_low=0, n_high=0,
-        )
-
-    tol = tol_rel if tol_rel is not None else min(1e-3 * (1.0 - eps2), 1e-6) / d
+    tol = min(1e-3 * (1.0 - eps2), 1e-6) / d
     pops = 0
     heap_left = min(_HANDOFF_POPS, budget.n_max, budget.heap_entries(d) // d)
     hint = (1.0, 1.0)  # the fold's first floor: (upper level, step in ln)
     fold = last = None
     prev_t_mass = math.inf
     for _attempt in range(24):
-        views = _reduced_views(problem, tol)
-        t_mass = _truncation_mass(views, log_t_norm)
+        views, log_kept = _reduced_views(problem, tol)
+        t_mass = target.lost(log_kept)
         if t_mass >= 0.95 * prev_t_mass and last is not None:
             break  # irreducible declared tails; refinement cannot help
         prev_t_mass = t_mass
-        slack = t_mass + rounding
+        low = target.low(t_mass)
         found = None
         if not views:  # all single atoms: one eigenvalue carries the trace
             found = (True, 1, 1.0, 0.0, 1)
         elif heap_left:
-            found, used, hint = _heap_scan(views, threshold, slack, heap_left, eps2)
+            found, used, hint = _heap_scan(views, threshold, low, heap_left, eps2)
             pops += used
             heap_left = heap_left - used if found else 0
         if found is None:
@@ -347,23 +359,21 @@ def info_complexity(
             # the fold, and so its decision, unchanged
             if fold is None or not fold.covers(views):
                 fold, decided, ranked, hint = _fold_decide(
-                    views, threshold, threshold - slack, trace_norm, hint, budget, pops)
+                    views, threshold, low, target.trace, hint, budget, pops)
                 pops += ranked
             found = decided
         crossed, n, partial, prev, n_low = found
-        certified = crossed and threshold - prev > slack
-        last = (n, partial, certified, n if certified else n_low, threshold - slack)
+        certified = target.certified(crossed, prev, t_mass)
+        last = (n, partial, certified, n if certified else n_low, low)
         if certified or t_mass <= 0.0:
             break
-        shrink = 0.1 * max(threshold - prev, rounding) / t_mass
+        shrink = 0.1 * max(threshold - prev, target.rounding) / t_mass
         tol *= min(0.5, max(shrink, 1e-6))
-    n, partial, certified, n_low, low_target = last
+    n, partial, certified, n_low, low = last
     if n_low is None:  # a fold decision: find the bracket's lower end now
-        hit = fold.first_reaching(low_target, math.inf) if low_target > 0.0 else (1,)
+        hit = fold.first_reaching(low, math.inf) if low > 0.0 else (1,)
         n_low = hit[0] if hit else n
-    return ComplexityResult(epsilon=epsilon, d=d, n=n, partial_sum=_scaled(partial),
-                            trace=_scaled(trace_norm), certified=certified,
-                            pops=pops, n_low=n_low, n_high=n)
+    return target.result(n, partial, certified, pops, n_low)
 
 
 # Heap pops a call may spend before the fold takes over, sooner once the pops
@@ -376,12 +386,13 @@ _HANDOFF_POPS = 2048
 _COVER_MARGIN = 2.0 ** -49
 
 
-def _heap_scan(views, threshold, slack, pops_left, eps2):
+def _heap_scan(views, threshold, low, pops_left, eps2):
     """Lazy-heap decision for one truncation: (found, pops, hint).  found is
-    (True, n, partial, partial_prev, n_low), or None when the values above
-    the heap's floor or the reach of its pops left ran out; the crossing then
-    lies below ``hint`` = (level, step in ln), where the fold starts.  A pop
-    adds at most d heap entries, so the pops left bound the heap's memory."""
+    (True, n, partial, partial_prev, n_low), n_low the first n reaching
+    ``low`` (_Target.low), or None when the values above the heap's floor or
+    the reach of its pops left ran out; the crossing then lies below ``hint``
+    = (level, step in ln), where the fold starts.  A pop adds at most d heap
+    entries, so the pops left bound the heap's memory."""
     log_floor = max(min(-8.0, math.log(eps2) - 2.0), -64.0)
     acc, n, n_low, level = CompensatedSum(), 0, 0, 1.0
     for _z, logv in _stream_normalized(views, log_floor, math.inf):
@@ -389,7 +400,7 @@ def _heap_scan(views, threshold, slack, pops_left, eps2):
         level = math.exp(logv)
         acc.add(level)
         n += 1
-        if not n_low and acc.value + slack >= threshold:
+        if not n_low and acc.value >= low:
             n_low = n
         if acc.value >= threshold:
             return (True, n, acc.value, prev, n_low), n, (level, 1.0)
@@ -562,10 +573,9 @@ def _fold_decide(views, threshold, low, trace, hint, budget, pops):
     lower level, hint).
 
     Past n_max it raises BudgetExceededError.  Its n_lower is proven with
-    ``low`` = threshold - slack (truncation mass plus rounding): top sets of
-    kept values that fall short of ``low`` leave their exact counterparts
-    short of the threshold.  That holds for every top set below the first
-    reaching ``low``, and for the whole fold when its total stays below it."""
+    the proven-short level ``low`` (_Target.low): it holds for every top set
+    below the first reaching ``low``, and for the whole fold when its total
+    stays below it."""
     # a fold keeps about eight float arrays per column or row entry
     max_entries = max(budget.heap_bytes // 64, 1 << 20)
     kept, lowest = _kept_products(views)
@@ -674,14 +684,8 @@ class _BruteForceOracle:
         self._grid = None  # (descending grid, its cumsum, log kept mass)
 
     def _lengths_at(self, tol):
-        out = []
-        for c in self.problem.coordinates:
-            try:
-                length = c.truncate(tol).length
-            except IrreducibleTailError:
-                length = len(c.values)
-            out.append(min(length, _BRUTE_COORD_CAP))
-        return out
+        return [min(_truncated(c, tol).length, _BRUTE_COORD_CAP)
+                for c in self.problem.coordinates]
 
     def _sorted_grid(self, lengths):
         if lengths != self._lengths:
@@ -702,24 +706,10 @@ class _BruteForceOracle:
         return self._grid
 
     def __call__(self, epsilon: float) -> ComplexityResult:
-        if not 0.0 < epsilon <= 1.0:
-            raise DomainError(f"epsilon must be in (0, 1], got {epsilon}")
-        problem = self.problem
-        d = problem.d
-        eps2 = epsilon * epsilon
-
-        trace_norm = problem.normalized_trace()
-        threshold = (1.0 - eps2) * trace_norm
-        rounding = 1e-12 * trace_norm
-        log_scale = problem.log_leading()
-        scale = math.exp(log_scale) if log_scale < 709.0 else math.inf
-
-        if threshold <= 0.0:
-            return ComplexityResult(
-                epsilon=epsilon, d=d, n=0, partial_sum=0.0,
-                trace=trace_norm * scale, certified=True, pops=0, n_low=0, n_high=0,
-            )
-
+        target = _Target(self.problem, epsilon)
+        if target.trivial:
+            return target.trivial
+        d, threshold = target.d, target.threshold
         if 2 ** min(d, 60) > _BRUTE_GRID_CAP:
             raise GridSizeError(
                 f"product grid would exceed {_BRUTE_GRID_CAP} entries at d={d}")
@@ -730,9 +720,7 @@ class _BruteForceOracle:
             if tol > 0.5:
                 raise GridSizeError(
                     f"no truncation below tol=0.5 fits {_BRUTE_GRID_CAP} grid entries")
-        pops = 0
-        result = None
-        prev_lengths = None
+        pops, result, prev_lengths = 0, None, None
         for _attempt in range(24):
             lengths = self._lengths_at(tol)
             if math.prod(lengths) > _BRUTE_GRID_CAP or lengths == prev_lengths:
@@ -740,23 +728,18 @@ class _BruteForceOracle:
             prev_lengths = lengths
             order, cs, log_kept = self._sorted_grid(lengths)
             pops += len(order)
-            t_mass = max(trace_norm * (1.0 - math.exp(min(log_kept, 0.0))), 0.0)
-
+            t_mass = target.lost(log_kept)
             crossed, n, partial, prev = _first_reaching(order, threshold, cs=cs)
-            certified = crossed and threshold - prev > t_mass + rounding
-            result = ComplexityResult(
-                epsilon=epsilon, d=d, n=n, partial_sum=partial * scale,
-                trace=trace_norm * scale, certified=certified, pops=pops,
-                n_low=n if certified else _first_reaching(
-                    order, threshold - t_mass - rounding, cs=cs)[1],
-                n_high=n,
-            )
+            certified = target.certified(crossed, prev, t_mass)
+            n_low = n if certified else _first_reaching(
+                order, target.low(t_mass), cs=cs)[1]
+            result = target.result(n, partial, certified, pops, n_low)
             if certified:
                 return result
             if crossed:
                 # jump straight to a tolerance that makes the total truncation
                 # mass comfortably smaller than the observed margin
-                need = max(threshold - prev, rounding) / (8.0 * trace_norm * d)
+                need = max(threshold - prev, target.rounding) / (8.0 * target.trace * d)
             else:
                 need = tol * 0.0625  # kept mass below threshold: just add length
             if t_mass <= 0.0:
@@ -768,10 +751,7 @@ class _BruteForceOracle:
 def brute_force_complexity(problem: ProductProblem, epsilon: float) -> ComplexityResult:
     """Oracle engine: materialize every truncated product, sort, scan.
 
-    Shares the decision and certification semantics of info_complexity
-    but is limited to small d by the grid cap.  This is a one-shot call of
-    the problem's oracle, which serves every epsilon of the problem from the
-    grids it builds and holds at most one grid at a time; see
-    _BruteForceOracle.
-    """
+    Makes info_complexity's decision (_Target) on that grid, which caps it
+    to small d.  A one-shot call of the problem's oracle, _BruteForceOracle,
+    which serves every eps from the grids it builds."""
     return _BruteForceOracle(problem)(epsilon)

@@ -256,12 +256,39 @@ class TestBadInput:
 
     def test_non_integer_budget_variable(self, tmp_path, capsys, monkeypatch):
         path = write_config(tmp_path, BASIC)
-        monkeypatch.setenv("TRACTLAB_BUDGET_NMAX", "1.5")
-        code = main(["complexity", "--config", path, "--jobs", "1"])
+        for raw, message in (("1.5", "must be an integer, got '1.5'"),
+                             ("0", "must be at least 1, got '0'"),
+                             ("-3", "must be at least 1, got '-3'")):
+            monkeypatch.setenv("TRACTLAB_BUDGET_NMAX", raw)
+            code = main(["complexity", "--config", path, "--jobs", "1"])
+            captured = capsys.readouterr()
+            assert code == 1 and captured.out == ""
+            assert captured.err == f"error: TRACTLAB_BUDGET_NMAX {message}\n"
+
+    def test_unwritable_out_path(self, tmp_path, capsys):
+        out = str(tmp_path / "missing" / "x.txt")
+        code = main(["verify", "--instances", "1", "--out", out])
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert captured.err == (
-            "error: TRACTLAB_BUDGET_NMAX must be an integer, got '1.5'\n")
+            f"error: {out}: cannot write output: No such file or directory\n")
+
+    def test_out_opens_after_the_config_loads(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        path = write_config(tmp_path, BASIC)
+        code = main(["complexity", "--config", path, "--jobs", "1", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == (
+            f"error: {out}: cannot write output: No such file or directory\n")
+        # a config that fails to load, or that classify cannot take, leaves
+        # no output file behind
+        out = tmp_path / "x.csv"
+        for argv in (["complexity", "--config", str(tmp_path / "missing.json")],
+                     ["classify", "--config", path]):
+            code = main(argv + ["--out", str(out)])
+            assert code == 1 and not out.exists()
+            assert capsys.readouterr().err.startswith("error: ")
 
     def test_missing_config_file(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.json")

@@ -140,8 +140,11 @@ class TestInfoComplexity:
         warm = info_complexity(p, 0.45)
         # the refined truncation reused the first attempt's fold
         assert len(tols) == 2 and len(folds) == 1
+        # a single truncation at 1e-9 is already fine enough to certify
         tols.clear()
-        fine = info_complexity(p, 0.45, tol_rel=1e-9)
+        monkeypatch.setattr(tensor_mod, "_reduced_views",
+                            lambda p, tol: tols.append(tol) or reduced(p, 1e-9))
+        fine = info_complexity(p, 0.45)
         assert len(tols) == 1
         assert warm.certified and fine.certified
         assert warm.n == fine.n
@@ -619,3 +622,34 @@ class TestDecisionAtHighPrecision:
         for res in self.engines(p, eps, monkeypatch):
             assert res.certified and res.n == 40
             assert 0 <= self.check(res, eps, sums) <= 1e-10 * sums[2]
+
+
+class TestRoundingAllowance:
+    """A crossing whose margin lies inside the rounding allowance
+    1e-12 * trace is not certified, by the heap, the fold and the oracle
+    alike; one just outside it is."""
+
+    @pytest.mark.parametrize("margin, expected", [
+        (0.5e-12, (2, False, 1, 2)),
+        (2e-12, (2, True, 2, 2)),
+    ])
+    def test_crossing_at_the_allowance(self, monkeypatch, margin, expected):
+        import tractlab.tensor as tensor_mod
+
+        # products {1, .5, .5, .25}, trace 2.25: no truncation mass, and
+        # S_1 = 1 falls short of the threshold 1 + margin * 2.25 by less
+        # (or more) than the allowance 2.25e-12
+        p, trace = small_problem(), 2.25
+        eps = math.sqrt(1.0 - (1.0 + margin * trace) / trace)
+        folds, decide = [], tensor_mod._fold_decide
+        monkeypatch.setattr(tensor_mod, "_fold_decide",
+                            lambda *args: folds.append(1) or decide(*args))
+        heap = info_complexity(p, eps)
+        assert not folds
+        with monkeypatch.context() as mp:
+            mp.setattr(tensor_mod, "_HANDOFF_POPS", 1)
+            fold = info_complexity(p, eps)
+        assert folds
+        oracle = brute_force_complexity(p, eps)
+        for res in (heap, fold, oracle):
+            assert (res.n, res.certified, res.n_low, res.n_high) == expected
