@@ -18,8 +18,8 @@ header line on CSV.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
+import io
 import json
 import multiprocessing
 import os
@@ -212,36 +212,43 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _open_out(path: Optional[str]):
-    """The ``--out`` file opened for writing, or stdout (left open) without one."""
+def _write_out(path: Optional[str], text: str) -> None:
+    """Write a command's rendered output to ``path``, or to stdout without one."""
     if not path:
-        return contextlib.nullcontext(sys.stdout)
+        sys.stdout.write(text)
+        return
     try:
-        return open(path, "w", encoding="utf-8", newline="\n")
+        with open(path, "w", encoding="utf-8", newline="\n") as out:
+            out.write(text)
     except OSError as exc:
         raise ValidationError(f"{path}: cannot write output: {exc.strerror}") from exc
+
+
+def _run(args, out) -> int:
+    if args.command == "verify":
+        return cmd_verify(args.seed, args.instances, out, args.timings)
+    cfg = load_config(args.config)
+    cfg = dataclasses.replace(cfg, budget=_apply_env_budget(cfg.budget))
+    if args.command == "complexity":
+        return cmd_complexity(cfg, args.jobs, args.format, out)
+    if args.command == "bounds":
+        return cmd_bounds(cfg, args.format, out)
+    if args.command == "sweep":
+        return cmd_sweep(cfg, args.jobs, args.format, out)
+    if cfg.family is None:
+        raise DomainError("classify needs a problem of kind 'korobov_family'")
+    return cmd_classify(cfg, args.format, out)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "verify":
-            with _open_out(args.out) as out:
-                return cmd_verify(args.seed, args.instances, out, args.timings)
-        # the output opens only once the config has loaded, so that a bad
-        # config leaves no empty file behind
-        cfg = load_config(args.config)
-        cfg = dataclasses.replace(cfg, budget=_apply_env_budget(cfg.budget))
-        if args.command == "classify" and cfg.family is None:
-            raise DomainError("classify needs a problem of kind 'korobov_family'")
-        with _open_out(args.out) as out:
-            if args.command == "complexity":
-                return cmd_complexity(cfg, args.jobs, args.format, out)
-            if args.command == "bounds":
-                return cmd_bounds(cfg, args.format, out)
-            if args.command == "sweep":
-                return cmd_sweep(cfg, args.jobs, args.format, out)
-            return cmd_classify(cfg, args.format, out)
+        # the output is rendered in full before it is written, so that a
+        # failing run leaves an existing --out file as it was, or none
+        out = io.StringIO()
+        code = _run(args, out)
+        _write_out(args.out, out.getvalue())
+        return code
     except TractlabError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

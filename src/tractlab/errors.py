@@ -31,10 +31,12 @@ class ValidationError(TractlabError, ValueError):
 
 
 class BudgetExceededError(TractlabError, RuntimeError):
-    """A computation ran out of its pop/memory budget.
+    """A computation ran out of its pop/memory budget, or its answer has no
+    bound because declared tails may split into any number of values.
 
-    ``n_lower`` is a proven lower bound on the answer obtained before the
-    budget ran out.
+    The answer provably exceeds ``n_lower``: the top ``n_lower`` products
+    fall short of the threshold.  (An uncertified result's ``n_low``, by
+    contrast, may equal the answer.)
     """
 
     def __init__(self, message, n_lower=0, pops=0):

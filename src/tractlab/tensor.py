@@ -11,12 +11,14 @@ exactly once: from index z, coordinate i may be incremented only if every
 later coordinate still sits at index 1.  Values are handled as sums of
 logarithms so the ordering survives small products; partial sums are
 accumulated in linear space with compensated summation.  Every other
-answer comes from a level-set fold that counts and sums the products above
-a value level without materializing them, and sorts only the boundary
-slice where the partial sum crosses the threshold.
+answer comes from a level-set fold that counts and sums the products
+above a value level without materializing them, and sorts only the
+boundary slice where the partial sum crosses the threshold.  The fold is
+exact above that level: it misses only the declared tails of explicit
+spectra, where the heap misses a truncation's tails.
 
-A result is *certified* when the coordinate truncation mass plus a
-rounding allowance provably cannot move the integer answer.
+A result is *certified* when the mass its engine misses plus a rounding
+allowance provably cannot move the integer answer.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .errors import (
     IrreducibleTailError,
 )
 from .numutil import CompensatedSum
-from .spectra import Spectrum, TruncatedView
+from .spectra import ExplicitSpectrum, Spectrum, TruncatedView
 
 _DEFAULT_N_MAX = 10_000_000
 _DEFAULT_HEAP_BYTES = 2 << 30
@@ -251,18 +253,21 @@ def _truncated(c: Spectrum, tol: float) -> TruncatedView:
 
 
 def _reduced_views(problem: ProductProblem, tol_per_coord: float) -> tuple:
-    """(views, ln of the share of the trace they keep).  Coordinates that
-    truncate to one eigenvalue with no tail only rescale the problem and are
-    dropped; an irreducible declared tail stays in its view's tail mass."""
-    views, log_kept = [], 0.0
+    """(views, ln of the share of the trace they keep, ln of the share that
+    the declared tails leave).  Coordinates that truncate to one eigenvalue
+    with no tail only rescale the problem and are dropped; a declared tail
+    stays in its view's tail mass, all of it when the view keeps every value."""
+    views, log_kept, log_untailed = [], 0.0, 0.0
     for c in problem.coordinates:
         view = _truncated(c, tol_per_coord)
         if view.length == 1 and view.tail_mass == 0.0:
             continue
-        a = c.trace() / c.leading()
-        log_kept += math.log(max(a - view.tail_mass / c.leading(), 1e-300) / a)
+        a, lead = c.trace() / c.leading(), c.leading()
+        log_kept += math.log(max(a - view.tail_mass / lead, 1e-300) / a)
+        if isinstance(c, ExplicitSpectrum):
+            log_untailed += math.log(max(a - c.tail / lead, 1e-300) / a)
         views.append(view)
-    return views, log_kept
+    return views, log_kept, log_untailed
 
 
 class _Target:
@@ -276,7 +281,8 @@ class _Target:
     threshold - S_(n-1) > lost + rounding; top sets of kept values short of
     ``low(lost)`` = threshold - (lost + rounding) leave their exact
     counterparts short of the threshold, a lower bound for uncertified and
-    over-budget answers.  ``trivial`` is the n = 0 answer of eps = 1."""
+    over-budget answers.  ``trivial`` is the n = 0 answer of eps = 1, also
+    where the trace overflows and the threshold 0 * inf is NaN."""
 
     def __init__(self, problem: ProductProblem, epsilon: float):
         if not 0.0 < epsilon <= 1.0:
@@ -286,8 +292,7 @@ class _Target:
         self.trace = problem.normalized_trace()
         self.threshold = (1.0 - epsilon * epsilon) * self.trace
         self.rounding = 1e-12 * self.trace
-        self.trivial = (self.result(0, 0.0, True, 0, 0)
-                        if self.threshold <= 0.0 else None)
+        self.trivial = self.result(0, 0.0, True, 0, 0) if epsilon == 1.0 else None
 
     def lost(self, log_kept: float) -> float:
         return max(self.trace * (1.0 - math.exp(min(log_kept, 0.0))), 0.0)
@@ -319,61 +324,53 @@ def info_complexity(problem: ProductProblem, epsilon: float,
     a proof about the integer answer.  Uncertified results carry the
     bracketing interval [n_low, n_high] and report its larger end.
 
-    Answers within _HANDOFF_POPS heap pops come out of the lazy heap; when the
-    pops left cannot reach the threshold, the call hands off to the level-set
-    fold, which serves every later truncation too.  ``pops`` counts heap pops
-    plus, per fold decision, the products at or above its final lower level.
-    """
+    The lazy heap runs once, on one truncation, for at most _HANDOFF_POPS
+    pops; its answer stands when certified or when that truncation left out
+    only declared tails.  Otherwise one fold walk from where the heap
+    stopped answers, certified against the declared tails alone.  When the
+    threshold needs mass that only those tails hold, they may split into
+    any number of values: BudgetExceededError, n_lower from a fold walk.
+    ``pops`` counts heap pops plus, for the fold decision, the products at
+    or above its final lower level."""
     target = _Target(problem, epsilon)
+    if target.trivial:
+        return target.trivial
     budget = budget or Budget()
     if problem.normalized_log_trace() > 690.0:  # the curse bound alone is past any budget
         raise BudgetExceededError("normalized trace overflows double range; n is "
                                   "astronomically large (curse of dimensionality)",
                                   n_lower=budget.n_max)
-    if target.trivial:
-        return target.trivial
-    d, threshold = problem.d, target.threshold
+    d, threshold, trace = problem.d, target.threshold, target.trace
     eps2 = epsilon * epsilon
-    tol = min(1e-3 * (1.0 - eps2), 1e-6) / d
-    pops = 0
+    views, log_kept, log_untailed = _reduced_views(
+        problem, min(1e-3 * (1.0 - eps2), 1e-6) / d)
+    lost, tails = target.lost(log_kept), target.lost(log_untailed)
+    low = target.low(tails)
+    if tails > 0.0 and trace - tails < threshold + target.rounding:
+        _fold, (crossed, n, _p, _q), ranked = _fold_decide(
+            views, low, low, trace - tails, 1.0, budget, 0)
+        raise BudgetExceededError("declared tails block the threshold",
+                                  n_lower=n - 1 if crossed else n, pops=ranked)
+    pops, upper, found = 0, 1.0, None
     heap_left = min(_HANDOFF_POPS, budget.n_max, budget.heap_entries(d) // d)
-    hint = (1.0, 1.0)  # the fold's first floor: (upper level, step in ln)
-    fold = last = None
-    prev_t_mass = math.inf
-    for _attempt in range(24):
-        views, log_kept = _reduced_views(problem, tol)
-        t_mass = target.lost(log_kept)
-        if t_mass >= 0.95 * prev_t_mass and last is not None:
-            break  # irreducible declared tails; refinement cannot help
-        prev_t_mass = t_mass
-        low = target.low(t_mass)
-        found = None
-        if not views:  # all single atoms: one eigenvalue carries the trace
-            found = (True, 1, 1.0, 0.0, 1)
-        elif heap_left:
-            found, used, hint = _heap_scan(views, threshold, low, heap_left, eps2)
-            pops += used
-            heap_left = heap_left - used if found else 0
-        if found is None:
-            # a truncation adding no value above the fold's floor leaves
-            # the fold, and so its decision, unchanged
-            if fold is None or not fold.covers(views):
-                fold, decided, ranked, hint = _fold_decide(
-                    views, threshold, low, target.trace, hint, budget, pops)
-                pops += ranked
-            found = decided
+    if not views:  # all single atoms: one eigenvalue carries the trace
+        found = (True, 1, 1.0, 0.0, 1)
+    elif heap_left:
+        found, pops, upper = _heap_scan(views, threshold, target.low(lost),
+                                        heap_left, eps2)
+    if found:
         crossed, n, partial, prev, n_low = found
-        certified = target.certified(crossed, prev, t_mass)
-        last = (n, partial, certified, n if certified else n_low, low)
-        if certified or t_mass <= 0.0:
-            break
-        shrink = 0.1 * max(threshold - prev, target.rounding) / t_mass
-        tol *= min(0.5, max(shrink, 1e-6))
-    n, partial, certified, n_low, low = last
-    if n_low is None:  # a fold decision: find the bracket's lower end now
+        certified = target.certified(crossed, prev, lost)
+        if certified or lost <= tails:
+            return target.result(n, partial, certified, pops, n if certified else n_low)
+    fold, (crossed, n, partial, prev), ranked = _fold_decide(
+        views, threshold, low, trace - tails, upper, budget, pops)
+    certified = target.certified(crossed, prev, tails)
+    n_low = n
+    if not certified:
         hit = fold.first_reaching(low, math.inf) if low > 0.0 else (1,)
         n_low = hit[0] if hit else n
-    return target.result(n, partial, certified, pops, n_low)
+    return target.result(n, partial, certified, pops + ranked, n_low)
 
 
 # Heap pops a call may spend before the fold takes over, sooner once the pops
@@ -381,18 +378,14 @@ def info_complexity(problem: ProductProblem, epsilon: float,
 # every small_answers point (<= 1,963 pops) on the heap; timings in CHANGES.md.
 _HANDOFF_POPS = 2048
 
-# Relative margin of _LevelFold.covers: 2^-49 is 8 to 16 ulps, against the
-# one ulp by which numpy's and Python's powers have been seen to differ.
-_COVER_MARGIN = 2.0 ** -49
-
 
 def _heap_scan(views, threshold, low, pops_left, eps2):
-    """Lazy-heap decision for one truncation: (found, pops, hint).  found is
+    """Lazy-heap decision for one truncation: (found, pops, level).  found is
     (True, n, partial, partial_prev, n_low), n_low the first n reaching
     ``low`` (_Target.low), or None when the values above the heap's floor or
-    the reach of its pops left ran out; the crossing then lies below ``hint``
-    = (level, step in ln), where the fold starts.  A pop adds at most d heap
-    entries, so the pops left bound the heap's memory."""
+    the reach of its pops left ran out; the crossing then lies below
+    ``level``, where the fold starts.  A pop adds at most d heap entries, so
+    the pops left bound the heap's memory."""
     log_floor = max(min(-8.0, math.log(eps2) - 2.0), -64.0)
     acc, n, n_low, level = CompensatedSum(), 0, 0, 1.0
     for _z, logv in _stream_normalized(views, log_floor, math.inf):
@@ -403,10 +396,10 @@ def _heap_scan(views, threshold, low, pops_left, eps2):
         if not n_low and acc.value >= low:
             n_low = n
         if acc.value >= threshold:
-            return (True, n, acc.value, prev, n_low), n, (level, 1.0)
+            return (True, n, acc.value, prev, n_low), n, level
         if threshold - acc.value > (pops_left - n) * level:
-            return None, n, (level, 1.0)
-    return None, n, (math.exp(log_floor), 1.0)
+            return None, n, level
+    return None, n, math.exp(log_floor)
 
 
 def _dense_fold(arrays, floor, max_entries):
@@ -451,6 +444,8 @@ def _total(x):
 
 class _LevelFold:
     """Every normalized product eigenvalue >= floor, held as level sets.
+    Its columns come from the views' sources, whatever their lengths, so it
+    misses only the declared tails of explicit spectra.
 
     The coordinate with the most values >= floor stays a descending array
     ``col``; the others are folded into ascending ``rows``.  The products
@@ -473,8 +468,7 @@ class _LevelFold:
         # fetching cap + 1 values makes a column cut short by the limit
         # (Korobov keeps whole pairs) reach cap, so the floor rises to at
         # least every value the limit left out
-        cols = [view.source.dense_values(floor, min(view.length, cap + 1))
-                for view in views]
+        cols = [view.source.dense_values(floor, cap + 1) for view in views]
         raised = [float(c[cap - 1]) for c in cols if len(c) >= cap]
         if raised:
             floor = max(raised)
@@ -484,7 +478,7 @@ class _LevelFold:
         self.col = cols.pop(max(range(len(cols)), key=lambda i: len(cols[i])))
         self._neg_col = -self.col
         self.rows = np.sort(_dense_fold(cols, floor, max_entries))  # see counts
-        self.views, self.floor, self.max_entries = views, floor, max_entries
+        self.floor, self.max_entries = floor, max_entries
         self._ends = np.concatenate((self.col, [0.0, math.inf]))  # empty-slice pads
         self.prefix = np.concatenate(([0.0], _prefix_sums(self.col)))
         self.bottom = self.counts(floor)
@@ -502,22 +496,9 @@ class _LevelFold:
         """rows_i * (col[0] + ... + col[counts_i - 1]), per row."""
         return rows * self.prefix[counts]
 
-    def covers(self, views):
-        """Whether ``views`` add only values below the floor to this fold's.
-
-        The fold's arrays come from ``dense_values``, whose numpy powers
-        may differ from ``eigenvalue()`` by an ulp, so a value counts as
-        below the floor only when it is so by more than _COVER_MARGIN:
-        one within a few ulps of it makes the fold be built again."""
-        below = self.floor * (1.0 - _COVER_MARGIN)
-        return len(views) == len(self.views) and all(
-            v.source is w.source and v.length >= w.length
-            and v.source.eigenvalue(w.length + 1) / v.source.leading() < below
-            for v, w in zip(views, self.views))
-
     def first_reaching(self, target, upper):
-        """(n, partial_n, partial_(n-1), count at the final lower level, n-th
-        value) for the first n whose top-n sum reaches target, or None.
+        """(n, partial_n, partial_(n-1), count at the final lower level) for
+        the first n whose top-n sum reaches target, or None.
         Bisects the levels between the floor and ``upper`` until at most
         _SLICE_ENTRIES values lie between them or they all tie;
         _first_reaching then decides on that sorted slice."""
@@ -556,30 +537,27 @@ class _LevelFold:
         values = np.repeat(rows, width) * self.col[idx]
         values[::-1].sort()  # descending
         crossed, k, partial, prev = _first_reaching(values, target, base)
-        return (count + k, partial, prev, count + size, float(values[k - 1])
-                ) if crossed else None
+        return (count + k, partial, prev, count + size) if crossed else None
 
 
-def _fold_decide(views, threshold, low, trace, hint, budget, pops):
-    """Level-set decision for one truncation: folds at floors stepping down
-    from ``hint`` = (level, step in ln) until the values reach the threshold.
-    The mass below a level falls about like a power of it, so the next floor
-    extrapolates ln(trace - sum) in ln(level) from the last two levels to the
-    crossing, in steps clamped to [0.25, 2]; that power grows with depth on
-    the curse and k^-3 weights, so the walk lands a little below the crossing.
-    Past every positive kept product, the next fold takes them all if they
-    fit the budgets; one holding all ends the walk uncertified (a declared
-    tail keeps it short).  Returns (fold, found with n_low None, count at its
-    lower level, hint).
+def _fold_decide(views, goal, low, kept, upper, budget, pops):
+    """Level-set walk to the first n whose top-n sum reaches ``goal``, with
+    folds at floors stepping down from e^-1 ``upper``.  The mass below a
+    level falls about like a power of it, so the next floor extrapolates
+    ln(kept - sum) in ln(level) from the last two levels to the crossing, in
+    steps clamped to [0.25, 2]; ``kept``, the trace less the declared tails,
+    is the mass of all products.  That power grows with depth on the curse
+    and k^-3 weights, so the walk lands a little below the crossing.  It
+    ends uncrossed only at the floor 1e-300.  Returns (fold, (crossed, n,
+    partial_n, partial_(n-1)), count at its lower level).
 
-    Past n_max it raises BudgetExceededError.  Its n_lower is proven with
-    the proven-short level ``low`` (_Target.low): it holds for every top set
-    below the first reaching ``low``, and for the whole fold when its total
-    stays below it."""
+    Past n_max it raises BudgetExceededError.  Its n_lower, which the answer
+    exceeds, is proven with the proven-short level ``low`` (_Target.low): it
+    holds for every top set below the first reaching ``low``, and for the
+    whole fold when its total stays below it."""
     # a fold keeps about eight float arrays per column or row entry
     max_entries = max(budget.heap_bytes // 64, 1 << 20)
-    kept, lowest = _kept_products(views)
-    upper, step = hint
+    step = 1.0
     above = None  # the sum of the values >= upper, once known
 
     def exceeded(ranked):
@@ -594,40 +572,22 @@ def _fold_decide(views, threshold, low, trace, hint, budget, pops):
         floor = fold.floor
         count = int(fold.bottom.sum())
         total = float(fold.mass(fold.rows, fold.bottom).sum())
-        hit = fold.first_reaching(threshold, upper) if total >= threshold else None
+        hit = fold.first_reaching(goal, upper) if total >= goal else None
         if hit:
             if hit[0] > budget.n_max:
                 raise exceeded(hit[3])
-            # the next truncation's crossing sits close to this one
-            hint = (hit[4] * math.exp(0.25), 0.5)
-            return fold, (True,) + hit[:3] + (None,), hit[3], hint
-        if floor <= 1e-300 or (count == kept and kept <= budget.n_max):
-            return fold, (False, count, total, total, None), count, (floor, 2.0)
+            return fold, (True,) + hit[:3], hit[3]
+        if floor <= 1e-300:
+            return fold, (False, count, total, total), count
         if count > budget.n_max:  # the fold holds a top set that falls short
             raise exceeded(count)
         if above is None:
             above = float(fold.mass(fold.rows, fold.counts(upper)).sum())
-        fall = (math.log((trace - above) / (trace - total))
-                if total < threshold < trace else 0.0)
-        gap = math.log((trace - total) / (trace - threshold)) * math.log(
+        fall = (math.log((kept - above) / (kept - total))
+                if total < goal < kept else 0.0)
+        gap = math.log((kept - total) / (kept - goal)) * math.log(
             upper / floor) / fall if fall > 0.0 else 2.0
         upper, above, step = floor, total, min(max(gap, 0.25), 2.0)
-        if floor * math.exp(-gap) < lowest and kept <= min(budget.n_max, max_entries):
-            step = math.log(floor / lowest) + 0.5  # just below the smallest
-
-
-def _kept_products(views):
-    """(number, smallest) of the positive products of kept normalized values;
-    only the view of an irreducible explicit spectrum keeps trailing zeros.
-    Logarithms, as a Korobov view may be too long for a float index."""
-    number, log_smallest = 1, 0.0
-    for view in views:
-        src, n = view.source, view.length
-        while src.log_eigenvalue(n) == -math.inf:
-            n -= 1
-        number *= n
-        log_smallest += src.log_eigenvalue(n) - src.log_eigenvalue(1)
-    return number, math.exp(log_smallest)
 
 
 def _first_reaching(values, target, base=0.0, cs=None):

@@ -125,6 +125,17 @@ class TestComplexityCommand:
         assert code == 3
         assert ",budget" in out
 
+    def test_epsilon_one_past_double_range(self, tmp_path, capsys):
+        # d = 2000 overflows the trace; eps = 1 still needs no functional
+        cfg = {"problem": {"kind": "korobov_family",
+                           "weights": {"kind": "constant", "g0": 0.5},
+                           "smoothness": {"kind": "constant", "r0": 1.0}},
+               "epsilons": [1.0], "dims": [2000]}
+        path = write_config(tmp_path, cfg)
+        assert main(["complexity", "--config", path, "--jobs", "1"]) == 0
+        row = capsys.readouterr().out.splitlines()[2]
+        assert row == "2000,1.0,0,true,0,0,0,inf,0.0,ok"
+
     def test_deterministic_output(self, tmp_path):
         path = write_config(tmp_path, BASIC)
         outs = []
@@ -290,6 +301,19 @@ class TestBadInput:
             assert code == 1 and not out.exists()
             assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("command", ["complexity", "sweep"])
+    def test_failed_run_leaves_out_as_it_was(self, tmp_path, capsys, command):
+        # d = 2 runs first; the error comes at d = 400.  The run creates no
+        # file, and leaves an existing one byte-identical
+        path = write_config(tmp_path, {**self.UNDERFLOW, "dims": [2, 400]})
+        out = tmp_path / "x.csv"
+        argv = [command, "--config", path, "--jobs", "1", "--out", str(out)]
+        assert main(argv) == 1 and not out.exists()
+        out.write_bytes(b"earlier output\n")
+        assert main(argv) == 1 and out.read_bytes() == b"earlier output\n"
+        assert capsys.readouterr().err == (
+            "error: coordinate k=324: weight g_k underflows to 0.0\n" * 2)
+
     def test_missing_config_file(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.json")
         code = main(["complexity", "--config", missing, "--jobs", "1"])
@@ -304,15 +328,16 @@ class TestBadInput:
         assert code == 1 and captured.out == ""
         assert "epsilon values must be in (0, 1], got True" in captured.err
 
+    # g_k = 10^-k is a valid weight that double range cannot hold past k = 323
+    UNDERFLOW = {**FAMILY, "dims": [400], "problem": {
+        "kind": "korobov_family", "smoothness": {"kind": "power", "c": 1, "s": 1},
+        "weights": {"kind": "geometric_in_r", "v": 0.1,
+                    "smoothness": {"kind": "power", "c": 1, "s": 1}}}}
+
     @pytest.mark.parametrize("command", ["complexity", "bounds", "sweep"])
     def test_underflowing_weight_names_its_coordinate(self, tmp_path, capsys,
                                                       command):
-        # g_k = 10^-k is a valid weight that double range cannot hold past k = 323
-        power = {"kind": "power", "c": 1, "s": 1}
-        cfg = {**FAMILY, "dims": [400], "problem": {
-            "kind": "korobov_family", "smoothness": power,
-            "weights": {"kind": "geometric_in_r", "v": 0.1, "smoothness": power}}}
-        path = write_config(tmp_path, cfg)
+        path = write_config(tmp_path, self.UNDERFLOW)
         code = main([command, "--config", path, "--jobs", "1"])
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""

@@ -37,9 +37,11 @@ class TestInfoComplexity:
         assert res.certified
 
     def test_epsilon_one_is_free(self):
-        res = info_complexity(small_problem(), 1.0)
-        assert res.n == 0
-        assert res.certified
+        # at d = 2000 the trace overflows, and n = 0 still comes before any
+        # overflow or grid size check
+        for p in (small_problem(), ProductProblem((KorobovSpectrum(0.5, 1.0),) * 2000)):
+            for res in (info_complexity(p, 1.0), brute_force_complexity(p, 1.0)):
+                assert (res.n, res.certified, res.n_low, res.n_high) == (0, True, 0, 0)
 
     def test_epsilon_monotonicity(self):
         p = ProductProblem(tuple(KorobovSpectrum(0.5, 1.0) for _ in range(3)))
@@ -67,13 +69,14 @@ class TestInfoComplexity:
 
     def test_budget_exhaustion_past_a_found_crossing_reports_it(self):
         # the fold lands below the crossing (n = 23,200) and finds it past
-        # n_max.  The proven lower bound counts the kept top sets short of the
-        # threshold less the truncation slack: the first one reaching that
-        # has 23,198 values, so the top 23,197 fall short, which beats n_max
+        # n_max.  The proven lower bound counts the top sets short of the
+        # threshold less the rounding allowance; the fold holds every product
+        # above its floor, so no truncation slack widens it: the top 23,199
+        # fall short, the tightest bound there is
         p = ProductProblem((KorobovSpectrum(0.5, 1.0),) * 3)
         with pytest.raises(BudgetExceededError) as exc_info:
             info_complexity(p, 0.15, budget=Budget(n_max=22_500))
-        assert exc_info.value.n_lower == 23_197
+        assert exc_info.value.n_lower == 23_199
 
     def test_normalization_invariance(self):
         base = ExplicitSpectrum((1.0, 0.6, 0.3, 0.05))
@@ -118,36 +121,20 @@ class TestInfoComplexity:
         assert threshold - short > 1e-9 * trace
         assert reached - threshold > 1e-9 * trace
 
-    def test_large_answer_pays_the_heap_prefix_once(self):
-        # two truncation attempts; the heap runs only in the first
+    def test_large_answer_pays_the_heap_prefix_once(self, monkeypatch):
+        # one truncation, one heap prefix and one fold walk
         import tractlab.tensor as tensor_mod
 
+        calls = []
+        for name in ("_reduced_views", "_fold_decide"):
+            fn = getattr(tensor_mod, name)
+            monkeypatch.setattr(tensor_mod, name, lambda *args, name=name, fn=fn: (
+                calls.append(name), fn(*args))[1])
         p = ProductProblem(tuple(KorobovSpectrum(0.5, 1.0) for _ in range(6)))
         res = info_complexity(p, 0.45)
         assert res.certified and res.n == 475_412
         assert res.pops <= 1.2 * res.n + tensor_mod._HANDOFF_POPS
-
-    def test_warm_restart_matches_single_fine_truncation(self, monkeypatch):
-        import tractlab.tensor as tensor_mod
-
-        tols, folds = [], []
-        reduced, decide = tensor_mod._reduced_views, tensor_mod._fold_decide
-        monkeypatch.setattr(tensor_mod, "_reduced_views",
-                            lambda p, tol: tols.append(tol) or reduced(p, tol))
-        monkeypatch.setattr(tensor_mod, "_fold_decide",
-                            lambda *args: folds.append(1) or decide(*args))
-        p = ProductProblem(tuple(KorobovSpectrum(0.5, 1.0) for _ in range(6)))
-        warm = info_complexity(p, 0.45)
-        # the refined truncation reused the first attempt's fold
-        assert len(tols) == 2 and len(folds) == 1
-        # a single truncation at 1e-9 is already fine enough to certify
-        tols.clear()
-        monkeypatch.setattr(tensor_mod, "_reduced_views",
-                            lambda p, tol: tols.append(tol) or reduced(p, 1e-9))
-        fine = info_complexity(p, 0.45)
-        assert len(tols) == 1
-        assert warm.certified and fine.certified
-        assert warm.n == fine.n
+        assert calls == ["_reduced_views", "_fold_decide"]
 
     @pytest.mark.parametrize("eps", [0.3, 0.2])
     def test_uncertified_bracket_contains_oracle_answer(self, eps):
@@ -164,8 +151,9 @@ class TestInfoComplexity:
         assert res.n_low <= oracle.n <= res.n_high
 
     def test_fold_stops_once_it_holds_every_kept_product(self, monkeypatch):
-        # the declared tail keeps every kept value below the threshold; the
-        # fold used to step its floor by e^-2 down to 1e-300 (340 folds)
+        # the declared tail may hold the mass the threshold needs, split into
+        # any number of values, so n has no bound; one short fold walk
+        # proves the lower bound
         import tractlab.tensor as tensor_mod
 
         folds = []
@@ -174,10 +162,17 @@ class TestInfoComplexity:
                             lambda self, *args: folds.append(1) or init(self, *args))
         p = ProductProblem((KorobovSpectrum(0.5, 1.0),
                             ExplicitSpectrum((1.0, 0.5), tail=1.0)))
-        res = info_complexity(p, 0.1)
-        assert (res.n, res.certified, res.n_low, res.n_high) == (
-            3_024_654, False, 89, 3_024_654)
-        assert len(folds) <= 5
+        with pytest.raises(BudgetExceededError) as exc_info:
+            info_complexity(p, 0.1)
+        # the top 88 kept products fall short of the threshold less the tail
+        assert exc_info.value.n_lower == 88
+        assert len(folds) <= 8
+        # finitely many kept products: {1, .5, .5, .25} sum to 2.25, and the
+        # tails leave 6.1875 - 4 = 2.1875 for them to reach, which takes 4
+        p = ProductProblem((ExplicitSpectrum((1.0, 0.5), tail=1.0),) * 2)
+        with pytest.raises(BudgetExceededError) as exc_info:
+            info_complexity(p, 0.1)
+        assert exc_info.value.n_lower == 3
 
     def test_heap_stream_that_runs_dry_hands_off_to_the_fold(self, monkeypatch):
         # the 45 products above the heap's floor (e^-8 at eps 0.1) fall
@@ -269,25 +264,23 @@ class TestInfoComplexity:
         assert exc_info.value.n_lower > n_max
         assert columns and max(columns) <= n_max + 1
 
-    def test_refined_view_at_the_floor_is_not_covered(self):
-        # numpy's power (the fold's arrays) exceeds Python's (eigenvalue())
-        # by an ulp at pair m; with the floor at numpy's value, the refined
-        # view adds a value the fold's formula puts at the floor
+    def test_fold_is_exact_above_its_floor(self):
+        # views of length 3 leave out most values above the floor; the fold
+        # takes its columns from the spectra, so it holds every product
+        # >= 1e-3, as the brute grid does
         from tractlab.spectra import TruncatedView
         from tractlab.tensor import _LevelFold
 
-        s = KorobovSpectrum(0.37, 1.3)
-        dense = s.dense_values(1e-12, 60_001)[1::2]
-        m = next(m for m in range(1, len(dense) + 1)
-                 if dense[m - 1] > s.eigenvalue(2 * m))
-        floor = float(dense[m - 1])
-        assert s.eigenvalue(2 * m) < floor
-        view = TruncatedView(s, 2 * m - 1, 1.0)
-        refined = TruncatedView(s, 2 * m + 1, 0.5)
-        assert not _LevelFold([view], floor, 1 << 20, 10**6).covers([refined])
-        # a floor a little higher leaves the new pair clearly below it
-        above = _LevelFold([view], floor * (1.0 + 1e-12), 1 << 20, 10**6)
-        assert above.covers([refined])
+        a, b = KorobovSpectrum(0.5, 1.0), KorobovSpectrum(0.3, 1.5)
+        fold = _LevelFold([TruncatedView(a, 3, 1.0), TruncatedView(b, 3, 1.0)],
+                          1e-3, 1 << 20, 10**6)
+        # both spectra fall below 1e-3 before index 200
+        grid = [x * y for x in map(a.eigenvalue, range(1, 200))
+                for y in map(b.eigenvalue, range(1, 200)) if x * y >= 1e-3]
+        assert int(fold.bottom.sum()) == len(grid) == 137
+        mass = float(fold.mass(fold.rows, fold.bottom).sum())
+        assert mass == pytest.approx(math.fsum(grid), rel=1e-14)
+        assert mass == pytest.approx(4.4023815274753, rel=1e-13)
 
     def test_fold_counts_match_a_search_per_row(self):
         # with more rows than col values, counts places the col values among
