@@ -13,12 +13,12 @@ logarithms so the ordering survives small products; partial sums are
 accumulated in linear space with compensated summation.  Every other
 answer comes from a level-set fold that counts and sums the products
 above a value level without materializing them, and sorts only the
-boundary slice where the partial sum crosses the threshold.  The fold is
-exact above that level: it misses only the declared tails of explicit
-spectra, where the heap misses a truncation's tails.
+boundary slice where the partial sum crosses the threshold.  Both engines
+are exact above their floors: they miss only the declared tails of
+explicit spectra.
 
-A result is *certified* when the mass its engine misses plus a rounding
-allowance provably cannot move the integer answer.
+A result is *certified* when those tails plus a rounding allowance
+provably cannot move the integer answer.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ._descriptors import integer
 from .errors import (
     BudgetExceededError,
     DivergenceError,
@@ -55,8 +56,8 @@ class Budget:
     heap_bytes: int = _DEFAULT_HEAP_BYTES
 
     def __post_init__(self):
-        if not (self.n_max > 0 and self.heap_bytes > 0):
-            raise DomainError(f"budget limits must be positive, got {self}")
+        if not all(map(integer(1).test, (self.n_max, self.heap_bytes))):
+            raise DomainError(f"budget limits must be positive integers, got {self}")
 
     def heap_entries(self, d: int) -> int:
         # rough per-entry footprint: heap slot + float + d-tuple of small ints
@@ -253,21 +254,19 @@ def _truncated(c: Spectrum, tol: float) -> TruncatedView:
 
 
 def _reduced_views(problem: ProductProblem, tol_per_coord: float) -> tuple:
-    """(views, ln of the share of the trace they keep, ln of the share that
-    the declared tails leave).  Coordinates that truncate to one eigenvalue
-    with no tail only rescale the problem and are dropped; a declared tail
-    stays in its view's tail mass, all of it when the view keeps every value."""
-    views, log_kept, log_untailed = [], 0.0, 0.0
+    """(views, ln of the share of the trace that the declared tails leave).
+    Coordinates that truncate to one eigenvalue with no tail only rescale
+    the problem and are dropped."""
+    views, log_untailed = [], 0.0
     for c in problem.coordinates:
         view = _truncated(c, tol_per_coord)
         if view.length == 1 and view.tail_mass == 0.0:
             continue
-        a, lead = c.trace() / c.leading(), c.leading()
-        log_kept += math.log(max(a - view.tail_mass / lead, 1e-300) / a)
         if isinstance(c, ExplicitSpectrum):
-            log_untailed += math.log(max(a - c.tail / lead, 1e-300) / a)
+            a = c.trace() / c.leading()
+            log_untailed += math.log(max(a - c.tail / c.leading(), 1e-300) / a)
         views.append(view)
-    return views, log_kept, log_untailed
+    return views, log_untailed
 
 
 class _Target:
@@ -275,8 +274,9 @@ class _Target:
 
     Values are normalized by the leading product eigenvalue; the answer is
     the first n whose top-n sum S_n reaches ``threshold`` = (1 - eps^2) *
-    ``trace``.  Truncations keeping a share exp(log_kept) of the trace leave
-    out at most ``lost(log_kept)``; ``rounding``, a 10^-12 share of the
+    ``trace``.  Values keeping a share exp(log_kept) of the trace miss at
+    most ``lost(log_kept)`` of it: the declared tails for the engine, a
+    truncation's tails for the oracle; ``rounding``, a 10^-12 share of the
     trace, covers the summation error.  A crossing at n is certified when
     threshold - S_(n-1) > lost + rounding; top sets of kept values short of
     ``low(lost)`` = threshold - (lost + rounding) leave their exact
@@ -325,13 +325,13 @@ def info_complexity(problem: ProductProblem, epsilon: float,
     bracketing interval [n_low, n_high] and report its larger end.
 
     The lazy heap runs once, on one truncation, for at most _HANDOFF_POPS
-    pops; its answer stands when certified or when that truncation left out
-    only declared tails.  Otherwise one fold walk from where the heap
-    stopped answers, certified against the declared tails alone.  When the
-    threshold needs mass that only those tails hold, they may split into
-    any number of values: BudgetExceededError, n_lower from a fold walk.
-    ``pops`` counts heap pops plus, for the fold decision, the products at
-    or above its final lower level."""
+    pops, and a crossing it finds is the answer.  Otherwise one fold walk
+    from where the heap stopped answers.  Both hold every product above
+    their floors, so either answer is certified against the declared tails
+    alone.  When the threshold needs mass that only those tails hold, they
+    may split into any number of values: BudgetExceededError, n_lower from
+    a fold walk.  ``pops`` counts heap pops plus, for the fold decision, the
+    products at or above its final lower level."""
     target = _Target(problem, epsilon)
     if target.trivial:
         return target.trivial
@@ -342,9 +342,8 @@ def info_complexity(problem: ProductProblem, epsilon: float,
                                   n_lower=budget.n_max)
     d, threshold, trace = problem.d, target.threshold, target.trace
     eps2 = epsilon * epsilon
-    views, log_kept, log_untailed = _reduced_views(
-        problem, min(1e-3 * (1.0 - eps2), 1e-6) / d)
-    lost, tails = target.lost(log_kept), target.lost(log_untailed)
+    views, log_untailed = _reduced_views(problem, min(1e-3 * (1.0 - eps2), 1e-6) / d)
+    tails = target.lost(log_untailed)
     low = target.low(tails)
     if tails > 0.0 and trace - tails < threshold + target.rounding:
         _fold, (crossed, n, _p, _q), ranked = _fold_decide(
@@ -354,15 +353,13 @@ def info_complexity(problem: ProductProblem, epsilon: float,
     pops, upper, found = 0, 1.0, None
     heap_left = min(_HANDOFF_POPS, budget.n_max, budget.heap_entries(d) // d)
     if not views:  # all single atoms: one eigenvalue carries the trace
-        found = (True, 1, 1.0, 0.0, 1)
+        found = (1, 1.0, 0.0, 1)
     elif heap_left:
-        found, pops, upper = _heap_scan(views, threshold, target.low(lost),
-                                        heap_left, eps2)
+        found, pops, upper = _heap_scan(views, threshold, low, heap_left, eps2)
     if found:
-        crossed, n, partial, prev, n_low = found
-        certified = target.certified(crossed, prev, lost)
-        if certified or lost <= tails:
-            return target.result(n, partial, certified, pops, n if certified else n_low)
+        n, partial, prev, n_low = found
+        certified = target.certified(True, prev, tails)
+        return target.result(n, partial, certified, pops, n if certified else n_low)
     fold, (crossed, n, partial, prev), ranked = _fold_decide(
         views, threshold, low, trace - tails, upper, budget, pops)
     certified = target.certified(crossed, prev, tails)
@@ -380,13 +377,18 @@ _HANDOFF_POPS = 2048
 
 
 def _heap_scan(views, threshold, low, pops_left, eps2):
-    """Lazy-heap decision for one truncation: (found, pops, level).  found is
-    (True, n, partial, partial_prev, n_low), n_low the first n reaching
-    ``low`` (_Target.low), or None when the values above the heap's floor or
-    the reach of its pops left ran out; the crossing then lies below
-    ``level``, where the fold starts.  A pop adds at most d heap entries, so
-    the pops left bound the heap's memory."""
-    log_floor = max(min(-8.0, math.log(eps2) - 2.0), -64.0)
+    """Lazy-heap crossing for one truncation: (found, pops, level).  found is
+    (n, partial, partial_prev, n_low), n_low the first n reaching ``low``
+    (_Target.low), or None when the values above the heap's floor or the
+    reach of its pops left ran out; the crossing then lies below ``level``,
+    where the fold starts.  A product the views leave out has a coordinate
+    past its view, so it is at most that coordinate's first left-out value;
+    the floor sits at or above all of those, so the heap streams every
+    product above it, in order, as the fold holds them.  A pop adds at most
+    d heap entries, so the pops left bound the heap's memory."""
+    log_floor = max(min(-8.0, math.log(eps2) - 2.0), -64.0, *(
+        v.source.log_eigenvalue(v.length + 1) - v.source.log_eigenvalue(1)
+        for v in views))
     acc, n, n_low, level = CompensatedSum(), 0, 0, 1.0
     for _z, logv in _stream_normalized(views, log_floor, math.inf):
         prev = acc.value
@@ -396,7 +398,7 @@ def _heap_scan(views, threshold, low, pops_left, eps2):
         if not n_low and acc.value >= low:
             n_low = n
         if acc.value >= threshold:
-            return (True, n, acc.value, prev, n_low), n, level
+            return (n, acc.value, prev, n_low), n, level
         if threshold - acc.value > (pops_left - n) * level:
             return None, n, level
     return None, n, math.exp(log_floor)
@@ -670,40 +672,36 @@ class _BruteForceOracle:
         if target.trivial:
             return target.trivial
         d, threshold = target.d, target.threshold
-        if 2 ** min(d, 60) > _BRUTE_GRID_CAP:
-            raise GridSizeError(
-                f"product grid would exceed {_BRUTE_GRID_CAP} entries at d={d}")
-
         tol = 0.01 / d  # coarse first pass; the margin drives refinement below
         while math.prod(self._lengths_at(tol)) > _BRUTE_GRID_CAP:
             tol *= 4.0
             if tol > 0.5:
                 raise GridSizeError(
                     f"no truncation below tol=0.5 fits {_BRUTE_GRID_CAP} grid entries")
-        pops, result, prev_lengths = 0, None, None
+        pops, result, built = 0, None, None
         for _attempt in range(24):
             lengths = self._lengths_at(tol)
-            if math.prod(lengths) > _BRUTE_GRID_CAP or lengths == prev_lengths:
+            if math.prod(lengths) > _BRUTE_GRID_CAP:
                 break  # certification needs a grid the cap cannot hold
-            prev_lengths = lengths
-            order, cs, log_kept = self._sorted_grid(lengths)
-            pops += len(order)
-            t_mass = target.lost(log_kept)
-            crossed, n, partial, prev = _first_reaching(order, threshold, cs=cs)
-            certified = target.certified(crossed, prev, t_mass)
-            n_low = n if certified else _first_reaching(
-                order, target.low(t_mass), cs=cs)[1]
-            result = target.result(n, partial, certified, pops, n_low)
-            if certified:
-                return result
-            if crossed:
-                # jump straight to a tolerance that makes the total truncation
-                # mass comfortably smaller than the observed margin
-                need = max(threshold - prev, target.rounding) / (8.0 * target.trace * d)
-            else:
-                need = tol * 0.0625  # kept mass below threshold: just add length
-            if t_mass <= 0.0:
-                break
+            if lengths != built:  # a tol that drops no more just shrinks again
+                built = lengths
+                order, cs, log_kept = self._sorted_grid(lengths)
+                pops += len(order)
+                t_mass = target.lost(log_kept)
+                crossed, n, partial, prev = _first_reaching(order, threshold, cs=cs)
+                certified = target.certified(crossed, prev, t_mass)
+                n_low = n if certified else _first_reaching(
+                    order, target.low(t_mass), cs=cs)[1]
+                result = target.result(n, partial, certified, pops, n_low)
+                if certified or t_mass <= 0.0:
+                    return result
+                if crossed:
+                    # jump straight to a tolerance that makes the total truncation
+                    # mass comfortably smaller than the observed margin
+                    need = max(threshold - prev, target.rounding) / (
+                        8.0 * target.trace * d)
+                else:
+                    need = tol * 0.0625  # kept mass below threshold: just add length
             tol = max(min(need, tol * 0.25), 1e-16)
         return result
 

@@ -332,6 +332,8 @@ def run_verify(
     """Run every check with one seeded generator; order is fixed.
     ``timed``, when given, is called with each result and the seconds its
     check took, as soon as the check ends."""
+    if instances < 1:
+        raise DomainError(f"verify needs at least 1 instance, got {instances}")
     rng = random.Random(seed)
     checks = (
         lambda: _check_uniform_block(rng),

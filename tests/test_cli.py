@@ -284,6 +284,15 @@ class TestBadInput:
         assert captured.err == (
             f"error: {out}: cannot write output: No such file or directory\n")
 
+    @pytest.mark.parametrize("instances", ["0", "-2"])
+    def test_verify_needs_an_instance(self, capsys, instances):
+        # a batch of no instances would pass every check without running one
+        code = main(["verify", "--instances", instances])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == (
+            f"error: verify needs at least 1 instance, got {instances}\n")
+
     def test_out_opens_after_the_config_loads(self, tmp_path, capsys):
         out = tmp_path / "missing" / "x.csv"
         path = write_config(tmp_path, BASIC)

@@ -174,6 +174,37 @@ class TestInfoComplexity:
             info_complexity(p, 0.1)
         assert exc_info.value.n_lower == 3
 
+    def test_heap_floor_covers_what_its_views_leave_out(self):
+        # the views cut the 0.6^j list after 28 values, leaving out 0.6^28
+        # = 6.1e-7, above the e^-15.8 = 1.4e-7 floor at eps 1e-3.  The
+        # heap's floor rises to that value, so its stream holds every
+        # product above it and the crossing it finds is the exact 317; at
+        # the lower floor it certified 322
+        p = ProductProblem((ExplicitSpectrum(tuple(0.5**j for j in range(15))),
+                            ExplicitSpectrum(tuple(0.6**j for j in range(30)))))
+        res = info_complexity(p, 1e-3)
+        oracle = brute_force_complexity(p, 1e-3)
+        assert (res.n, res.certified, res.n_low, res.n_high) == (317, True, 317, 317)
+        assert (oracle.n, oracle.certified) == (317, True)
+        assert res.pops == 606
+
+    def test_heap_crossing_is_decided_without_a_fold_walk(self, monkeypatch):
+        # a point of perfbench's small_answers (seed 0, point 677) whose
+        # truncation leaves out more than the declared tails (none): the
+        # heap's crossing is decided against those tails, with no fold walk
+        import tractlab.tensor as tensor_mod
+
+        folds, decide = [], tensor_mod._fold_decide
+        monkeypatch.setattr(tensor_mod, "_fold_decide",
+                            lambda *args: folds.append(1) or decide(*args))
+        p = ProductProblem(tuple(KorobovSpectrum(k ** -2.9760631896696634,
+                                                 1.0751589825133174)
+                                 for k in range(1, 7)))
+        res = info_complexity(p, 0.48902115537334395)
+        assert (res.n, res.certified, res.n_low, res.n_high, res.pops) == (
+            41, True, 41, 41, 41)
+        assert not folds
+
     def test_heap_stream_that_runs_dry_hands_off_to_the_fold(self, monkeypatch):
         # the 45 products above the heap's floor (e^-8 at eps 0.1) fall
         # short of the threshold: the heap stops there and the fold answers
@@ -315,7 +346,10 @@ class TestInfoComplexity:
                 assert sums[k] == math.fsum(x[: k + 1])
 
     def test_budget_rejects_non_positive_limits(self):
-        for kwargs in ({"n_max": 0}, {"n_max": -1}, {"heap_bytes": 0}):
+        # limits that are not integers would fail deep in the fold instead
+        for kwargs in ({"n_max": 0}, {"n_max": -1}, {"heap_bytes": 0},
+                       {"n_max": 2.5}, {"n_max": float("inf")}, {"n_max": True},
+                       {"heap_bytes": 1e9}, {"heap_bytes": False}):
             with pytest.raises(DomainError):
                 Budget(**kwargs)
 
@@ -432,6 +466,34 @@ class TestOracleAgreement:
         # but it must handle the overwhelming majority
         assert both >= 0.8 * total
 
+    def test_small_eps_batch_agrees(self):
+        # explicit geometric lists, and ones followed by tied tiny values,
+        # at eps from 6e-4 to 1.6e-2: the heap's views cut these lists
+        # inside the answer's values, and the oracle must refine past grids
+        # that do not cross
+        rng = random.Random(2026)
+        both = 0
+        for _ in range(150):
+            coords = []
+            for _ in range(rng.randint(2, 3)):
+                if rng.random() < 0.5:
+                    q = rng.uniform(0.3, 0.7)
+                    values = tuple(q**j for j in range(rng.randint(5, 30)))
+                else:
+                    values = ((1.0,) * rng.randint(1, 2)
+                              + (10 ** rng.uniform(-6.0, -3.0),) * rng.randint(2, 10))
+                coords.append(ExplicitSpectrum(values))
+            p = ProductProblem(tuple(coords))
+            eps = math.exp(rng.uniform(math.log(6e-4), math.log(1.6e-2)))
+            fast = info_complexity(p, eps)
+            slow = brute_force_complexity(p, eps)
+            if fast.certified and slow.certified:
+                both += 1
+                assert fast.n == slow.n
+            if fast.certified:
+                assert slow.n_low <= fast.n <= slow.n_high
+        assert both >= 140
+
 
 class TestOracleUncrossed:
     @pytest.mark.parametrize("eps, n_low", [(0.5, 4), (0.1, 89)])
@@ -452,6 +514,33 @@ class TestOracleUncrossed:
         assert abs(res.partial_sum - exact) <= (len(grid) - 1) * 2.0**-53 * exact
 
 
+class TestOracleRefinement:
+    def test_refines_past_a_tolerance_that_drops_no_more(self):
+        # the first grid (7 entries: the first list cut to its leading 1)
+        # does not cross, and the next tolerance keeps the same lengths; the
+        # oracle shrinks it again instead of stopping with a [7, 7] bracket.
+        # Exact sums over the 63-entry grid give 41
+        p = ProductProblem((ExplicitSpectrum((1.0,) + (1e-5,) * 8),
+                            ExplicitSpectrum(tuple(0.5**j for j in range(7)))))
+        for res in (brute_force_complexity(p, 0.002), info_complexity(p, 0.002)):
+            assert (res.n, res.certified, res.n_low, res.n_high) == (41, True, 41, 41)
+
+    @pytest.mark.parametrize("d, n", [(64, 96), (256, 24_576)])
+    def test_large_d_with_a_small_grid(self, d, n):
+        # most tower coordinates hold one value: the grids have 128 and
+        # 32,768 entries, whatever d
+        from tractlab.fixtures import tower_problem
+
+        for res in (brute_force_complexity(tower_problem(d), 0.5),
+                    info_complexity(tower_problem(d), 0.5)):
+            assert (res.n, res.certified, res.n_low, res.n_high) == (n, True, n, n)
+
+    def test_no_grid_fits(self):
+        with pytest.raises(GridSizeError, match="no truncation below tol=0.5"):
+            brute_force_complexity(ProductProblem((KorobovSpectrum(0.5, 1.0),) * 30),
+                                   0.5)
+
+
 class TestPerProblemOracle:
     """One oracle serves every eps of a problem, as fresh calls would."""
 
@@ -465,7 +554,7 @@ class TestPerProblemOracle:
     def test_matches_fresh_calls(self):
         rng = random.Random(4)
         outcomes = []
-        # d <= 3 builds grids; d up to 30 also meets both grid size errors
+        # d <= 3 builds grids; d up to 30 also meets the grid size error
         for d_max in (3,) * 16 + (30,) * 6:
             p = random_instance(rng, d_max)
             oracle = _BruteForceOracle(p)
@@ -476,7 +565,7 @@ class TestPerProblemOracle:
                     lambda e: brute_force_complexity(p, e), eps)
                 outcomes.append(got)
         errors = {o.split(" ", 1)[0] for o in outcomes if isinstance(o, str)}
-        assert errors == {"product", "no"}
+        assert errors == {"no"}
         assert any(not o.certified for o in outcomes if not isinstance(o, str))
 
     def test_one_grid_serves_three_eps(self, monkeypatch):
