@@ -112,7 +112,10 @@ class SmoothnessFamily:
         if self.kind == "logarithmic":
             return self.a * math.log(k) + self.b
         if self.kind == "power":
-            return self.c * float(k) ** self.s
+            try:
+                return self.c * float(k) ** self.s
+            except OverflowError:  # k^s past double range
+                return math.inf
         vals = self.values
         return vals[k - 1] if k <= len(vals) else vals[-1]
 
@@ -390,7 +393,10 @@ class KorobovFamily:
         g = self.weights.g(k)
         if g == 0.0:  # a valid weight in (0, 1] that double range cannot hold
             raise DomainError(f"coordinate k={k}: weight g_k underflows to 0.0")
-        return KorobovSpectrum(g=g, r=self.smoothness.r(k))
+        try:
+            return KorobovSpectrum(g=g, r=self.smoothness.r(k))
+        except DomainError as exc:  # a valid r_k, but 2 r_k past double range
+            raise DomainError(f"coordinate k={k}: {exc}") from None
 
     def problem(self, d: int) -> ProductProblem:
         return ProductProblem(

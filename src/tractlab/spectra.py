@@ -29,19 +29,6 @@ _LOG_MAX = 690.0  # stay clear of exp() overflow
 
 
 @dataclass(frozen=True)
-class TruncatedView:
-    """A spectrum cut after its first ``length`` eigenvalues.
-
-    ``tail_mass`` is a conservative upper bound on the total mass of the
-    omitted eigenvalues (exact for explicit spectra).
-    """
-
-    source: "Spectrum"
-    length: int
-    tail_mass: float
-
-
-@dataclass(frozen=True)
 class KorobovSpectrum:
     """Korobov-kernel eigenvalue sequence with weight g and smoothness r."""
 
@@ -53,6 +40,8 @@ class KorobovSpectrum:
             raise DomainError(f"weight g must be in (0, 1], got {self.g}")
         if not self.r > 0.5:
             raise DomainError(f"smoothness r must exceed 1/2, got {self.r}")
+        if not math.isfinite(2.0 * self.r):  # the closed forms take 2r
+            raise DomainError(f"smoothness 2r must be finite, got r = {self.r}")
 
     def eigenvalue(self, j: int) -> float:
         if j < 1:
@@ -111,20 +100,20 @@ class KorobovSpectrum:
         )
         return math.log(lam_sum) - mass_log / lam_sum
 
-    def truncate(self, tol_rel: float) -> TruncatedView:
-        """Shortest view whose tail bound is at most tol_rel * trace.
+    def truncate(self, tol_rel: float) -> int:
+        """The number of leading eigenvalues to keep so that the omitted
+        mass is at most tol_rel * trace.
 
-        Complete eigenvalue pairs are kept, so the view length is odd
-        (or 1).  The tail bound for M kept pairs is the integral estimate
+        Complete eigenvalue pairs are kept, so the length is odd (or 1).
+        M kept pairs omit at most the integral estimate
         2g * M^(1-2r) / (2r - 1).
         """
         if not 0.0 < tol_rel < 1.0:
             raise DomainError(f"tol_rel must be in (0, 1), got {tol_rel}")
         tr = self.trace()
         allowed = tol_rel * tr
-        exact_tail_1 = tr - 1.0  # = 2 g zeta(2r), tail after keeping only j=1
-        if exact_tail_1 <= allowed:
-            return TruncatedView(self, 1, exact_tail_1)
+        if tr - 1.0 <= allowed:  # tr - 1 = 2 g zeta(2r), all but j = 1
+            return 1
         p = 2.0 * self.r - 1.0
         log_m = math.log(2.0 * self.g / (p * allowed)) / p
         if log_m <= 0.0:
@@ -132,11 +121,9 @@ class KorobovSpectrum:
         elif log_m < _LOG_MAX:
             pairs = max(1, math.ceil(math.exp(log_m)))
         else:
-            # Astronomically long view; round the exponent up instead.
+            # Astronomically long; round the exponent up instead.
             pairs = 10 ** (int(log_m / math.log(10.0)) + 1)
-        log_bound = math.log(2.0 * self.g) - p * math.log(pairs) - math.log(p)
-        tail = min(allowed, 2.0 * math.exp(max(log_bound, -745.0)))
-        return TruncatedView(self, 2 * pairs + 1, tail)
+        return 2 * pairs + 1
 
     def dense_values(self, floor: float, limit: int) -> np.ndarray:
         """Normalized eigenvalues >= floor as a non-increasing array.
@@ -253,24 +240,23 @@ class ExplicitSpectrum:
                 acc.add((v / lam_sum) * math.log(lam_sum / v))
         return acc.value
 
-    def truncate(self, tol_rel: float) -> TruncatedView:
+    def truncate(self, tol_rel: float) -> int:
+        """The number of leading values to keep so that the omitted mass,
+        the declared tail included, is at most tol_rel * trace: the fewest
+        such, but at least 1.  A declared tail above that budget cannot be
+        cut away: IrreducibleTailError."""
         if not 0.0 < tol_rel < 1.0:
             raise DomainError(f"tol_rel must be in (0, 1), got {tol_rel}")
-        tr = self.trace()
-        allowed = tol_rel * tr
+        allowed = tol_rel * self.trace()
         if self.tail > allowed:
             raise IrreducibleTailError(
                 f"declared tail {self.tail} exceeds the truncation budget {allowed}"
             )
-        # Suffix masses: cut as early as the declared tail budget allows.
-        suffix = [self.tail]
-        for v in reversed(self.values):
-            suffix.append(suffix[-1] + v)
-        suffix.reverse()  # suffix[j] = mass of values[j:] + tail
-        length = len(self.values)
-        while length > 1 and suffix[length - 1] <= allowed:
+        length, omitted = len(self.values), self.tail
+        while length > 1 and omitted + self.values[length - 1] <= allowed:
+            omitted += self.values[length - 1]
             length -= 1
-        return TruncatedView(self, length, suffix[length])
+        return length
 
     def dense_values(self, floor: float, limit: int) -> np.ndarray:
         """Normalized eigenvalues >= floor as a non-increasing array."""

@@ -39,7 +39,7 @@ from .errors import (
     IrreducibleTailError,
 )
 from .numutil import CompensatedSum
-from .spectra import ExplicitSpectrum, Spectrum, TruncatedView
+from .spectra import ExplicitSpectrum, Spectrum
 
 _DEFAULT_N_MAX = 10_000_000
 _DEFAULT_HEAP_BYTES = 2 << 30
@@ -153,37 +153,33 @@ class ProductProblem:
         return out
 
 
-def _coordinate_tables(
-    views: Sequence[TruncatedView],
-) -> Tuple[list, list]:
-    """Per-coordinate normalized log eigenvalue accessors and lengths."""
+def _coordinate_tables(coords: Sequence[Tuple[Spectrum, int]]) -> list:
+    """Normalized log eigenvalue accessors of (spectrum, length) pairs."""
     logb = []
-    lengths = []
-    for view in views:
-        src = view.source
+    for src, length in coords:
         base = src.log_eigenvalue(1)
-        if view.length <= 4096:
-            table = [src.log_eigenvalue(j) - base for j in range(1, view.length + 1)]
+        if length <= 4096:
+            table = [src.log_eigenvalue(j) - base for j in range(1, length + 1)]
             logb.append(table.__getitem__)  # 0-based
         else:
             logb.append(lambda j0, s=src, b=base: s.log_eigenvalue(j0 + 1) - b)
-        lengths.append(view.length)
-    return logb, lengths
+    return logb
 
 
 def _stream_normalized(
-    views: Sequence[TruncatedView],
+    coords: Sequence[Tuple[Spectrum, int]],
     log_floor: float,
     max_entries: int,
 ) -> Iterator[Tuple[tuple, float]]:
-    """Yield (multi-index, log normalized value) in non-increasing order.
+    """Yield (multi-index, log normalized value) in non-increasing order,
+    each (spectrum, length) pair cut after its first length eigenvalues.
 
     Only indices whose value is >= exp(log_floor) are visited; children
     below the floor are pruned, which is safe because values are
     non-increasing along every successor edge.
     """
-    logb, lengths = _coordinate_tables(views)
-    d = len(views)
+    logb, lengths = _coordinate_tables(coords), [m for _c, m in coords]
+    d = len(coords)
     start = (1,) * d
     heap = [(-0.0, start)]
     while heap:
@@ -216,16 +212,14 @@ def top_eigenvalues(
     problem: ProductProblem,
     n_max: int,
     floor: float = 0.0,
-    views: Optional[Sequence[TruncatedView]] = None,
     budget: Optional[Budget] = None,
 ) -> Iterator[Tuple[tuple, float]]:
     """Stream the largest product eigenvalues in non-increasing order.
 
     Stops after ``n_max`` items or once values drop below ``floor``.
-    Each multi-index is produced exactly once.
+    Each multi-index is produced exactly once; _truncated cuts at 1e-9.
     """
-    if views is None:
-        views = [c.truncate(1e-9) for c in problem.coordinates]
+    coords = [(c, _truncated(c, 1e-9)) for c in problem.coordinates]
     budget = budget or Budget()
     log_scale = problem.log_leading()
     if floor > 0.0:
@@ -234,7 +228,7 @@ def top_eigenvalues(
         log_floor = -math.inf
     count = 0
     for z, logv in _stream_normalized(
-        views, log_floor, budget.heap_entries(problem.d)
+        coords, log_floor, budget.heap_entries(problem.d)
     ):
         if count >= n_max:
             return
@@ -245,28 +239,31 @@ def top_eigenvalues(
         count += 1
 
 
-def _truncated(c: Spectrum, tol: float) -> TruncatedView:
-    """c truncated at tol, or all its values when its declared tail exceeds tol."""
+def _truncated(c: Spectrum, tol: float) -> int:
+    """c's length at tol, or all its values when its declared tail exceeds tol."""
     try:
         return c.truncate(tol)
     except IrreducibleTailError:
-        return TruncatedView(c, len(c.values), c.tail)
+        return len(c.values)
 
 
-def _reduced_views(problem: ProductProblem, tol_per_coord: float) -> tuple:
-    """(views, ln of the share of the trace that the declared tails leave).
-    Coordinates that truncate to one eigenvalue with no tail only rescale
-    the problem and are dropped."""
-    views, log_untailed = [], 0.0
+def _reduced_spectra(problem: ProductProblem) -> tuple:
+    """(spectra, ln of the share of the trace that the declared tails leave).
+    Spectra with no mass past their leading eigenvalue only rescale the
+    problem and are dropped: explicit lists with no tail and nothing positive
+    after it, and Korobov spectra whose trace 1 + 2g zeta(2r) >= 1 + 2g
+    rounds to 1 (so g <= 2^-54)."""
+    spectra, log_untailed = [], 0.0
     for c in problem.coordinates:
-        view = _truncated(c, tol_per_coord)
-        if view.length == 1 and view.tail_mass == 0.0:
-            continue
         if isinstance(c, ExplicitSpectrum):
+            if c.tail == 0.0 and (len(c.values) == 1 or c.values[1] == 0.0):
+                continue
             a = c.trace() / c.leading()
             log_untailed += math.log(max(a - c.tail / c.leading(), 1e-300) / a)
-        views.append(view)
-    return views, log_untailed
+        elif c.g <= 2.0 ** -54 and c.trace() == 1.0:
+            continue
+        spectra.append(c)
+    return spectra, log_untailed
 
 
 class _Target:
@@ -320,18 +317,18 @@ def info_complexity(problem: ProductProblem, epsilon: float,
     """Exact n^avg(eps, d): minimal n with top-n sum >= (1 - eps^2) * trace.
 
     The decision (_Target) is made against the exact closed-form trace;
-    truncation and rounding are accounted for so that a certified result is
-    a proof about the integer answer.  Uncertified results carry the
+    declared tails and rounding are accounted for so that a certified result
+    is a proof about the integer answer.  Uncertified results carry the
     bracketing interval [n_low, n_high] and report its larger end.
 
-    The lazy heap runs once, on one truncation, for at most _HANDOFF_POPS
-    pops, and a crossing it finds is the answer.  Otherwise one fold walk
-    from where the heap stopped answers.  Both hold every product above
-    their floors, so either answer is certified against the declared tails
-    alone.  When the threshold needs mass that only those tails hold, they
-    may split into any number of values: BudgetExceededError, n_lower from
-    a fold walk.  ``pops`` counts heap pops plus, for the fold decision, the
-    products at or above its final lower level."""
+    The lazy heap runs once, for at most _HANDOFF_POPS pops, and a crossing
+    it finds is the answer.  Otherwise one fold walk from where the heap
+    stopped answers.  Both hold every product above their floors, so either
+    answer is certified against the declared tails alone.  When the
+    threshold needs mass that only those tails hold, they may split into
+    any number of values: BudgetExceededError, n_lower from a fold walk.
+    ``pops`` counts heap pops plus, for the fold decision, the products at
+    or above its final lower level."""
     target = _Target(problem, epsilon)
     if target.trivial:
         return target.trivial
@@ -341,27 +338,26 @@ def info_complexity(problem: ProductProblem, epsilon: float,
                                   "astronomically large (curse of dimensionality)",
                                   n_lower=budget.n_max)
     d, threshold, trace = problem.d, target.threshold, target.trace
-    eps2 = epsilon * epsilon
-    views, log_untailed = _reduced_views(problem, min(1e-3 * (1.0 - eps2), 1e-6) / d)
+    spectra, log_untailed = _reduced_spectra(problem)
     tails = target.lost(log_untailed)
     low = target.low(tails)
     if tails > 0.0 and trace - tails < threshold + target.rounding:
         _fold, (crossed, n, _p, _q), ranked = _fold_decide(
-            views, low, low, trace - tails, 1.0, budget, 0)
+            spectra, low, low, trace - tails, 1.0, budget, 0)
         raise BudgetExceededError("declared tails block the threshold",
                                   n_lower=n - 1 if crossed else n, pops=ranked)
     pops, upper, found = 0, 1.0, None
     heap_left = min(_HANDOFF_POPS, budget.n_max, budget.heap_entries(d) // d)
-    if not views:  # all single atoms: one eigenvalue carries the trace
+    if not spectra:  # all single atoms: one eigenvalue carries the trace
         found = (1, 1.0, 0.0, 1)
     elif heap_left:
-        found, pops, upper = _heap_scan(views, threshold, low, heap_left, eps2)
+        found, pops, upper = _heap_scan(spectra, target, low, heap_left)
     if found:
         n, partial, prev, n_low = found
         certified = target.certified(True, prev, tails)
         return target.result(n, partial, certified, pops, n if certified else n_low)
     fold, (crossed, n, partial, prev), ranked = _fold_decide(
-        views, threshold, low, trace - tails, upper, budget, pops)
+        spectra, threshold, low, trace - tails, upper, budget, pops)
     certified = target.certified(crossed, prev, tails)
     n_low = n
     if not certified:
@@ -376,21 +372,24 @@ def info_complexity(problem: ProductProblem, epsilon: float,
 _HANDOFF_POPS = 2048
 
 
-def _heap_scan(views, threshold, low, pops_left, eps2):
-    """Lazy-heap crossing for one truncation: (found, pops, level).  found is
-    (n, partial, partial_prev, n_low), n_low the first n reaching ``low``
-    (_Target.low), or None when the values above the heap's floor or the
-    reach of its pops left ran out; the crossing then lies below ``level``,
-    where the fold starts.  A product the views leave out has a coordinate
-    past its view, so it is at most that coordinate's first left-out value;
-    the floor sits at or above all of those, so the heap streams every
-    product above it, in order, as the fold holds them.  A pop adds at most
-    d heap entries, so the pops left bound the heap's memory."""
+def _heap_scan(spectra, target, low, pops_left):
+    """Lazy-heap crossing: (found, pops, level).  found is (n, partial,
+    partial_prev, n_low), n_low the first n reaching ``low`` (_Target.low),
+    or None when the values above the heap's floor or the reach of its pops
+    left ran out; the crossing then lies below ``level``, where the fold
+    starts.  Each spectrum is cut once, at tol = min(1e-3 (1 - eps^2), 1e-6)
+    / d of its trace, to bound the heap's tables.  A product left out has a
+    coordinate past its cut, so it is at most that coordinate's first
+    left-out value; the floor sits at or above all of those, so the heap
+    streams every product above it, in order, as the fold holds them.  A pop
+    adds at most d heap entries, so the pops left bound the heap's memory."""
+    eps2, threshold = target.epsilon * target.epsilon, target.threshold
+    tol = min(1e-3 * (1.0 - eps2), 1e-6) / target.d
+    coords = [(c, _truncated(c, tol)) for c in spectra]
     log_floor = max(min(-8.0, math.log(eps2) - 2.0), -64.0, *(
-        v.source.log_eigenvalue(v.length + 1) - v.source.log_eigenvalue(1)
-        for v in views))
+        c.log_eigenvalue(m + 1) - c.log_eigenvalue(1) for c, m in coords))
     acc, n, n_low, level = CompensatedSum(), 0, 0, 1.0
-    for _z, logv in _stream_normalized(views, log_floor, math.inf):
+    for _z, logv in _stream_normalized(coords, log_floor, math.inf):
         prev = acc.value
         level = math.exp(logv)
         acc.add(level)
@@ -445,8 +444,8 @@ def _total(x):
 
 
 class _LevelFold:
-    """Every normalized product eigenvalue >= floor, held as level sets.
-    Its columns come from the views' sources, whatever their lengths, so it
+    """Every normalized product eigenvalue >= floor of the spectra, held as
+    level sets.  Its columns hold each spectrum's values >= floor, so it
     misses only the declared tails of explicit spectra.
 
     The coordinate with the most values >= floor stays a descending array
@@ -466,11 +465,11 @@ class _LevelFold:
     it: the fold holds every product above its floor and some of those
     equal to it, so its counts and sums are still those of top sets."""
 
-    def __init__(self, views, floor, max_entries, cap):
+    def __init__(self, spectra, floor, max_entries, cap):
         # fetching cap + 1 values makes a column cut short by the limit
         # (Korobov keeps whole pairs) reach cap, so the floor rises to at
         # least every value the limit left out
-        cols = [view.source.dense_values(floor, cap + 1) for view in views]
+        cols = [c.dense_values(floor, cap + 1) for c in spectra]
         raised = [float(c[cap - 1]) for c in cols if len(c) >= cap]
         if raised:
             floor = max(raised)
@@ -542,7 +541,7 @@ class _LevelFold:
         return (count + k, partial, prev, count + size) if crossed else None
 
 
-def _fold_decide(views, goal, low, kept, upper, budget, pops):
+def _fold_decide(spectra, goal, low, kept, upper, budget, pops):
     """Level-set walk to the first n whose top-n sum reaches ``goal``, with
     folds at floors stepping down from e^-1 ``upper``.  The mass below a
     level falls about like a power of it, so the next floor extrapolates
@@ -570,7 +569,7 @@ def _fold_decide(views, goal, low, kept, upper, budget, pops):
 
     while True:
         floor = max(upper * math.exp(-step), 1e-300)
-        fold = _LevelFold(views, floor, max_entries, budget.n_max + 1)
+        fold = _LevelFold(spectra, floor, max_entries, budget.n_max + 1)
         floor = fold.floor
         count = int(fold.bottom.sum())
         total = float(fold.mass(fold.rows, fold.bottom).sum())
@@ -646,7 +645,7 @@ class _BruteForceOracle:
         self._grid = None  # (descending grid, its cumsum, log kept mass)
 
     def _lengths_at(self, tol):
-        return [min(_truncated(c, tol).length, _BRUTE_COORD_CAP)
+        return [min(_truncated(c, tol), _BRUTE_COORD_CAP)
                 for c in self.problem.coordinates]
 
     def _sorted_grid(self, lengths):

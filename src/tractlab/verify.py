@@ -255,14 +255,10 @@ def _check_enumeration_order(rng: random.Random) -> CheckResult:
     monotone = all(a >= b - 1e-15 * a for a, b in zip(vals, vals[1:]))
     unique = len({z for z, _ in stream}) == len(stream)
     # Brute multiset of the same truncated grid, sorted descending.
-    views = [c.truncate(1e-9) for c in p.coordinates]
     grid = [1.0]
-    for c, view in zip(p.coordinates, views):
-        grid = [
-            a * c.eigenvalue(j)
-            for a in grid
-            for j in range(1, view.length + 1)
-        ]
+    for c in p.coordinates:
+        length = c.truncate(1e-9)
+        grid = [a * c.eigenvalue(j) for a in grid for j in range(1, length + 1)]
     grid.sort(reverse=True)
     match = len(vals) == len(grid) and all(
         math.isclose(a, b, rel_tol=1e-12) for a, b in zip(vals, grid)

@@ -261,6 +261,20 @@ class TestKorobovFamily:
         assert spec.r == 1.5
         assert fam.problem(4).d == 4
 
+    @pytest.mark.parametrize("smoothness, k", [
+        (SmoothnessFamily(kind="power", c=1.0, s=1000.0), 3),  # 3^1000 overflows
+        (SmoothnessFamily(kind="constant", r0=1e308), 1),  # 2 r0 overflows
+    ])
+    def test_overflowing_smoothness_names_its_coordinate(self, smoothness, k):
+        # a valid r_k past half the double range: no OverflowError from r,
+        # and the spectrum names the coordinate
+        fam = KorobovFamily(weights=WeightFamily(kind="power", rho=3.0),
+                            smoothness=smoothness)
+        assert not math.isfinite(2.0 * smoothness.r(k))
+        with pytest.raises(DomainError,
+                           match=rf"^coordinate k={k}: smoothness 2r must be finite"):
+            fam.problem(5)
+
     def test_classification_scaling_invariance(self):
         # classify depends only on the weight sequence, which is already
         # normalized; re-classifying is idempotent

@@ -353,6 +353,25 @@ class TestBadInput:
         assert captured.err == (
             "error: coordinate k=324: weight g_k underflows to 0.0\n")
 
+    @pytest.mark.parametrize("command", ["complexity", "bounds", "sweep"])
+    @pytest.mark.parametrize("smoothness, message", [
+        ({"kind": "power", "c": 1, "s": 1000},
+         "coordinate k=3: smoothness 2r must be finite, got r = inf"),
+        ({"kind": "constant", "r0": 1e308},
+         "coordinate k=1: smoothness 2r must be finite, got r = 1e+308"),
+    ], ids=["power", "constant"])
+    def test_overflowing_smoothness_names_its_coordinate(
+            self, tmp_path, capsys, command, smoothness, message):
+        # k^s, or 2r in the closed forms, past double range: an error line,
+        # not an OverflowError traceback, a math domain error or a nan bound
+        config = {**FAMILY, "dims": [5], "bounds": [{"name": "entropy"}]}
+        config["problem"] = {**FAMILY["problem"], "smoothness": smoothness}
+        path = write_config(tmp_path, config)
+        code = main([command, "--config", path, "--jobs", "1"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     @pytest.mark.parametrize("extra, message", [
         ({"budgets": {"n_max": "abc"}},
          "'n_max' must be an integer of at least 1, got 'abc'"),

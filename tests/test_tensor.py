@@ -94,13 +94,37 @@ class TestInfoComplexity:
         p2 = ProductProblem((KorobovSpectrum(0.5, 1.0),) + pad)
         for eps in (0.7, 0.3):
             assert info_complexity(p1, eps).n == info_complexity(p2, eps).n
+        # a coordinate with no mass past its leading eigenvalue (an explicit
+        # list with no tail and nothing positive after it, or a Korobov
+        # trace that rounds to 1) is dropped: alone it answers n = 1 with
+        # no heap pop.  Any other is kept, and alone the heap pops it once
+        def fields(res):
+            return (res.n, res.certified, res.n_low, res.n_high, res.pops,
+                    res.partial_sum, res.trace)
+
+        cases = [
+            (ExplicitSpectrum((2.0,)), (1, True, 1, 1, 0, 2.0, 2.0)),
+            (ExplicitSpectrum((1.0, 0.0, 0.0)), (1, True, 1, 1, 0, 1.0, 1.0)),
+            (KorobovSpectrum(1e-17, 1.0), (1, True, 1, 1, 0, 1.0, 1.0)),
+            (ExplicitSpectrum((1.0, 1e-300)), (1, True, 1, 1, 1, 1.0, 1.0)),
+            (ExplicitSpectrum((1.0,), tail=1e-3), (1, True, 1, 1, 1, 1.0, 1.001)),
+            (KorobovSpectrum(1e-15, 1.0),
+             (1, True, 1, 1, 1, 1.0, 1.0000000000000033)),
+        ]
+        base = fields(info_complexity(p1, 0.3))
+        assert base == (9, True, 9, 9, 9, 2.423611111111111, 2.644934066848226)
+        for c, alone in cases:
+            assert fields(info_complexity(ProductProblem((c,)), 0.5)) == alone
+            res = fields(info_complexity(ProductProblem(p1.coordinates + (c,)), 0.3))
+            assert res[:5] == base[:5]
+            # the trace scales by the leading value and takes any mass past it
+            assert res[6] == pytest.approx(base[6] * alone[6], rel=1e-15)
 
     def test_dense_engine_matches_heap_engine(self, monkeypatch):
         # the answer with the default hand-off and with the fold after one
         # heap pop, against the heap enumeration of top_eigenvalues summed
         # exactly
         import tractlab.tensor as tensor_mod
-        from tractlab.spectra import TruncatedView
 
         korobov, eps = KorobovSpectrum(0.5, 1.0), 0.15
         p = ProductProblem((korobov,) * 3)
@@ -109,10 +133,9 @@ class TestInfoComplexity:
         dense = info_complexity(p, eps)
         assert default.certified and dense.certified
         assert default.n == dense.n == 23200
-        # views of 20,001 values leave out only products <= 0.5 / 10001^2,
-        # far below the 23,201st
-        views = [TruncatedView(korobov, 20_001, 0.0)] * 3
-        values = [v for _, v in top_eigenvalues(p, 23_201, views=views)]
+        # a cut at a 1e-9 share of the trace keeps over 10^8 pairs, so it
+        # leaves out only products <= 0.5 / 10001^2, far below the 23,201st
+        values = [v for _, v in top_eigenvalues(p, 23_201)]
         assert values[-1] > 1e3 * 0.5 / 10_001**2
         trace = p.trace_d()
         threshold = (1.0 - eps * eps) * trace
@@ -122,11 +145,11 @@ class TestInfoComplexity:
         assert reached - threshold > 1e-9 * trace
 
     def test_large_answer_pays_the_heap_prefix_once(self, monkeypatch):
-        # one truncation, one heap prefix and one fold walk
+        # one reduction, one heap prefix and one fold walk
         import tractlab.tensor as tensor_mod
 
         calls = []
-        for name in ("_reduced_views", "_fold_decide"):
+        for name in ("_reduced_spectra", "_fold_decide"):
             fn = getattr(tensor_mod, name)
             monkeypatch.setattr(tensor_mod, name, lambda *args, name=name, fn=fn: (
                 calls.append(name), fn(*args))[1])
@@ -134,7 +157,7 @@ class TestInfoComplexity:
         res = info_complexity(p, 0.45)
         assert res.certified and res.n == 475_412
         assert res.pops <= 1.2 * res.n + tensor_mod._HANDOFF_POPS
-        assert calls == ["_reduced_views", "_fold_decide"]
+        assert calls == ["_reduced_spectra", "_fold_decide"]
 
     @pytest.mark.parametrize("eps", [0.3, 0.2])
     def test_uncertified_bracket_contains_oracle_answer(self, eps):
@@ -296,15 +319,12 @@ class TestInfoComplexity:
         assert columns and max(columns) <= n_max + 1
 
     def test_fold_is_exact_above_its_floor(self):
-        # views of length 3 leave out most values above the floor; the fold
-        # takes its columns from the spectra, so it holds every product
-        # >= 1e-3, as the brute grid does
-        from tractlab.spectra import TruncatedView
+        # the fold takes its columns from the spectra, so it holds every
+        # product >= 1e-3, as the brute grid does
         from tractlab.tensor import _LevelFold
 
         a, b = KorobovSpectrum(0.5, 1.0), KorobovSpectrum(0.3, 1.5)
-        fold = _LevelFold([TruncatedView(a, 3, 1.0), TruncatedView(b, 3, 1.0)],
-                          1e-3, 1 << 20, 10**6)
+        fold = _LevelFold([a, b], 1e-3, 1 << 20, 10**6)
         # both spectra fall below 1e-3 before index 200
         grid = [x * y for x in map(a.eigenvalue, range(1, 200))
                 for y in map(b.eigenvalue, range(1, 200)) if x * y >= 1e-3]
@@ -320,8 +340,7 @@ class TestInfoComplexity:
         from tractlab.tensor import _LevelFold
 
         p = ProductProblem((KorobovSpectrum(0.5, 1.0),) * 4)
-        fold = _LevelFold([c.truncate(1e-6) for c in p.coordinates], 1e-4,
-                          1 << 22, 10**7)
+        fold = _LevelFold(p.coordinates, 1e-4, 1 << 22, 10**7)
         assert len(fold.rows) > 10 * len(fold.col)
         rng = random.Random(7)
         levels = [math.inf, fold.floor, 1.0]
@@ -384,6 +403,15 @@ class TestTopEigenvalues:
         )
         streamed = [v for _, v in top_eigenvalues(p, len(grid))]
         assert streamed == pytest.approx(grid, rel=1e-12)
+
+    def test_declared_tail_cuts_after_the_listed_values(self):
+        # a tail above the 1e-9 cut cannot be cut away; the stream keeps
+        # the listed values and leaves the tail out
+        p = ProductProblem((ExplicitSpectrum((1.0, 0.5), tail=1.0),
+                            KorobovSpectrum(0.5, 1.0)))
+        items = list(top_eigenvalues(p, 5))
+        assert [z for z, _ in items] == [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2)]
+        assert [v for _, v in items] == [1.0, 0.5, 0.5, 0.5, 0.25]
 
     def test_floor_cuts_the_stream(self):
         p = ProductProblem((ExplicitSpectrum((1.0, 0.5, 0.1)),))
