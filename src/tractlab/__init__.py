@@ -38,7 +38,6 @@ from .errors import (
     DivergenceError,
     DomainError,
     GridSizeError,
-    IrreducibleTailError,
     TractlabError,
     ValidationError,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "ExperimentConfig",
     "ExplicitSpectrum",
     "GridSizeError",
-    "IrreducibleTailError",
     "KorobovFamily",
     "KorobovSpectrum",
     "ProductProblem",

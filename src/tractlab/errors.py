@@ -22,10 +22,6 @@ class DivergenceError(TractlabError, ArithmeticError):
         self.coordinate = coordinate
 
 
-class IrreducibleTailError(TractlabError, ValueError):
-    """A declared spectrum tail is too large for the requested truncation."""
-
-
 class ValidationError(TractlabError, ValueError):
     """A family or configuration violates its invariants."""
 

@@ -21,11 +21,13 @@ from typing import Union
 import numpy as np
 
 from ._descriptors import NUMBER, NUMBERS, read_kind
-from .errors import DivergenceError, DomainError, IrreducibleTailError
+from .errors import DivergenceError, DomainError
 from .numutil import CompensatedSum, comp_sum
 from .zeta import scoped, zeta, zeta_log_weighted
 
-_LOG_MAX = 690.0  # stay clear of exp() overflow
+# ln of the most pairs a Korobov truncation keeps; KorobovSpectrum.truncate
+# argues why no caller reads past it
+_LOG_PAIRS_CAP = 69.0
 
 
 @dataclass(frozen=True)
@@ -102,11 +104,18 @@ class KorobovSpectrum:
 
     def truncate(self, tol_rel: float) -> int:
         """The number of leading eigenvalues to keep so that the omitted
-        mass is at most tol_rel * trace.
+        mass is at most tol_rel * trace, for at most e^69 pairs.
 
         Complete eigenvalue pairs are kept, so the length is odd (or 1).
         M kept pairs omit at most the integral estimate
-        2g * M^(1-2r) / (2r - 1).
+        2g * M^(1-2r) / (2r - 1), and M is the least count for which that
+        estimate is within the budget.  Near r = 1/2 that count grows like
+        exp(1/(2r - 1)), so M is clamped at e^69 pairs and the bound holds
+        only below the clamp.  No caller reads past it: the first value
+        after e^69 pairs is below g e^(-138 r) < e^-69, under the heap's
+        lowest floor e^-64; the oracle caps every length at 1M values; and
+        top_eigenvalues raises its floor to the first value a cut leaves
+        out, so its stream stays exact.
         """
         if not 0.0 < tol_rel < 1.0:
             raise DomainError(f"tol_rel must be in (0, 1), got {tol_rel}")
@@ -116,14 +125,7 @@ class KorobovSpectrum:
             return 1
         p = 2.0 * self.r - 1.0
         log_m = math.log(2.0 * self.g / (p * allowed)) / p
-        if log_m <= 0.0:
-            pairs = 1
-        elif log_m < _LOG_MAX:
-            pairs = max(1, math.ceil(math.exp(log_m)))
-        else:
-            # Astronomically long; round the exponent up instead.
-            pairs = 10 ** (int(log_m / math.log(10.0)) + 1)
-        return 2 * pairs + 1
+        return 2 * max(1, math.ceil(math.exp(min(log_m, _LOG_PAIRS_CAP)))) + 1
 
     def dense_values(self, floor: float, limit: int) -> np.ndarray:
         """Normalized eigenvalues >= floor as a non-increasing array.
@@ -244,14 +246,10 @@ class ExplicitSpectrum:
         """The number of leading values to keep so that the omitted mass,
         the declared tail included, is at most tol_rel * trace: the fewest
         such, but at least 1.  A declared tail above that budget cannot be
-        cut away: IrreducibleTailError."""
+        cut away, so then every listed value is kept."""
         if not 0.0 < tol_rel < 1.0:
             raise DomainError(f"tol_rel must be in (0, 1), got {tol_rel}")
         allowed = tol_rel * self.trace()
-        if self.tail > allowed:
-            raise IrreducibleTailError(
-                f"declared tail {self.tail} exceeds the truncation budget {allowed}"
-            )
         length, omitted = len(self.values), self.tail
         while length > 1 and omitted + self.values[length - 1] <= allowed:
             omitted += self.values[length - 1]

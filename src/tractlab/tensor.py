@@ -24,6 +24,7 @@ provably cannot move the integer answer.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Tuple
@@ -36,7 +37,6 @@ from .errors import (
     DivergenceError,
     DomainError,
     GridSizeError,
-    IrreducibleTailError,
 )
 from .numutil import CompensatedSum
 from .spectra import ExplicitSpectrum, Spectrum
@@ -208,6 +208,18 @@ def _stream_normalized(
             heapq.heappush(heap, (-child_log, z[:i] + (ji + 1,) + z[i + 1 :]))
 
 
+def _cut(spectra, tol: float, log_floor: float):
+    """Each spectrum cut with truncate(tol), as (spectrum, length) pairs, and
+    log_floor raised to the largest normalized log value the cuts leave out.
+    A product left out has a coordinate past its cut, so it is at most that
+    coordinate's first left-out value (every other factor is at most 1):
+    above the raised floor, the pairs hold every product, and the cut only
+    sizes the tables.  Declared tails hold no listed value and stay out."""
+    coords = [(c, c.truncate(tol)) for c in spectra]
+    return coords, max([log_floor] + [
+        c.log_eigenvalue(m + 1) - c.log_eigenvalue(1) for c, m in coords])
+
+
 def top_eigenvalues(
     problem: ProductProblem,
     n_max: int,
@@ -217,34 +229,23 @@ def top_eigenvalues(
     """Stream the largest product eigenvalues in non-increasing order.
 
     Stops after ``n_max`` items or once values drop below ``floor``.
-    Each multi-index is produced exactly once; _truncated cuts at 1e-9.
+    Each multi-index is produced exactly once.  Each coordinate is cut at a
+    1e-9 share of its trace, which raises the floor to the largest value
+    the cuts leave out (_cut): the stream may end early, even at floor 0,
+    but it never skips a larger product.
     """
-    coords = [(c, _truncated(c, 1e-9)) for c in problem.coordinates]
+    if not integer(0).test(n_max):
+        raise DomainError(f"n_max must be an integer >= 0, got {n_max!r}")
+    if not floor >= 0.0:  # NaN fails too
+        raise DomainError(f"floor must be >= 0, got {floor!r}")
     budget = budget or Budget()
     log_scale = problem.log_leading()
-    if floor > 0.0:
-        log_floor = math.log(floor) - log_scale
-    else:
-        log_floor = -math.inf
-    count = 0
-    for z, logv in _stream_normalized(
-        coords, log_floor, budget.heap_entries(problem.d)
-    ):
-        if count >= n_max:
-            return
-        value = math.exp(logv + log_scale) if logv + log_scale > -745.0 else 0.0
-        if floor > 0.0 and value < floor:
-            return
-        yield z, value
-        count += 1
-
-
-def _truncated(c: Spectrum, tol: float) -> int:
-    """c's length at tol, or all its values when its declared tail exceeds tol."""
-    try:
-        return c.truncate(tol)
-    except IrreducibleTailError:
-        return len(c.values)
+    log_floor = math.log(floor) - log_scale if floor > 0.0 else -math.inf
+    coords, log_floor = _cut(problem.coordinates, 1e-9, log_floor)
+    stream = _stream_normalized(coords, log_floor, budget.heap_entries(problem.d))
+    items = ((z, math.exp(logv + log_scale) if logv + log_scale > -745.0 else 0.0)
+             for z, logv in itertools.islice(stream, n_max))
+    return itertools.takewhile(lambda item: item[1] >= floor, items)
 
 
 def _reduced_spectra(problem: ProductProblem) -> tuple:
@@ -378,16 +379,13 @@ def _heap_scan(spectra, target, low, pops_left):
     or None when the values above the heap's floor or the reach of its pops
     left ran out; the crossing then lies below ``level``, where the fold
     starts.  Each spectrum is cut once, at tol = min(1e-3 (1 - eps^2), 1e-6)
-    / d of its trace, to bound the heap's tables.  A product left out has a
-    coordinate past its cut, so it is at most that coordinate's first
-    left-out value; the floor sits at or above all of those, so the heap
-    streams every product above it, in order, as the fold holds them.  A pop
-    adds at most d heap entries, so the pops left bound the heap's memory."""
+    / d of its trace, to bound the heap's tables, and _cut raises the floor
+    over every value the cuts leave out, so the heap streams every product
+    above it, in order, as the fold holds them.  A pop adds at most d heap
+    entries, so the pops left bound the heap's memory."""
     eps2, threshold = target.epsilon * target.epsilon, target.threshold
     tol = min(1e-3 * (1.0 - eps2), 1e-6) / target.d
-    coords = [(c, _truncated(c, tol)) for c in spectra]
-    log_floor = max(min(-8.0, math.log(eps2) - 2.0), -64.0, *(
-        c.log_eigenvalue(m + 1) - c.log_eigenvalue(1) for c, m in coords))
+    coords, log_floor = _cut(spectra, tol, max(min(-8.0, math.log(eps2) - 2.0), -64.0))
     acc, n, n_low, level = CompensatedSum(), 0, 0, 1.0
     for _z, logv in _stream_normalized(coords, log_floor, math.inf):
         prev = acc.value
@@ -645,7 +643,7 @@ class _BruteForceOracle:
         self._grid = None  # (descending grid, its cumsum, log kept mass)
 
     def _lengths_at(self, tol):
-        return [min(_truncated(c, tol), _BRUTE_COORD_CAP)
+        return [min(c.truncate(tol), _BRUTE_COORD_CAP)
                 for c in self.problem.coordinates]
 
     def _sorted_grid(self, lengths):

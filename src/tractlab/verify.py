@@ -254,11 +254,10 @@ def _check_enumeration_order(rng: random.Random) -> CheckResult:
     vals = [v for _, v in stream]
     monotone = all(a >= b - 1e-15 * a for a, b in zip(vals, vals[1:]))
     unique = len({z for z, _ in stream}) == len(stream)
-    # Brute multiset of the same truncated grid, sorted descending.
+    # Brute multiset of every listed product, sorted descending.
     grid = [1.0]
     for c in p.coordinates:
-        length = c.truncate(1e-9)
-        grid = [a * c.eigenvalue(j) for a in grid for j in range(1, length + 1)]
+        grid = [a * v for a in grid for v in c.values]
     grid.sort(reverse=True)
     match = len(vals) == len(grid) and all(
         math.isclose(a, b, rel_tol=1e-12) for a, b in zip(vals, grid)

@@ -5,11 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tractlab.errors import (
-    DivergenceError,
-    DomainError,
-    IrreducibleTailError,
-)
+from tractlab.errors import DivergenceError, DomainError
 from tractlab.spectra import (
     ExplicitSpectrum,
     KorobovSpectrum,
@@ -64,6 +60,18 @@ class TestKorobov:
         with pytest.raises(DomainError, match="smoothness 2r must be finite"):
             KorobovSpectrum(0.5, r)
         assert KorobovSpectrum(0.5, 8e307).truncate(1e-6) == 3
+
+    def test_truncate_clamps_its_pairs_at_e69(self):
+        # near r = 1/2 the bound asks for about exp(1/(2r - 1)) pairs; the
+        # length stays at 2 ceil(e^69) + 1, and the first value past it is
+        # below every heap floor (e^-64)
+        spec = KorobovSpectrum(0.5, 0.5 + 1e-7)
+        length = spec.truncate(1e-7)
+        assert length.bit_length() <= 101
+        assert length == 2 * math.ceil(math.exp(69.0)) + 1
+        assert spec.log_eigenvalue(length + 1) < -64.0
+        # below the clamp the length is the least that meets the bound
+        assert KorobovSpectrum(0.5, 1.0).truncate(1e-4) == 2 * 3781 + 1
 
     @given(korobov_params)
     @settings(max_examples=40, deadline=None)
@@ -158,8 +166,8 @@ class TestExplicit:
 
     def test_truncate_respects_declared_tail(self):
         spec = ExplicitSpectrum((1.0, 0.5, 0.25), tail=0.5)
-        with pytest.raises(IrreducibleTailError):
-            spec.truncate(1e-6)
+        # a tail above the budget cannot be cut away: every value stays
+        assert spec.truncate(1e-6) == 3
         length = spec.truncate(0.4)
         assert length >= 1
         assert math.fsum(spec.values[length:]) + spec.tail <= 0.4 * spec.trace()

@@ -144,6 +144,21 @@ class TestInfoComplexity:
         assert threshold - short > 1e-9 * trace
         assert reached - threshold > 1e-9 * trace
 
+    def test_korobov_near_half_keeps_its_answer(self):
+        # the heap's cut of r = 0.55 at eps 0.5 is clamped at e^69 pairs;
+        # the answer, its bracket and pops are those of the unclamped cut
+        p = ProductProblem((KorobovSpectrum(0.5, 0.55),))
+        res = info_complexity(p, 0.5)
+        assert (res.n, res.certified, res.n_low, res.pops) == (481811, True, 481811, 540123)
+        with pytest.raises(BudgetExceededError) as exc:
+            info_complexity(p, 0.5, Budget(n_max=10**5))
+        assert (exc.value.n_lower, exc.value.pops) == (100_001, 100_333)
+        # at r = 0.5 + 1e-6 the unclamped cut built a ten-million-bit length
+        near = ProductProblem((KorobovSpectrum(0.5, 0.5 + 1e-6),))
+        with pytest.raises(BudgetExceededError) as exc:
+            info_complexity(near, 0.5, Budget(n_max=10**5))
+        assert (exc.value.n_lower, exc.value.pops) == (100_001, 100_002)
+
     def test_large_answer_pays_the_heap_prefix_once(self, monkeypatch):
         # one reduction, one heap prefix and one fold walk
         import tractlab.tensor as tensor_mod
@@ -417,6 +432,45 @@ class TestTopEigenvalues:
         p = ProductProblem((ExplicitSpectrum((1.0, 0.5, 0.1)),))
         vals = [v for _, v in top_eigenvalues(p, 10, floor=0.3)]
         assert vals == pytest.approx([1.0, 0.5])
+
+    @pytest.mark.parametrize("kwargs", [
+        {"floor": math.nan}, {"floor": -1.0}, {"n_max": 1.5}, {"n_max": -1},
+        {"n_max": True}],
+        ids=["floor-nan", "floor-negative", "n_max-fraction", "n_max-negative", "n_max-bool"])
+    def test_rejects_a_bad_floor_or_n_max(self, kwargs):
+        p = ProductProblem((ExplicitSpectrum((1.0, 0.5, 0.1)),))
+        args = {"n_max": 3, **kwargs}
+        with pytest.raises(DomainError):
+            top_eigenvalues(p, **args)
+        assert list(top_eigenvalues(p, 0)) == []
+
+    def test_cut_raises_the_floor_over_left_out_values(self):
+        # the cut at 1e-9 leaves out the first coordinate's 1e-10, so the
+        # floor rises to it: the stream ends after 1.0 rather than list
+        # 1e-11 products ahead of the larger (2, 1) = 1e-10
+        p = ProductProblem((ExplicitSpectrum((1.0, 1e-10)),
+                            ExplicitSpectrum((1.0,) + (1e-11,) * 1000)))
+        assert list(top_eigenvalues(p, 3)) == [((1, 1), 1.0)]
+
+    @given(st.lists(st.tuples(
+        st.lists(st.floats(min_value=1e-3, max_value=1.0), min_size=1, max_size=4),
+        st.floats(min_value=1e-13, max_value=1e-8),
+        st.integers(min_value=0, max_value=30)), min_size=1, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_stream_is_the_top_of_the_full_grid(self, coords):
+        # explicit lists with a run of tiny trailing values, some of which
+        # the cut leaves out: each streamed value is the full grid's value
+        # of the same rank
+        lists = [tuple(sorted(head, reverse=True)) + (tiny,) * count
+                 for head, tiny, count in coords]
+        p = ProductProblem(tuple(ExplicitSpectrum(v) for v in lists))
+        grid = [1.0]
+        for values in lists:
+            grid = [a * b for a in grid for b in values]
+        grid.sort(reverse=True)
+        streamed = [v for _, v in top_eigenvalues(p, len(grid))]
+        assert streamed
+        assert streamed == pytest.approx(grid[:len(streamed)], rel=1e-12)
 
 
 @st.composite
