@@ -11,11 +11,11 @@ exactly once: from index z, coordinate i may be incremented only if every
 later coordinate still sits at index 1.  Values are handled as sums of
 logarithms so the ordering survives small products; partial sums are
 accumulated in linear space with compensated summation.  Every other
-answer comes from a level-set fold that counts and sums the products
-above a value level without materializing them, and sorts only the
-boundary slice where the partial sum crosses the threshold.  Both engines
-are exact above their floors: they miss only the declared tails of
-explicit spectra.
+answer comes from a level-set fold: two balanced sides, each every product
+above the floor of its coordinates, whose pairs it counts and sums above a
+value level without materializing them; it sorts only the boundary slice
+where the partial sum crosses the threshold.  Both engines are exact above
+their floors: they miss only the declared tails of explicit spectra.
 
 A result is *certified* when those tails plus a rounding allowance
 provably cannot move the integer answer.
@@ -401,34 +401,47 @@ def _heap_scan(spectra, target, low, pops_left):
     return None, n, math.exp(log_floor)
 
 
-def _dense_fold(arrays, floor, max_entries):
-    """Every product >= floor of one value per array (each non-increasing
-    from 1), unordered; partial products < floor drop, as the rest are <= 1."""
-    prod = np.ones(1)
-    for v in arrays:
-        if len(v) == 1:
-            continue  # only the (normalized) leading 1 survives the floor
-        counts = np.searchsorted(-v, -(floor / prod), side="right")
-        total = int(counts.sum())
-        if total > max_entries:
-            raise BudgetExceededError("dense enumeration exceeded its memory budget")
-        idx = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-        prod = np.repeat(prod, counts) * v[idx]
-    return prod
+def _dense_fold(prod, v, floor, max_entries):
+    """Every product >= floor of a value of prod and one of v (non-increasing
+    from 1), unordered; products < floor drop, as further factors are <= 1."""
+    counts = np.searchsorted(-v, -(floor / prod), side="right")
+    total = int(counts.sum())
+    if total > max_entries:
+        raise BudgetExceededError("dense enumeration exceeded its memory budget")
+    idx = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
+    return np.repeat(prod, counts) * v[idx]
 
 
-def _prefix_sums(x):
+def _two_sides(cols, floor, max_entries):
+    """(descending col, ascending rows) of _LevelFold: longest first, each
+    column folds into the side of fewer products; a lone column is not sorted."""
+    sides = [np.ones(1), np.ones(1)]
+    for c in sorted((c for c in cols if len(c) > 1), key=len, reverse=True):
+        i = int(len(sides[1]) < len(sides[0]))
+        sides[i] = _dense_fold(sides[i], c, floor, max_entries) if len(sides[i]) > 1 else c
+    for side in (s for s in sides if all(s is not c for c in cols)):
+        side[::-1].sort()  # descending, as a lone column is
+    rows, col = sorted(sides, key=len)
+    return col, rows[::-1]
+
+
+def _prefix_sums(x, descending=False):
     """Compensated prefix sums: np.cumsum plus the cumsum of each addition's
-    exact error (Knuth's TwoSum), rounded once.  For x >= 0, u = 2^-53 and
-    S_k = sum(x[:k+1]): each error e_i <= u hi_i <~ u S_k, their rounded
-    cumsum errs by <= (k-1) u sum e_i <= k^2 u^2 S_k, and entry k lies within
-    u + k^2 u^2 of S_k, relative: a correct rounding but within k^2 u^2 of a tie."""
+    exact error (Knuth's TwoSum, or Dekker's FastTwoSum for a ``descending``
+    x, whose sum before each addition is >= its term), rounded once.  For x
+    >= 0, u = 2^-53 and S_k = sum(x[:k+1]): each error e_i <= u hi_i <~ u S_k,
+    their rounded cumsum errs by <= (k-1) u sum e_i <= k^2 u^2 S_k, and entry
+    k lies within u + k^2 u^2 of S_k, relative: a correct rounding but within
+    k^2 u^2 of a tie."""
     hi = np.cumsum(x)
     err = np.concatenate(([0.0], hi[:-1]))  # the sum before each addition
-    part = hi - err  # the part of x[k] that the addition kept
-    err -= hi - part
-    err += x - part
-    return hi + np.cumsum(err, out=err)
+    if descending:
+        np.subtract(x, np.subtract(hi, err, out=err), out=err)
+    else:
+        part = hi - err  # the part of x[k] that the addition kept
+        err -= hi - part
+        err += x - part
+    return np.add(hi, np.cumsum(err, out=err), out=hi)
 
 
 _SLICE_ENTRIES = 1 << 16  # a boundary slice this small is sorted, not split
@@ -446,20 +459,23 @@ class _LevelFold:
     level sets.  Its columns hold each spectrum's values >= floor, so it
     misses only the declared tails of explicit spectra.
 
-    The coordinate with the most values >= floor stays a descending array
-    ``col``; the others are folded into ascending ``rows``.  The products
-    >= a level t in row i are the first c_i = #{j : col_j >= t / rows_i}
-    entries of ``col``, summing to rows_i * prefix(c_i): a level costs a
-    pass over the rows, memory that of the (d-1)-fold.  Prefix sums within
+    _two_sides folds the columns into two sides, each every product >=
+    floor of its coordinates (a product >= floor has every factor >= floor):
+    the larger a descending array ``col``, the smaller ascending ``rows``.
+    The products >= a level t in row i are the first c_i = #{j : col_j >=
+    t / rows_i} entries of ``col``, summing to rows_i * prefix(c_i): a level
+    costs a search per row, memory |rows| + |col|.  Prefix sums within
     u + m^2 u^2 of exact (_prefix_sums; u = 2^-53, m = len(col)) put each
     row term within 2u + m^2 u^2, and their _total within 4u + (m^2 +
-    2^32) u^2 of exact: below 5u for m < 6e7.
+    2^32) u^2 of exact: below 5u for m < 6e7.  In either association a
+    product takes at most d - 1 roundings, (d - 1)u relative, so the sums
+    err by far less than _Target's 1e-12 share of the trace for d < 4000.
 
-    No column holds more than ``cap`` = n_max + 1 values: a column reaching
-    cap raises the floor to its cap-th value.  Times the other coordinates'
-    leading 1, that column alone gives cap products at or above the new
-    floor, so the fold keeps the top n_max products.  Values left out lie
-    at or below the new floor and the cut to cap drops only values equal to
+    No coordinate's column holds more than ``cap`` = n_max + 1 values: one
+    reaching cap raises the floor to its cap-th value, and with the others'
+    leading 1 gives cap products at or above it, so the fold keeps the top
+    n_max products.  Values left out lie at or below the new floor, the cut
+    to cap drops only values equal to it and the sides only products below
     it: the fold holds every product above its floor and some of those
     equal to it, so its counts and sums are still those of top sets."""
 
@@ -474,22 +490,16 @@ class _LevelFold:
             cols = [c[c >= floor][:cap] for c in cols]
         if max(len(c) for c in cols) > max_entries:
             raise BudgetExceededError("dense enumeration exceeded its memory budget")
-        self.col = cols.pop(max(range(len(cols)), key=lambda i: len(cols[i])))
+        self.col, self.rows = _two_sides(cols, floor, max_entries)
         self._neg_col = -self.col
-        self.rows = np.sort(_dense_fold(cols, floor, max_entries))  # see counts
         self.floor, self.max_entries = floor, max_entries
         self._ends = np.concatenate((self.col, [0.0, math.inf]))  # empty-slice pads
-        self.prefix = np.concatenate(([0.0], _prefix_sums(self.col)))
+        self.prefix = np.concatenate(([0.0], _prefix_sums(self.col, descending=True)))
         self.bottom = self.counts(floor)
 
     def counts(self, level):
-        """c_i = #{j : -col_j <= keys_i = -level / rows_i}; keys ascend with the
-        rows, so past len(col) rows each col value is placed among the keys."""
-        keys = -level / self.rows
-        if len(keys) < len(self.col):
-            return np.searchsorted(self._neg_col, keys, side="right")
-        c = np.bincount(np.searchsorted(keys, self._neg_col), minlength=len(keys) + 1)
-        return np.cumsum(c, out=c)[:-1]
+        """c_i = #{j : col_j >= level / rows_i}, per row."""
+        return np.searchsorted(self._neg_col, -level / self.rows, side="right")
 
     def mass(self, rows, counts):
         """rows_i * (col[0] + ... + col[counts_i - 1]), per row."""

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tractlab.errors import DivergenceError, DomainError
@@ -74,17 +74,20 @@ class TestKorobov:
         assert KorobovSpectrum(0.5, 1.0).truncate(1e-4) == 2 * 3781 + 1
 
     @given(korobov_params)
+    @example((1.0, 0.55))
     @settings(max_examples=40, deadline=None)
     def test_truncate_tail_bound_holds(self, params):
         g, r = params
         spec = KorobovSpectrum(g, r)
         length = spec.truncate(1e-4)
-        # the mass the length leaves out is at most tol * trace
-        m0 = (length - 1) // 2
-        omitted = 2.0 * g * sum(
-            m ** (-2.0 * r) for m in range(m0 + 1, m0 + 200_000)
-        )
-        assert omitted <= 1e-4 * spec.trace() * (1.0 + 1e-9)
+        m, p = (length - 1) // 2, 2.0 * r - 1.0
+        # m kept pairs leave out at most the integral 2g m^(1-2r) / (2r - 1),
+        # which the length meets where the pairs it needs are below e^69;
+        # past that the length is clamped at e^69 pairs
+        if math.log(2.0 * g / (p * 1e-4 * spec.trace())) / p < 69.0:
+            assert 2.0 * g * m ** -p / p <= 1e-4 * spec.trace() * (1.0 + 1e-9)
+        else:
+            assert length == 2 * math.ceil(math.exp(69.0)) + 1
 
     @given(korobov_params, st.floats(min_value=1e-12, max_value=0.5))
     @settings(max_examples=40, deadline=None)

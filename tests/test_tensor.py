@@ -284,19 +284,20 @@ class TestInfoComplexity:
     @pytest.mark.parametrize("seed", [0, 3])
     def test_walk_builds_at_most_twice_the_final_fold(self, monkeypatch, seed):
         # the timed points of perfbench's large_answers: curse and
-        # g_k = k^-3 weights, scaled as its seed draws them.  The final fold
-        # is also no larger than where the earlier walk, stepping by the
-        # local slope of the sum in ln(level), landed
+        # g_k = k^-3 weights, scaled as its seed draws them.  A fold's
+        # entries are its rows and col; the final fold is also no larger
+        # than where the walk, stepping by the local slope of the sum in
+        # ln(level), lands on each point
         import tractlab.tensor as tensor_mod
 
-        earlier = {0: (86_983, 184_713, 36_125), 3: (86_983, 176_233, 35_971)}
+        earlier = {0: (11_054, 21_074, 40_112), 3: (11_054, 20_954, 39_328)}
 
-        rows = []
+        entries = []
         init = tensor_mod._LevelFold.__init__
 
         def counting_init(self, *args):
             init(self, *args)
-            rows.append(len(self.rows))
+            entries.append(len(self.rows) + len(self.col))
 
         monkeypatch.setattr(tensor_mod._LevelFold, "__init__", counting_init)
         rng = random.Random(seed)
@@ -309,29 +310,48 @@ class TestInfoComplexity:
              0.1),
         ]
         for (coords, eps), final in zip(points, earlier[seed]):
-            rows.clear()
+            entries.clear()
             assert info_complexity(ProductProblem(coords), eps).certified
-            assert sum(rows) <= 2.0 * rows[-1] and rows[-1] <= final
+            assert sum(entries) <= 2.0 * entries[-1] and entries[-1] <= final
 
     def test_fold_columns_stay_within_the_n_budget(self, monkeypatch):
         # the answer lies far beyond n_max, and the top n_max products
-        # never need a column of more than n_max + 1 values
+        # never need a coordinate's column of more than n_max + 1 values
         import tractlab.tensor as tensor_mod
 
         columns = []
+        two_sides = tensor_mod._two_sides
+        monkeypatch.setattr(
+            tensor_mod, "_two_sides",
+            lambda cols, *args: columns.extend(map(len, cols)) or two_sides(cols, *args))
+        n_max = 10**5
+        for d in (1, 2):
+            columns.clear()
+            with pytest.raises(BudgetExceededError) as exc_info:
+                info_complexity(ProductProblem((KorobovSpectrum(0.7, 0.6),) * d), 0.1,
+                                budget=Budget(n_max=n_max))
+            assert exc_info.value.n_lower > n_max
+            assert len(columns) >= d and max(columns) <= n_max + 1
+
+    def test_large_curse_answer_folds_two_small_sides(self, monkeypatch):
+        # curse d = 8: each side of the final fold holds the 154,729
+        # products of four coordinates; folding seven coordinates against
+        # one column would take 7.6M rows
+        import tractlab.tensor as tensor_mod
+
+        entries = []
         init = tensor_mod._LevelFold.__init__
 
         def counting_init(self, *args):
             init(self, *args)
-            columns.append(len(self.col))
+            entries.append(len(self.rows) + len(self.col))
 
         monkeypatch.setattr(tensor_mod._LevelFold, "__init__", counting_init)
-        n_max = 10**5
-        with pytest.raises(BudgetExceededError) as exc_info:
-            info_complexity(ProductProblem((KorobovSpectrum(0.7, 0.6),)), 0.1,
-                            budget=Budget(n_max=n_max))
-        assert exc_info.value.n_lower > n_max
-        assert columns and max(columns) <= n_max + 1
+        res = info_complexity(ProductProblem((KorobovSpectrum(0.5, 1.0),) * 8), 0.5,
+                              budget=Budget(n_max=10**8))
+        assert (res.n, res.certified, res.n_low, res.n_high, res.pops) == (
+            22_242_046, True, 22_242_046, 22_242_046, 23_093_027)
+        assert entries[-1] < 10**6
 
     def test_fold_is_exact_above_its_floor(self):
         # the fold takes its columns from the spectra, so it holds every
@@ -349,35 +369,40 @@ class TestInfoComplexity:
         assert mass == pytest.approx(4.4023815274753, rel=1e-13)
 
     def test_fold_counts_match_a_search_per_row(self):
-        # with more rows than col values, counts places the col values among
-        # the rows' keys; a binary search of each key in col is the reference
+        # rows is the smaller side: equal sides for curse d = 4, unequal for
+        # g_k = k^-3 at d = 12; a binary search of each key in col is the
+        # reference
         import numpy as np
         from tractlab.tensor import _LevelFold
 
-        p = ProductProblem((KorobovSpectrum(0.5, 1.0),) * 4)
-        fold = _LevelFold(p.coordinates, 1e-4, 1 << 22, 10**7)
-        assert len(fold.rows) > 10 * len(fold.col)
-        rng = random.Random(7)
-        levels = [math.inf, fold.floor, 1.0]
-        for _ in range(60):  # products themselves, and an ulp either side
-            v = float(fold.rows[rng.randrange(len(fold.rows))]
-                      * fold.col[rng.randrange(len(fold.col))])
-            levels += [v, math.nextafter(v, 0.0), math.nextafter(v, 1.0)]
-        for level in levels:
-            want = np.searchsorted(-fold.col, -level / fold.rows, side="right")
-            assert np.array_equal(fold.counts(level), want)
+        for weights in ([0.5] * 4, [k**-3.0 for k in range(1, 13)]):
+            p = ProductProblem(tuple(KorobovSpectrum(g, 1.0) for g in weights))
+            fold = _LevelFold(p.coordinates, 1e-4, 1 << 22, 10**7)
+            assert len(fold.rows) <= len(fold.col)
+            rng = random.Random(7)
+            levels = [math.inf, fold.floor, 1.0]
+            for _ in range(60):  # products themselves, and an ulp either side
+                v = float(fold.rows[rng.randrange(len(fold.rows))]
+                          * fold.col[rng.randrange(len(fold.col))])
+                levels += [v, math.nextafter(v, 0.0), math.nextafter(v, 1.0)]
+            for level in levels:
+                want = np.searchsorted(-fold.col, -level / fold.rows, side="right")
+                assert np.array_equal(fold.counts(level), want)
 
     def test_prefix_sums_round_like_fsum(self):
-        # within u + k^2 u^2 of exact: a correct rounding on any seeded input
+        # within u + k^2 u^2 of exact: a correct rounding on any seeded input,
+        # and on its descending order with FastTwoSum, bit for bit as TwoSum
         import numpy as np
         from tractlab.tensor import _prefix_sums
 
         rng = np.random.default_rng(11)
         for _ in range(100):
             x = rng.random(int(rng.integers(1, 20_000))) ** rng.uniform(1.0, 40.0)
-            sums = _prefix_sums(x)
-            for k in [len(x) - 1] + list(rng.integers(0, len(x), 5)):
-                assert sums[k] == math.fsum(x[: k + 1])
+            down = np.sort(x)[::-1]
+            assert np.array_equal(_prefix_sums(down, descending=True), _prefix_sums(down))
+            for x, sums in ((x, _prefix_sums(x)), (down, _prefix_sums(down, True))):
+                for k in [len(x) - 1] + list(rng.integers(0, len(x), 5)):
+                    assert sums[k] == math.fsum(x[: k + 1])
 
     def test_budget_rejects_non_positive_limits(self):
         # limits that are not integers would fail deep in the fold instead
