@@ -599,30 +599,74 @@ def _fold_decide(spectra, goal, low, kept, upper, budget, pops):
         upper, above, step = floor, total, min(max(gap, 0.25), 2.0)
 
 
-def _first_reaching(values, target, base=0.0, cs=None):
+def _carried_cumsum(values, k, carry):
+    """np.cumsum(values)[k:k + _SLICE_ENTRIES], given ``carry``, its entry
+    k - 1 (unused at k = 0).  np.cumsum adds in sequence, entry i being
+    fl(entry (i-1) + values[i]); folding the carry into the chunk's first
+    term makes that term fl(carry + values[k]), the full cumsum's entry k,
+    and every later entry repeats the full cumsum's addition on the same
+    operands, so the chunk's cumsum rounds exactly as the full one does."""
+    chunk = values[k:k + _SLICE_ENTRIES].copy()
+    if k:
+        chunk[0] += carry
+    return np.cumsum(chunk, out=chunk)
+
+
+def _cumsum_ends(values):
+    """(ends, tail): np.cumsum(values) at the last entry of every
+    _SLICE_ENTRIES chunk (the last chunk ends at the last entry), and the
+    whole cumsum of the last chunk, which a search that lands there (every
+    search of a one-chunk slice) reuses; in the memory of two chunks."""
+    ends, tail = np.empty(-(-len(values) // _SLICE_ENTRIES)), np.zeros(1)
+    for j in range(len(ends)):
+        tail = _carried_cumsum(values, j * _SLICE_ENTRIES, tail[-1])
+        ends[j] = tail[-1]
+    return ends, tail
+
+
+def _search_cumsum(values, sums, x):
+    """np.searchsorted(np.cumsum(values), x), bit for bit, for non-negative
+    values with ``sums`` = _cumsum_ends(values).  Adding a term >= 0 never
+    rounds a sum down, so the cumsum never falls: its first entry >= x lies
+    in the first chunk whose last entry is >= x, and one chunk's cumsum
+    finds it."""
+    ends, tail = sums
+    j = int(np.searchsorted(ends, x))
+    if j == len(ends):
+        return len(values)
+    k = j * _SLICE_ENTRIES
+    if j < len(ends) - 1:
+        tail = _carried_cumsum(values, k, ends[j - 1] if j else 0.0)
+    return k + int(np.searchsorted(tail, x))
+
+
+def _first_reaching(values, target, base=0.0, sums=None):
     """The scan both engines decide on: (crossed, k, partial_k,
     partial_(k-1)) for the first k >= 1 with base + sum(values[:k]) >= target
     in a non-increasing, non-negative array (k = len(values) if none).
-    ``cs`` is np.cumsum(values), when the caller already has it.
+    ``sums`` is _cumsum_ends(values), when the caller already has it.
 
     A cumsum of non-negative terms errs by at most (k-1)u times its k-th
     entry (u = 2^-53), so every index where it lies more than
     len * 2.3e-16 * total below the target provably falls short.  That prefix
-    is summed exactly (fsum), the rest term by term with compensation.
+    is found with _search_cumsum, which holds at most two 2^16-entry chunks
+    of the cumsum, not the whole; it is summed exactly (fsum), the rest term
+    by term with compensation.
 
-    When every index falls short (base + cs[-1] is more than that drift
-    below the target), no exact sum crosses either, and no sum is taken:
-    the result is (False, len, p, p) with p = base + cs[-1], within
-    (len-1)u * total of the exact sum of values, plus the one rounding of
-    adding base.  The fold discards the partial sums of a slice that does
-    not cross, so only the oracle reports such a p.
+    When every index falls short (base + the cumsum's last entry is more
+    than that drift below the target), no exact sum crosses either, and no
+    sum is taken: the result is (False, len, p, p) with p = base + that last
+    entry, within (len-1)u * total of the exact sum of values, plus the one
+    rounding of adding base.  The fold discards the partial sums of a slice
+    that does not cross, so only the oracle reports such a p.
     """
-    if cs is None:
-        cs = np.cumsum(values)
-    drift = 2.3e-16 * len(values) * float(cs[-1])
-    start = int(np.searchsorted(cs, target - base - drift))
+    if sums is None:
+        sums = _cumsum_ends(values)
+    total = float(sums[0][-1])
+    drift = 2.3e-16 * len(values) * total
+    start = _search_cumsum(values, sums, target - base - drift)
     if start == len(values):
-        partial = base + float(cs[-1])
+        partial = base + total
         return False, len(values), partial, partial
     acc = CompensatedSum(base)
     acc.add(math.fsum(values[:start]))
@@ -638,19 +682,25 @@ def _first_reaching(values, target, base=0.0, cs=None):
 class _BruteForceOracle:
     """The brute-force oracle of one problem, called with an epsilon.
 
-    Each attempt materializes every product of its truncation lengths,
-    sorts them and takes one cumsum, which the scans for n and, when
-    uncertified, for n_low share.  The grid depends on epsilon only through
-    those lengths: the first attempt's come from tol = 0.01/d and the grid
-    cap alone.  So the oracle keeps the last attempt's lengths, descending
-    grid, cumsum and log kept mass for the next call, and drops them before
-    it builds a grid for other lengths: at most one grid is alive.
+    Each attempt materializes every product of its truncation lengths and
+    sorts them in place, so the grid of 8 bytes per entry (at most 80 MB at
+    _BRUTE_GRID_CAP) is the only array of its length alive during a call.
+    Beside it the oracle keeps only the grid's _cumsum_ends, one value per
+    2^16 entries and the last 2^16-entry chunk's cumsum, which the scans for
+    n and, when uncertified, for n_low share: each finds its provably-short
+    prefix from them and one chunk's cumsum, carried so that it rounds
+    exactly as one np.cumsum of the whole grid would (_carried_cumsum).
+    The grid depends on epsilon only through those lengths: the first
+    attempt's come from tol = 0.01/d and the grid cap alone.  So the oracle
+    keeps the last attempt's lengths, descending grid, cumsum ends and log
+    kept mass for the next call, and drops them before it builds a grid for
+    other lengths: at most one grid is alive.
     """
 
     def __init__(self, problem: ProductProblem):
         self.problem = problem
         self._lengths = None
-        self._grid = None  # (descending grid, its cumsum, log kept mass)
+        self._grid = None  # (descending grid, its _cumsum_ends, log kept mass)
 
     def _lengths_at(self, tol):
         return [min(c.truncate(tol), _BRUTE_COORD_CAP)
@@ -664,13 +714,13 @@ class _BruteForceOracle:
             prod = np.ones(1)  # a fresh grid even at d = 1, so grids stay unsorted
             for arr in grids:
                 prod = np.multiply.outer(prod, arr).ravel()
-            prod.sort()
+            prod.sort()  # in place; prod[::-1].sort() would copy the whole grid
             order = prod[::-1]
             log_kept = math.fsum(
                 math.log(max(float(np.sum(g)) / (c.trace() / c.leading()), 1e-300))
                 for g, c in zip(grids, coords)
             )
-            self._grid = (order, np.cumsum(order), log_kept)
+            self._grid = (order, _cumsum_ends(order), log_kept)
             self._lengths = lengths
         return self._grid
 
@@ -692,13 +742,14 @@ class _BruteForceOracle:
                 break  # certification needs a grid the cap cannot hold
             if lengths != built:  # a tol that drops no more just shrinks again
                 built = lengths
-                order, cs, log_kept = self._sorted_grid(lengths)
+                order, sums, log_kept = self._sorted_grid(lengths)
                 pops += len(order)
                 t_mass = target.lost(log_kept)
-                crossed, n, partial, prev = _first_reaching(order, threshold, cs=cs)
+                crossed, n, partial, prev = _first_reaching(order, threshold, sums=sums)
                 certified = target.certified(crossed, prev, t_mass)
                 n_low = n if certified else _first_reaching(
-                    order, target.low(t_mass), cs=cs)[1]
+                    order, target.low(t_mass), sums=sums)[1]
+                del order  # so that _sorted_grid can free this grid before the next
                 result = target.result(n, partial, certified, pops, n_low)
                 if certified or t_mass <= 0.0:
                     return result
