@@ -185,6 +185,8 @@ class ExplicitSpectrum:
             raise DomainError(f"declared tail must be non-negative, got {self.tail}")
         if self.tail > 0.0 and vals[-1] == 0.0:
             raise DomainError("a declared tail cannot follow a zero eigenvalue")
+        # not a field: ==, hash and repr see values and tail only
+        object.__setattr__(self, "_trace", comp_sum(vals) + self.tail)
 
     def eigenvalue(self, j: int) -> float:
         if j < 1:
@@ -199,7 +201,7 @@ class ExplicitSpectrum:
         return self.values[0]
 
     def trace(self) -> float:
-        return comp_sum(self.values) + self.tail
+        return self._trace
 
     def tau_min(self) -> float:
         return 1.0 if self.tail > 0.0 else 0.0

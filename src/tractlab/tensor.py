@@ -640,6 +640,43 @@ def _search_cumsum(values, sums, x):
     return k + int(np.searchsorted(tail, x))
 
 
+_SUM_CHUNK = 1 << 14  # _exact_sum's chunk: a call traces about 0.3 MB
+_LOW_BITS = (1 << 26) - 1  # the mantissa bits that _exact_sum splits off
+
+
+def _exact_sum(x):
+    """math.fsum(x), bit for bit, for finite doubles x >= 0 with a finite
+    sum, in numpy per _SUM_CHUNK entries.
+
+    Each value splits exactly into hi, itself with its 26 low mantissa bits
+    cleared, and lo = x - hi, those bits alone.  Within a run of entries
+    that share an exponent field, of exponent e, every hi is a multiple of
+    2^(e-26) below 2^(e+1) and every lo one of 2^(e-52) below 2^(e-26)
+    (subnormals: of 2^-1074, as for e = -1022).  So each part's running sum
+    over a run of up to 2^26 entries, and a run ends with its chunk, is an
+    integer below 2^53 times its unit: every addition is exact, in any
+    order.  fsum of those run sums rounds their exact total, the exact sum
+    of x, once and correctly, as fsum(x) does.  Input in any order stays
+    exact; sorted input, the scan's, has few runs per chunk, so few sums
+    for fsum.
+    """
+    if x.strides[0] < 0:
+        x = x[::-1]  # the same values, in the memory order numpy runs fastest
+    parts = []
+    for k in range(0, len(x), _SUM_CHUNK):
+        chunk = x[k:k + _SUM_CHUNK]
+        bits = chunk.view(np.int64)
+        exp = bits >> 52
+        runs = np.empty(len(chunk), dtype=bool)
+        runs[0] = True
+        np.not_equal(exp[1:], exp[:-1], out=runs[1:])
+        starts = np.flatnonzero(runs)
+        hi = np.bitwise_and(bits, ~_LOW_BITS, out=exp).view(np.float64)
+        parts += np.add.reduceat(hi, starts).tolist()
+        parts += np.add.reduceat(np.subtract(chunk, hi, out=hi), starts).tolist()
+    return math.fsum(parts)
+
+
 def _first_reaching(values, target, base=0.0, sums=None):
     """The scan both engines decide on: (crossed, k, partial_k,
     partial_(k-1)) for the first k >= 1 with base + sum(values[:k]) >= target
@@ -650,8 +687,9 @@ def _first_reaching(values, target, base=0.0, sums=None):
     entry (u = 2^-53), so every index where it lies more than
     len * 2.3e-16 * total below the target provably falls short.  That prefix
     is found with _search_cumsum, which holds at most two 2^16-entry chunks
-    of the cumsum, not the whole; it is summed exactly (fsum), the rest term
-    by term with compensation.
+    of the cumsum, not the whole.  _exact_sum sums it in numpy, to fsum's
+    correctly rounded double bit for bit, and the rest is summed term by
+    term with compensation.
 
     When every index falls short (base + the cumsum's last entry is more
     than that drift below the target), no exact sum crosses either, and no
@@ -669,7 +707,7 @@ def _first_reaching(values, target, base=0.0, sums=None):
         partial = base + total
         return False, len(values), partial, partial
     acc = CompensatedSum(base)
-    acc.add(math.fsum(values[:start]))
+    acc.add(_exact_sum(values[:start]))
     prev = acc.value
     for k in range(start, len(values)):
         prev = acc.value

@@ -146,6 +146,27 @@ class TestExplicit:
         spec = ExplicitSpectrum((1.0, 0.5), tail=0.25)
         assert spec.trace() == 1.75
 
+    def test_trace_is_summed_once(self, monkeypatch):
+        import pickle
+
+        from tractlab import spectra
+
+        values, tail = (1.0, 1e-16, 1e-16), 0.125  # a plain sum drops the 1e-16s
+        real, calls = spectra.comp_sum, []
+        monkeypatch.setattr(spectra, "comp_sum",
+                            lambda v: calls.append(v) or real(v))
+        spec = ExplicitSpectrum(values, tail)
+        made = len(calls)
+        want = real(values) + tail
+        assert want != sum(values) + tail
+        assert spec.trace() == spec.trace() == want
+        assert len(calls) == made
+        twin = ExplicitSpectrum(list(values), tail)
+        assert twin == spec and hash(twin) == hash(spec)
+        assert repr(spec) == f"ExplicitSpectrum(values={values!r}, tail={tail!r})"
+        copy = pickle.loads(pickle.dumps(spec))
+        assert copy == spec and copy.trace() == want
+
     def test_declared_tail_bounds_power_sums(self):
         # the omitted mass 0.25 is spread over values of at most 0.5
         spec = ExplicitSpectrum((2.0, 0.5), tail=0.25)

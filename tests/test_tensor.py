@@ -783,6 +783,81 @@ class TestChunkedCumsum:
                 assert _first_reaching(v, base + x, base, sums=sums) == want
 
 
+class TestExactSum:
+    """_exact_sum equals math.fsum bit for bit, in a few chunks' memory."""
+
+    @staticmethod
+    def assert_fsum(x):
+        from tractlab.tensor import _exact_sum
+
+        got, want = _exact_sum(x), math.fsum(x)
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+    @pytest.mark.parametrize("length", [0, 1, (1 << 16) - 1, 1 << 16, (1 << 16) + 1,
+                                        3 * (1 << 16) + 5])
+    def test_spread_exponents_in_every_layout(self, length):
+        import numpy as np
+
+        v = np.exp(np.random.default_rng(length).uniform(-700.0, 700.0, length))
+        self.assert_fsum(v)  # unsorted
+        self.assert_fsum(np.sort(v))
+        self.assert_fsum(np.sort(v)[::-1])  # the oracle's reversed view
+
+    @pytest.mark.parametrize("length", [1, (1 << 16) + 1, 3 * (1 << 16) + 5])
+    def test_sorted_unit_values(self, length):
+        import numpy as np
+
+        v = np.random.default_rng(length).random(length) ** 6
+        self.assert_fsum(np.sort(v)[::-1])
+
+    def test_subnormals_and_the_normal_edge(self):
+        import numpy as np
+
+        edge = 2.0 ** -1022
+        v = np.array([5e-324, np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)])
+        self.assert_fsum(np.repeat(v, 5000))
+        self.assert_fsum(np.tile(v, 5000))
+        self.assert_fsum(np.concatenate(([1e-300], np.full(3, 5e-324))))
+
+    def test_zeros(self):
+        import numpy as np
+
+        self.assert_fsum(np.zeros(70_000))
+        self.assert_fsum(np.concatenate((np.zeros(5), [0.5], np.zeros(5))))
+
+    @pytest.mark.parametrize("halves, want", [(1, 1.0), (2, 1.0 + 2.0 ** -52),
+                                              (3, 1.0 + 2.0 ** -51)])
+    def test_ties_round_half_even(self, halves, want):
+        import numpy as np
+
+        # 1 + k 2^-53 lies halfway between doubles for odd k
+        v = np.array([1.0] + [2.0 ** -53] * halves)
+        assert math.fsum(v) == want
+        self.assert_fsum(v)
+        self.assert_fsum(v[::-1])
+
+    def test_a_long_prefix_traces_under_two_megabytes(self):
+        import tracemalloc
+
+        import numpy as np
+        from tractlab.tensor import _exact_sum
+
+        v = np.sort(np.random.default_rng(7).random(800_000) ** 6)[::-1]
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            _exact_sum(v)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        # one more array of the input's length would add 6.4 MB
+        assert peak < 2e6
+
+
 def _verify_instance_7():
     """The eighth random instance of Random(0), the eighth oracle-batch
     instance of `tractlab verify --seed 0`: an explicit list of 14 values,
