@@ -275,12 +275,15 @@ class _Target:
     ``trace``.  Values keeping a share exp(log_kept) of the trace miss at
     most ``lost(log_kept)`` of it: the declared tails for the engine, a
     truncation's tails for the oracle; ``rounding``, a 10^-12 share of the
-    trace, covers the summation error.  A crossing at n is certified when
-    threshold - S_(n-1) > lost + rounding; top sets of kept values short of
-    ``low(lost)`` = threshold - (lost + rounding) leave their exact
-    counterparts short of the threshold, a lower bound for uncertified and
-    over-budget answers.  ``trivial`` is the n = 0 answer of eps = 1, also
-    where the trace overflows and the threshold 0 * inf is NaN."""
+    trace, covers the summation error (the scan rounds each S_n correctly,
+    _first_reaching; the fold's row terms add a few u, _LevelFold).  A
+    crossing at n is certified when threshold - S_(n-1) > lost + rounding;
+    top sets of kept values short of ``low(lost)`` = threshold - (lost +
+    rounding) leave their exact counterparts short of the threshold, a lower
+    bound for uncertified answers and the n_lower of over-budget ones, the
+    oracle's grids that do not cross included.  ``trivial`` is the n = 0
+    answer of eps = 1, also where the trace overflows and the threshold
+    0 * inf is NaN."""
 
     def __init__(self, problem: ProductProblem, epsilon: float):
         if not 0.0 < epsilon <= 1.0:
@@ -599,54 +602,13 @@ def _fold_decide(spectra, goal, low, kept, upper, budget, pops):
         upper, above, step = floor, total, min(max(gap, 0.25), 2.0)
 
 
-def _carried_cumsum(values, k, carry):
-    """np.cumsum(values)[k:k + _SLICE_ENTRIES], given ``carry``, its entry
-    k - 1 (unused at k = 0).  np.cumsum adds in sequence, entry i being
-    fl(entry (i-1) + values[i]); folding the carry into the chunk's first
-    term makes that term fl(carry + values[k]), the full cumsum's entry k,
-    and every later entry repeats the full cumsum's addition on the same
-    operands, so the chunk's cumsum rounds exactly as the full one does."""
-    chunk = values[k:k + _SLICE_ENTRIES].copy()
-    if k:
-        chunk[0] += carry
-    return np.cumsum(chunk, out=chunk)
+_SUM_CHUNK = 1 << 14  # _exact_parts's chunk: a call traces about 0.3 MB
+_LOW_BITS = (1 << 26) - 1  # the mantissa bits that _exact_parts splits off
 
 
-def _cumsum_ends(values):
-    """(ends, tail): np.cumsum(values) at the last entry of every
-    _SLICE_ENTRIES chunk (the last chunk ends at the last entry), and the
-    whole cumsum of the last chunk, which a search that lands there (every
-    search of a one-chunk slice) reuses; in the memory of two chunks."""
-    ends, tail = np.empty(-(-len(values) // _SLICE_ENTRIES)), np.zeros(1)
-    for j in range(len(ends)):
-        tail = _carried_cumsum(values, j * _SLICE_ENTRIES, tail[-1])
-        ends[j] = tail[-1]
-    return ends, tail
-
-
-def _search_cumsum(values, sums, x):
-    """np.searchsorted(np.cumsum(values), x), bit for bit, for non-negative
-    values with ``sums`` = _cumsum_ends(values).  Adding a term >= 0 never
-    rounds a sum down, so the cumsum never falls: its first entry >= x lies
-    in the first chunk whose last entry is >= x, and one chunk's cumsum
-    finds it."""
-    ends, tail = sums
-    j = int(np.searchsorted(ends, x))
-    if j == len(ends):
-        return len(values)
-    k = j * _SLICE_ENTRIES
-    if j < len(ends) - 1:
-        tail = _carried_cumsum(values, k, ends[j - 1] if j else 0.0)
-    return k + int(np.searchsorted(tail, x))
-
-
-_SUM_CHUNK = 1 << 14  # _exact_sum's chunk: a call traces about 0.3 MB
-_LOW_BITS = (1 << 26) - 1  # the mantissa bits that _exact_sum splits off
-
-
-def _exact_sum(x):
-    """math.fsum(x), bit for bit, for finite doubles x >= 0 with a finite
-    sum, in numpy per _SUM_CHUNK entries.
+def _exact_parts(x):
+    """A list of doubles whose exact sum is that of x, for finite doubles
+    x >= 0 with a finite sum, in numpy per _SUM_CHUNK entries.
 
     Each value splits exactly into hi, itself with its 26 low mantissa bits
     cleared, and lo = x - hi, those bits alone.  Within a run of entries
@@ -655,10 +617,8 @@ def _exact_sum(x):
     (subnormals: of 2^-1074, as for e = -1022).  So each part's running sum
     over a run of up to 2^26 entries, and a run ends with its chunk, is an
     integer below 2^53 times its unit: every addition is exact, in any
-    order.  fsum of those run sums rounds their exact total, the exact sum
-    of x, once and correctly, as fsum(x) does.  Input in any order stays
-    exact; sorted input, the scan's, has few runs per chunk, so few sums
-    for fsum.
+    order, and the run sums are the parts.  Input in any order stays exact;
+    sorted input, the scan's, has few runs per chunk, so few parts.
     """
     if x.strides[0] < 0:
         x = x[::-1]  # the same values, in the memory order numpy runs fastest
@@ -674,47 +634,41 @@ def _exact_sum(x):
         hi = np.bitwise_and(bits, ~_LOW_BITS, out=exp).view(np.float64)
         parts += np.add.reduceat(hi, starts).tolist()
         parts += np.add.reduceat(np.subtract(chunk, hi, out=hi), starts).tolist()
-    return math.fsum(parts)
+    return parts
 
 
-def _first_reaching(values, target, base=0.0, sums=None):
-    """The scan both engines decide on: (crossed, k, partial_k,
-    partial_(k-1)) for the first k >= 1 with base + sum(values[:k]) >= target
-    in a non-increasing, non-negative array (k = len(values) if none).
-    ``sums`` is _cumsum_ends(values), when the caller already has it.
+def _first_reaching(values, target, base=0.0):
+    """The scan both engines decide on: (crossed, k, P_k, P_(k-1)) for the
+    first k >= 1 with P_k >= target in a non-increasing, non-negative
+    array, where P_k = math.fsum([base] + values[:k]), the correctly rounded
+    prefix sum; (False, len, P_len, P_len) when no k reaches target.
 
-    A cumsum of non-negative terms errs by at most (k-1)u times its k-th
-    entry (u = 2^-53), so every index where it lies more than
-    len * 2.3e-16 * total below the target provably falls short.  That prefix
-    is found with _search_cumsum, which holds at most two 2^16-entry chunks
-    of the cumsum, not the whole.  _exact_sum sums it in numpy, to fsum's
-    correctly rounded double bit for bit, and the rest is summed term by
-    term with compensation.
-
-    When every index falls short (base + the cumsum's last entry is more
-    than that drift below the target), no exact sum crosses either, and no
-    sum is taken: the result is (False, len, p, p) with p = base + that last
-    entry, within (len-1)u * total of the exact sum of values, plus the one
-    rounding of adding base.  The fold discards the partial sums of a slice
-    that does not cross, so only the oracle reports such a p.
+    A correct rounding of a sum that gains a term >= 0 never falls, so P_k
+    is monotone in k.  The scan keeps the exact parts (_exact_parts) of the
+    values it has passed, a _SUM_CHUNK-entry chunk at a time, and bisects
+    the chunk whose parts first reach target, adding the parts of each half
+    that falls short: the memory of one chunk and its parts, and every P_k
+    it reports is fsum of exact parts, fsum's own double.
     """
-    if sums is None:
-        sums = _cumsum_ends(values)
-    total = float(sums[0][-1])
-    drift = 2.3e-16 * len(values) * total
-    start = _search_cumsum(values, sums, target - base - drift)
-    if start == len(values):
-        partial = base + total
-        return False, len(values), partial, partial
-    acc = CompensatedSum(base)
-    acc.add(_exact_sum(values[:start]))
-    prev = acc.value
-    for k in range(start, len(values)):
-        prev = acc.value
-        acc.add(float(values[k]))
-        if acc.value >= target:
-            return True, k + 1, acc.value, prev
-    return False, len(values), acc.value, prev
+    parts = [base]
+    for k in range(0, len(values), _SUM_CHUNK):
+        chunk = values[k:k + _SUM_CHUNK]
+        more = _exact_parts(chunk)
+        if math.fsum(parts + more) < target:
+            parts += more
+            continue
+        lo, hi = 0, len(chunk)  # parts: base + values[:k+lo]; P_(k+hi) >= target
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            more = _exact_parts(chunk[lo:mid])
+            if math.fsum(parts + more) < target:
+                parts += more
+                lo = mid
+            else:
+                hi = mid
+        return True, k + hi, math.fsum(parts + [float(chunk[lo])]), math.fsum(parts)
+    total = math.fsum(parts)
+    return False, len(values), total, total
 
 
 class _BruteForceOracle:
@@ -722,23 +676,26 @@ class _BruteForceOracle:
 
     Each attempt materializes every product of its truncation lengths and
     sorts them in place, so the grid of 8 bytes per entry (at most 80 MB at
-    _BRUTE_GRID_CAP) is the only array of its length alive during a call.
-    Beside it the oracle keeps only the grid's _cumsum_ends, one value per
-    2^16 entries and the last 2^16-entry chunk's cumsum, which the scans for
-    n and, when uncertified, for n_low share: each finds its provably-short
-    prefix from them and one chunk's cumsum, carried so that it rounds
-    exactly as one np.cumsum of the whole grid would (_carried_cumsum).
-    The grid depends on epsilon only through those lengths: the first
-    attempt's come from tol = 0.01/d and the grid cap alone.  So the oracle
-    keeps the last attempt's lengths, descending grid, cumsum ends and log
-    kept mass for the next call, and drops them before it builds a grid for
-    other lengths: at most one grid is alive.
+    _BRUTE_GRID_CAP) is the only array of its length alive during a call:
+    the scans for n and, when uncertified, for n_low (_first_reaching) hold
+    one chunk beside it.  The grid depends on epsilon only through those
+    lengths: the first attempt's come from tol = 0.01/d and the grid cap
+    alone.  So the oracle keeps the last attempt's lengths, descending grid
+    and log kept mass for the next call, and drops them before it builds a
+    grid for other lengths: at most one grid is alive.
+
+    When the last grid does not cross (a declared tail, a cap or the attempt
+    limit stops the refinement), its size bounds nothing, and the call raises
+    BudgetExceededError: the kept mass a top set misses is at most the
+    grid's lost mass, so a top set of the grid short of low(lost)
+    (_Target.low) leaves its exact counterpart short of the threshold, and
+    n_lower is the size of the largest such set.
     """
 
     def __init__(self, problem: ProductProblem):
         self.problem = problem
         self._lengths = None
-        self._grid = None  # (descending grid, its _cumsum_ends, log kept mass)
+        self._grid = None  # (descending grid, log kept mass)
 
     def _lengths_at(self, tol):
         return [min(c.truncate(tol), _BRUTE_COORD_CAP)
@@ -753,12 +710,11 @@ class _BruteForceOracle:
             for arr in grids:
                 prod = np.multiply.outer(prod, arr).ravel()
             prod.sort()  # in place; prod[::-1].sort() would copy the whole grid
-            order = prod[::-1]
             log_kept = math.fsum(
                 math.log(max(float(np.sum(g)) / (c.trace() / c.leading()), 1e-300))
                 for g, c in zip(grids, coords)
             )
-            self._grid = (order, _cumsum_ends(order), log_kept)
+            self._grid = (prod[::-1], log_kept)
             self._lengths = lengths
         return self._grid
 
@@ -780,17 +736,17 @@ class _BruteForceOracle:
                 break  # certification needs a grid the cap cannot hold
             if lengths != built:  # a tol that drops no more just shrinks again
                 built = lengths
-                order, sums, log_kept = self._sorted_grid(lengths)
+                order, log_kept = self._sorted_grid(lengths)
                 pops += len(order)
                 t_mass = target.lost(log_kept)
-                crossed, n, partial, prev = _first_reaching(order, threshold, sums=sums)
+                crossed, n, partial, prev = _first_reaching(order, threshold)
                 certified = target.certified(crossed, prev, t_mass)
-                n_low = n if certified else _first_reaching(
-                    order, target.low(t_mass), sums=sums)[1]
+                reached, n_low = (True, n) if certified else _first_reaching(
+                    order, target.low(t_mass))[:2]
                 del order  # so that _sorted_grid can free this grid before the next
                 result = target.result(n, partial, certified, pops, n_low)
                 if certified or t_mass <= 0.0:
-                    return result
+                    break
                 if crossed:
                     # jump straight to a tolerance that makes the total truncation
                     # mass comfortably smaller than the observed margin
@@ -799,6 +755,9 @@ class _BruteForceOracle:
                 else:
                     need = tol * 0.0625  # kept mass below threshold: just add length
             tol = max(min(need, tol * 0.25), 1e-16)
+        if not crossed:  # the last grid's size bounds nothing; its short top sets do
+            raise BudgetExceededError("the oracle's grid falls short of the threshold",
+                                      n_lower=n_low - reached, pops=pops)
         return result
 
 
@@ -806,6 +765,7 @@ def brute_force_complexity(problem: ProductProblem, epsilon: float) -> Complexit
     """Oracle engine: materialize every truncated product, sort, scan.
 
     Makes info_complexity's decision (_Target) on that grid, which caps it
-    to small d.  A one-shot call of the problem's oracle, _BruteForceOracle,
+    to small d, and raises BudgetExceededError when its last grid does not
+    cross.  A one-shot call of the problem's oracle, _BruteForceOracle,
     which serves every eps from the grids it builds."""
     return _BruteForceOracle(problem)(epsilon)

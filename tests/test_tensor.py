@@ -605,20 +605,16 @@ class TestOracleAgreement:
 class TestOracleUncrossed:
     @pytest.mark.parametrize("eps, n_low", [(0.5, 4), (0.1, 89)])
     def test_grid_that_never_crosses(self, eps, n_low):
-        # the declared tail keeps the whole capped grid below the threshold
+        # the declared tail keeps the whole capped grid (999,999 Korobov
+        # values, the per-coordinate cap, times (1, 0.5)) below the
+        # threshold, so its size bounds nothing: the oracle raises, and the
+        # top n_low - 1 products, short of the threshold less the lost mass,
+        # are the proved lower bound
         korobov = KorobovSpectrum(0.5, 1.0)
         p = ProductProblem((korobov, ExplicitSpectrum((1.0, 0.5), tail=1.0)))
-        res = brute_force_complexity(p, eps)
-        assert (res.n, res.certified, res.n_low, res.n_high, res.pops) == (
-            1_999_998, False, n_low, 1_999_998, 3_321_482)
-        # the last grid: 999,999 Korobov values (the per-coordinate cap)
-        # times (1, 0.5), at scale 1 (both leading values are 1); its
-        # partial sum comes from a cumsum, within (len - 1) u of the exact sum
-        grid = [v * w for v in korobov.dense_values(1e-300, 999_999)
-                for w in (1.0, 0.5)]
-        exact = math.fsum(grid)
-        assert p.log_leading() == 0.0
-        assert abs(res.partial_sum - exact) <= (len(grid) - 1) * 2.0**-53 * exact
+        with pytest.raises(BudgetExceededError) as exc:
+            brute_force_complexity(p, eps)
+        assert (exc.value.n_lower, exc.value.pops) == (n_low - 1, 3_321_482)
 
 
 class TestOracleRefinement:
@@ -655,6 +651,8 @@ class TestPerProblemOracle:
     def outcome(oracle, eps):
         try:
             return oracle(eps)
+        except BudgetExceededError as exc:
+            return f"over budget: n_lower {exc.n_lower}, pops {exc.pops}"
         except GridSizeError as exc:
             return str(exc)
 
@@ -671,8 +669,9 @@ class TestPerProblemOracle:
                 assert got == fresh == self.outcome(
                     lambda e: brute_force_complexity(p, e), eps)
                 outcomes.append(got)
+        # both errors occur: no grid fits, and a last grid does not cross
         errors = {o.split(" ", 1)[0] for o in outcomes if isinstance(o, str)}
-        assert errors == {"no"}
+        assert errors == {"no", "over"}
         assert any(not o.certified for o in outcomes if not isinstance(o, str))
 
     def test_one_grid_serves_three_eps(self, monkeypatch):
@@ -695,39 +694,35 @@ class TestPerProblemOracle:
         assert all(r.certified and r.pops == 2430 for r in results)
 
 
-def _cs_first_reaching(values, target, base=0.0):
-    """The scan _first_reaching makes, on one full np.cumsum: the reference
-    that its chunked cumsum must match bit for bit."""
-    import numpy as np
-    from tractlab.numutil import CompensatedSum
+def _fsum_prefixes(values, base):
+    """[P_0, ..., P_len] with P_k = math.fsum([base] + values[:k]), by brute
+    force: exact running sums in units of 2^-1074 (every double is a whole
+    number of them), each rounded once by Python's int division."""
+    unit = 1 << 1074
 
-    cs = np.cumsum(values)
-    drift = 2.3e-16 * len(values) * float(cs[-1])
-    start = int(np.searchsorted(cs, target - base - drift))
-    if start == len(values):
-        partial = base + float(cs[-1])
-        return False, len(values), partial, partial
-    acc = CompensatedSum(base)
-    acc.add(math.fsum(values[:start]))
-    prev = acc.value
-    for k in range(start, len(values)):
-        prev = acc.value
-        acc.add(float(values[k]))
-        if acc.value >= target:
-            return True, k + 1, acc.value, prev
-    return False, len(values), acc.value, prev
+    def scaled(x):
+        num, den = float(x).as_integer_ratio()
+        return num * (unit // den)
+
+    acc = scaled(base)
+    out = [acc / unit]
+    for x in values.tolist():
+        acc += scaled(x)
+        out.append(acc / unit)
+    return out
 
 
-class TestChunkedCumsum:
-    """The scan holds at most two 2^16-entry chunks of the cumsum, not the
-    whole, and finds what one full np.cumsum would, bit for bit."""
+class TestFirstReaching:
+    """The scan reports the first k >= 1 whose correctly rounded prefix sum
+    P_k = fsum([base] + values[:k]) reaches the target, with P_k and
+    P_(k-1), or (False, len, P_len, P_len) when none does."""
 
-    CHUNK = 1 << 16
+    CHUNK = 1 << 14
 
     @staticmethod
     def values(length, seed):
         # non-increasing and non-negative: runs of tied values, values the
-        # running sum absorbs (1e-18) and zeros, so the cumsum ties too
+        # running sum absorbs (1e-18) and zeros, so the prefix sums tie too
         import numpy as np
 
         rng = np.random.default_rng(seed)
@@ -738,59 +733,49 @@ class TestChunkedCumsum:
             np.zeros(length // 8 + 1)))
         return np.sort(rng.choice(pool, length, replace=False))[::-1]
 
-    def targets(self, cs):
-        # exact cumsum entries at both ends and around every chunk boundary,
-        # their neighbouring doubles, and values past either end
+    @pytest.mark.parametrize("length", [
+        1, (1 << 14) - 1, 1 << 14, (1 << 14) + 1, 3 * (1 << 14) + 5,
+        (1 << 16) - 1, 1 << 16, (1 << 16) + 1, 3 * (1 << 16) + 5])
+    def test_matches_the_fsum_scan(self, length):
         import numpy as np
-
-        idx = {0, len(cs) - 1, len(cs) // 2}
-        for k in range(self.CHUNK, len(cs) + 1, self.CHUNK):
-            idx.update(i for i in (k - 2, k - 1, k, k + 1) if 0 <= i < len(cs))
-        picks = np.array([cs[i] for i in sorted(idx)])
-        return np.concatenate((picks, np.nextafter(picks, -np.inf),
-                               np.nextafter(picks, np.inf),
-                               [-1.0, 0.0, 2 * cs[-1] + 1]))
-
-    @pytest.mark.parametrize("length", [1, (1 << 16) - 1, 1 << 16, (1 << 16) + 1,
-                                        3 * (1 << 16) + 5])
-    def test_search_equals_searchsorted_over_the_whole_cumsum(self, length):
-        import numpy as np
-        from tractlab.tensor import _cumsum_ends, _search_cumsum
-
-        v = self.values(length, length)
-        cs = np.cumsum(v)
-        sums = ends, tail = _cumsum_ends(v)
-        last = np.minimum(np.arange(1, len(ends) + 1) * self.CHUNK, length) - 1
-        assert np.array_equal(ends, cs[last])
-        assert np.array_equal(tail, cs[(len(ends) - 1) * self.CHUNK:])
-        assert length == 1 or len(np.unique(cs)) < length  # the cumsum holds ties
-        for x in self.targets(cs):
-            assert _search_cumsum(v, sums, x) == np.searchsorted(cs, x)
-
-    @pytest.mark.parametrize("length", [1, (1 << 16) - 1, 1 << 16, (1 << 16) + 1,
-                                        3 * (1 << 16) + 5])
-    def test_first_reaching_matches_the_full_cumsum_scan(self, length):
-        import numpy as np
-        from tractlab.tensor import _cumsum_ends, _first_reaching
+        from tractlab.tensor import _first_reaching
 
         v = self.values(length, length + 1)
-        cs = np.cumsum(v)
-        sums = _cumsum_ends(v)
         for base in (0.0, 0.375):
-            for x in self.targets(cs):
-                want = _cs_first_reaching(v, base + x, base)
-                assert _first_reaching(v, base + x, base) == want
-                assert _first_reaching(v, base + x, base, sums=sums) == want
+            sums = _fsum_prefixes(v, base)
+            assert length == 1 or len(set(sums)) < length  # the sums tie
+            # exact P_k at both ends and around every chunk boundary, their
+            # neighbouring doubles, and targets past either end
+            idx = {1, length, length // 2 + 1}
+            for k in range(self.CHUNK, length + 1, self.CHUNK):
+                idx.update(i for i in (k - 1, k, k + 1, k + 2) if 1 <= i <= length)
+            picks = [math.fsum([base] + v[:i].tolist()) for i in sorted(idx)]
+            assert picks == [sums[i] for i in sorted(idx)]
+            targets = np.concatenate((picks, np.nextafter(picks, -np.inf),
+                                      np.nextafter(picks, np.inf),
+                                      [base - 1.0, base, 2 * sums[-1] + 1]))
+            later = np.array(sums[1:])
+            for x in targets.tolist():
+                k = int(np.searchsorted(later, x)) + 1  # first k >= 1 reaching x
+                want = ((True, k, sums[k], sums[k - 1]) if k <= length
+                        else (False, length, sums[-1], sums[-1]))
+                assert _first_reaching(v, x, base) == want
+            # base >= target crosses at k = 1; a scan that does not cross
+            # reports its total
+            assert _first_reaching(v, base, base) == (True, 1, sums[1], base)
+            assert _first_reaching(v, 2 * sums[-1] + 1, base) == (
+                False, length, sums[-1], sums[-1])
 
 
 class TestExactSum:
-    """_exact_sum equals math.fsum bit for bit, in a few chunks' memory."""
+    """fsum of _exact_parts equals math.fsum bit for bit: the parts sum
+    exactly to the values, in a few chunks' memory."""
 
     @staticmethod
     def assert_fsum(x):
-        from tractlab.tensor import _exact_sum
+        from tractlab.tensor import _exact_parts
 
-        got, want = _exact_sum(x), math.fsum(x)
+        got, want = math.fsum(_exact_parts(x)), math.fsum(x)
         assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
 
     @pytest.mark.parametrize("length", [0, 1, (1 << 16) - 1, 1 << 16, (1 << 16) + 1,
@@ -836,11 +821,25 @@ class TestExactSum:
         self.assert_fsum(v)
         self.assert_fsum(v[::-1])
 
+    def test_low_bits_break_a_tie(self):
+        import numpy as np
+
+        # powers of two summing to 2^-53, with 2^-60 + 2^-112 merged into
+        # one value y and 2^-140 + 2^-192 added as v: both carry low
+        # mantissa bits, 80 binary orders apart.  Without the 2^-192 the sum
+        # is the tie 1 + 2^-53, which rounds to 1; with it, fsum rounds up
+        y, v = 2.0 ** -60 + 2.0 ** -112, 2.0 ** -140 + 2.0 ** -192
+        x = [1.0, y, 2.0 ** -140, v] + [2.0 ** -j for j in range(54, 140)
+                                        if j not in (60, 112)]
+        assert math.fsum(x) == 1.0 + 2.0 ** -52
+        self.assert_fsum(np.sort(x)[::-1])
+        self.assert_fsum(np.array(x))
+
     def test_a_long_prefix_traces_under_two_megabytes(self):
         import tracemalloc
 
         import numpy as np
-        from tractlab.tensor import _exact_sum
+        from tractlab.tensor import _exact_parts
 
         v = np.sort(np.random.default_rng(7).random(800_000) ** 6)[::-1]
         tracing = tracemalloc.is_tracing()
@@ -849,7 +848,7 @@ class TestExactSum:
         try:
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            _exact_sum(v)
+            _exact_parts(v)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             if not tracing:
@@ -882,12 +881,13 @@ class TestOracleMemory:
         try:
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            res = _BruteForceOracle(p)(0.1)
+            with pytest.raises(BudgetExceededError) as exc:  # the grid does not cross
+                _BruteForceOracle(p)(0.1)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             if not tracing:
                 tracemalloc.stop()
-        assert res.pops == self.GRID
+        assert exc.value.pops == self.GRID
         # the grid is 8 bytes per entry; a second array of its length (a
         # full cumsum, a sorting copy) would take the peak to about 2x
         assert peak < 1.25 * 8 * self.GRID
@@ -902,19 +902,14 @@ class TestOracleMemory:
         assert (res.n, res.certified, res.n_low, res.n_high) == (
             5_996_204, True, 5_996_204, 5_996_204)
 
-    @pytest.mark.xfail(strict=True, reason="a grid that does not cross reports its "
-                       "size as n_high, which is no upper bound")
     def test_oracle_bracket_holds_the_answer(self):
-        # the capped grid falls short at eps 0.1: today the oracle returns
-        # n = n_high = 3,437,610, uncertified, with n_low 782,849, below the
-        # engine's certified 5,996,204
+        # the capped grid of 3,437,610 products falls short at eps 0.1, so
+        # its size is no upper bound: the oracle raises, with a lower bound
+        # below the engine's certified 5,996,204
         answer = self.engine_answer().n
-        try:
-            res = _BruteForceOracle(_verify_instance_7())(0.1)
-        except BudgetExceededError as exc:
-            assert exc.n_lower < answer
-        else:
-            assert res.n_low <= answer <= res.n_high
+        with pytest.raises(BudgetExceededError) as exc:
+            _BruteForceOracle(_verify_instance_7())(0.1)
+        assert exc.value.n_lower == 782_848 < answer
 
 
 class TestResultInvariants:
