@@ -23,6 +23,7 @@ provably cannot move the integer answer.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -154,7 +155,9 @@ class ProductProblem:
 
 
 def _coordinate_tables(coords: Sequence[Tuple[Spectrum, int]]) -> list:
-    """Normalized log eigenvalue accessors of (spectrum, length) pairs."""
+    """Normalized log eigenvalue accessors of (spectrum, length) pairs: a
+    table for lengths up to 4096, built eagerly, and past that a memoized
+    call, since the heap asks for the same few values once per child."""
     logb = []
     for src, length in coords:
         base = src.log_eigenvalue(1)
@@ -162,7 +165,8 @@ def _coordinate_tables(coords: Sequence[Tuple[Spectrum, int]]) -> list:
             table = [src.log_eigenvalue(j) - base for j in range(1, length + 1)]
             logb.append(table.__getitem__)  # 0-based
         else:
-            logb.append(lambda j0, s=src, b=base: s.log_eigenvalue(j0 + 1) - b)
+            logb.append(functools.lru_cache(maxsize=None)(
+                lambda j0, s=src, b=base: s.log_eigenvalue(j0 + 1) - b))
     return logb
 
 
@@ -406,13 +410,25 @@ def _heap_scan(spectra, target, low, pops_left):
 
 def _dense_fold(prod, v, floor, max_entries):
     """Every product >= floor of a value of prod and one of v (non-increasing
-    from 1), unordered; products < floor drop, as further factors are <= 1."""
-    counts = np.searchsorted(-v, -(floor / prod), side="right")
-    total = int(counts.sum())
+    from exactly 1), unordered; products < floor drop, as further factors are
+    <= 1.  A value of prod times v[0] = 1 is itself, so the entries of prod
+    that reach the floor are copied once, and only the rows that reach past
+    v[0] (floor / prod <= v[1]) are searched and multiplied out: in a short
+    column's fold most rows meet only its 1."""
+    need = floor / prod  # the least factor that keeps a row's products
+    lead = prod[need <= 1.0]
+    reach = need <= v[1]
+    rows, tail = prod[reach], v[1:]
+    counts = np.searchsorted(-tail, -need[reach], side="right")
+    start = len(lead)
+    total = start + int(counts.sum())
     if total > max_entries:
         raise BudgetExceededError("dense enumeration exceeded its memory budget")
-    idx = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-    return np.repeat(prod, counts) * v[idx]
+    idx = np.arange(total - start) - np.repeat(np.cumsum(counts) - counts, counts)
+    out = np.empty(total)
+    out[:start] = lead
+    np.multiply(np.repeat(rows, counts), tail[idx], out=out[start:])
+    return out
 
 
 def _two_sides(cols, floor, max_entries):
@@ -648,7 +664,10 @@ def _first_reaching(values, target, base=0.0):
     values it has passed, a _SUM_CHUNK-entry chunk at a time, and bisects
     the chunk whose parts first reach target, adding the parts of each half
     that falls short: the memory of one chunk and its parts, and every P_k
-    it reports is fsum of exact parts, fsum's own double.
+    it reports is fsum of exact parts, fsum's own double.  The bisection
+    first splits where the chunk's np.cumsum crosses, then next to it: the
+    exact parts still decide each split, so a wrong guess costs only a
+    step, and a right one ends the search after two.
     """
     parts = [base]
     for k in range(0, len(values), _SUM_CHUNK):
@@ -658,8 +677,12 @@ def _first_reaching(values, target, base=0.0):
             parts += more
             continue
         lo, hi = 0, len(chunk)  # parts: base + values[:k+lo]; P_(k+hi) >= target
+        # splits first at np.cumsum's crossing and next to it, a guess that
+        # the exact parts check like any other split
+        guess = int(np.searchsorted(np.cumsum(chunk), target - math.fsum(parts)))
+        tries = iter((guess, guess + 1, guess - 1))
         while hi - lo > 1:
-            mid = (lo + hi) // 2
+            mid = next((t for t in tries if lo < t < hi), (lo + hi) // 2)
             more = _exact_parts(chunk[lo:mid])
             if math.fsum(parts + more) < target:
                 parts += more

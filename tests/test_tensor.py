@@ -404,6 +404,20 @@ class TestInfoComplexity:
                 for k in [len(x) - 1] + list(rng.integers(0, len(x), 5)):
                     assert sums[k] == math.fsum(x[: k + 1])
 
+    def test_heap_computes_each_long_coordinate_value_once(self, monkeypatch):
+        # g_k = k^-3, d = 20 at eps 0.1 (a large_answers point): the heap's
+        # accessor of a coordinate cut past 4096 values computes each log
+        # value once, not once per heap child (19,792 calls for 254 values)
+        calls = []
+        log_eigenvalue = KorobovSpectrum.log_eigenvalue
+        monkeypatch.setattr(KorobovSpectrum, "log_eigenvalue",
+                            lambda self, j: calls.append(j) or log_eigenvalue(self, j))
+        p = ProductProblem(tuple(KorobovSpectrum(k**-3.0, 1.0) for k in range(1, 21)))
+        res = info_complexity(p, 0.1)
+        assert (res.n, res.certified, res.n_low, res.n_high, res.pops) == (
+            226_190, True, 226_190, 226_190, 230_831)
+        assert len(calls) < 1000
+
     def test_budget_rejects_non_positive_limits(self):
         # limits that are not integers would fail deep in the fold instead
         for kwargs in ({"n_max": 0}, {"n_max": -1}, {"heap_bytes": 0},
@@ -411,6 +425,104 @@ class TestInfoComplexity:
                        {"heap_bytes": 1e9}, {"heap_bytes": False}):
             with pytest.raises(DomainError):
                 Budget(**kwargs)
+
+
+def _pairwise_fold(prod, v, floor, max_entries):
+    """_dense_fold by one search of every row in the whole column, its
+    leading 1 included: the reference for which pairs a fold keeps."""
+    import numpy as np
+
+    counts = np.searchsorted(-v, -(floor / prod), side="right")
+    total = int(counts.sum())
+    if total > max_entries:
+        raise BudgetExceededError("dense enumeration exceeded its memory budget")
+    idx = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
+    return np.repeat(prod, counts) * v[idx]
+
+
+class TestDenseFold:
+    """_dense_fold copies the side's products that meet a column's leading 1
+    and multiplies out only the rows that reach its second value: sorted, the
+    same doubles, bit for bit, as searching every row in the whole column."""
+
+    @staticmethod
+    def assert_pairwise(prod, v, floor):
+        import numpy as np
+        from tractlab.tensor import _dense_fold
+
+        got = np.sort(_dense_fold(prod, v, floor, 1 << 30))
+        want = np.sort(_pairwise_fold(prod, v, floor, 1 << 30))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        return len(want)
+
+    def test_korobov_columns(self):
+        a, b, c = (KorobovSpectrum(g, r) for g, r in ((0.5, 1.0), (0.3, 1.5), (0.01, 1.0)))
+        for floor in (1e-2, 1e-4):
+            side = a.dense_values(floor, 10**6)
+            assert self.assert_pairwise(side, b.dense_values(floor, 10**6), floor) > len(side)
+            folded = _pairwise_fold(side, b.dense_values(floor, 10**6), floor, 1 << 30)
+            # a short column: most products meet only its leading 1
+            self.assert_pairwise(folded, c.dense_values(floor, 10**6), floor)
+
+    def test_explicit_columns_with_ties(self):
+        side = ExplicitSpectrum((1.0, 0.5, 0.5, 0.25, 0.25)).dense_values(1e-3, 10)
+        col = ExplicitSpectrum((4.0, 2.0, 2.0, 1.0, 1.0, 1.0, 0.5)).dense_values(1e-3, 10)
+        for floor in (0.5, 0.25, 0.125, 1 / 32, 1e-3):
+            self.assert_pairwise(side, col, floor)
+
+    def test_rows_an_ulp_either_side_of_the_floor(self):
+        # a row just below the floor keeps nothing, not even its product
+        # with the leading 1; rows at the level each later value needs, and
+        # their neighbours, keep that value or not as the full search does
+        import numpy as np
+
+        floor = 0.01
+        v = KorobovSpectrum(0.5, 1.0).dense_values(0.1, 10**3)
+        levels = [floor] + [floor / x for x in v[1:4]]
+        prod = np.array([x for y in levels for x in
+                         (math.nextafter(y, 0.0), y, math.nextafter(y, 1.0))])
+        assert self.assert_pairwise(prod, v, floor) > len(prod) - 1
+        below = np.full(3, math.nextafter(floor, 0.0))
+        assert self.assert_pairwise(below, v, floor) == 0
+
+    def test_a_column_that_no_row_reaches_past_its_1(self):
+        import numpy as np
+
+        prod = np.array([0.019, 0.015, 0.011])
+        v = np.array([1.0, 0.5, 0.25])
+        assert self.assert_pairwise(prod, v, 0.01) == len(prod)
+
+    def test_budget_error_at_the_same_total(self):
+        from tractlab.tensor import _dense_fold
+
+        a, b = KorobovSpectrum(0.5, 1.0), KorobovSpectrum(0.3, 1.5)
+        side, col = a.dense_values(1e-4, 10**6), b.dense_values(1e-4, 10**6)
+        total = self.assert_pairwise(side, col, 1e-4)
+        for fold in (_dense_fold, _pairwise_fold):
+            assert len(fold(side, col, 1e-4, total)) == total
+            with pytest.raises(BudgetExceededError):
+                fold(side, col, 1e-4, total - 1)
+
+    def test_two_sides_on_the_large_answers_final_folds(self, monkeypatch):
+        # the timed points of perfbench's large_answers at seed 0
+        import numpy as np
+        import tractlab.tensor as tensor_mod
+
+        calls = []
+        two_sides = tensor_mod._two_sides
+        monkeypatch.setattr(tensor_mod, "_two_sides",
+                            lambda *args: calls.append(args) or two_sides(*args))
+        curse = (KorobovSpectrum(0.5, 1.0),) * 6
+        strong = tuple(KorobovSpectrum(k**-3.0, 1.0) for k in range(1, 21))
+        for coords, eps in ((curse, 0.5), (curse, 0.45), (strong, 0.1)):
+            calls.clear()
+            assert info_complexity(ProductProblem(coords), eps).certified
+            got = two_sides(*calls[-1])
+            with monkeypatch.context() as m:
+                m.setattr(tensor_mod, "_dense_fold", _pairwise_fold)
+                want = two_sides(*calls[-1])
+            for a, b in zip(got, want):
+                assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 class TestTopEigenvalues:
@@ -765,6 +877,27 @@ class TestFirstReaching:
             assert _first_reaching(v, base, base) == (True, 1, sums[1], base)
             assert _first_reaching(v, 2 * sums[-1] + 1, base) == (
                 False, length, sums[-1], sums[-1])
+
+    def test_a_crossing_where_np_cumsum_crosses_takes_two_splits(self, monkeypatch):
+        # the bisection first splits where the chunk's np.cumsum crosses, then
+        # next to it: one exact sum per chunk reached, and two splits, even
+        # at a target equal to a prefix sum, which np.cumsum may round below
+        import numpy as np
+        import tractlab.tensor as tensor_mod
+
+        calls = []
+        exact_parts = tensor_mod._exact_parts
+        monkeypatch.setattr(tensor_mod, "_exact_parts",
+                            lambda x: calls.append(len(x)) or exact_parts(x))
+        rng = np.random.default_rng(3)
+        v = np.sort(rng.uniform(0.0, 1.0, 3 * self.CHUNK + 5))[::-1]
+        sums = _fsum_prefixes(v, 0.0)
+        for k in [1, self.CHUNK, self.CHUNK + 1, len(v)] + rng.integers(
+                1, len(v), 40).tolist():
+            calls.clear()
+            assert tensor_mod._first_reaching(v, sums[k]) == (
+                True, k, sums[k], sums[k - 1])
+            assert len(calls) <= (k - 1) // self.CHUNK + 3
 
 
 class TestExactSum:
