@@ -180,25 +180,29 @@ def _stream_normalized(
 
     Only indices whose value is >= exp(log_floor) are visited; children
     below the floor are pruned, which is safe because values are
-    non-increasing along every successor edge.
+    non-increasing along every successor edge.  An entry (-log v, z,
+    first) carries the last position of z above index 1 (0-based, or 0),
+    the first its children may increment (z is unique: first is never
+    compared).  Past first, z sits at index 1, where a child's value is
+    exactly logv + logb[i](1); once logv + reach[i], the largest such step
+    at or after i, is below the floor, every later child would be pruned
+    and the loop stops, so the stream is that of the unpruned loop.  With
+    non-increasing weights a pop reads about as many values as it keeps
+    children, not d.
     """
     logb, lengths = _coordinate_tables(coords), [m for _c, m in coords]
     d = len(coords)
-    start = (1,) * d
-    heap = [(-0.0, start)]
+    steps = [logb[i](1) if lengths[i] > 1 else -math.inf for i in range(d)]
+    reach = list(itertools.accumulate(steps[::-1], max))[::-1]
+    heap = [(-0.0, (1,) * d, 0)]
     while heap:
-        neg, z = heapq.heappop(heap)
+        neg, z, first = heapq.heappop(heap)
         logv = -neg
         yield z, logv
-        # last coordinate sitting above index 1 (0-based); successors may
-        # only increment positions at or after it
-        first = 0
-        for i in range(d - 1, -1, -1):
-            if z[i] > 1:
-                first = i
-                break
         for i in range(first, d):
             ji = z[i]
+            if ji == 1 and logv + reach[i] < log_floor:
+                break
             if ji >= lengths[i]:
                 continue
             child_log = logv - logb[i](ji - 1) + logb[i](ji)
@@ -209,7 +213,7 @@ def _stream_normalized(
                     "enumeration heap exceeded its memory budget",
                     n_lower=0,
                 )
-            heapq.heappush(heap, (-child_log, z[:i] + (ji + 1,) + z[i + 1 :]))
+            heapq.heappush(heap, (-child_log, z[:i] + (ji + 1,) + z[i + 1 :], i))
 
 
 def _cut(spectra, tol: float, log_floor: float):
@@ -409,24 +413,23 @@ def _heap_scan(spectra, target, low, pops_left):
 
 
 def _dense_fold(prod, v, floor, max_entries):
-    """Every product >= floor of a value of prod and one of v (non-increasing
-    from exactly 1), unordered; products < floor drop, as further factors are
-    <= 1.  A value of prod times v[0] = 1 is itself, so the entries of prod
-    that reach the floor are copied once, and only the rows that reach past
-    v[0] (floor / prod <= v[1]) are searched and multiplied out: in a short
-    column's fold most rows meet only its 1."""
+    """Every product >= floor of a value of prod, each >= floor (as
+    _two_sides's sides are), and one of v (non-increasing from exactly 1),
+    unordered; products < floor drop, as further factors are <= 1.  A value
+    of prod times v[0] = 1 is itself, so prod is copied whole, and only the
+    rows that reach past v[0] (floor / prod <= v[1]) are searched and
+    multiplied out: in a short column's fold most rows meet only its 1."""
     need = floor / prod  # the least factor that keeps a row's products
-    lead = prod[need <= 1.0]
     reach = need <= v[1]
     rows, tail = prod[reach], v[1:]
     counts = np.searchsorted(-tail, -need[reach], side="right")
-    start = len(lead)
+    start = len(prod)
     total = start + int(counts.sum())
     if total > max_entries:
         raise BudgetExceededError("dense enumeration exceeded its memory budget")
     idx = np.arange(total - start) - np.repeat(np.cumsum(counts) - counts, counts)
     out = np.empty(total)
-    out[:start] = lead
+    out[:start] = prod
     np.multiply(np.repeat(rows, counts), tail[idx], out=out[start:])
     return out
 
@@ -515,6 +518,7 @@ class _LevelFold:
         self._ends = np.concatenate((self.col, [0.0, math.inf]))  # empty-slice pads
         self.prefix = np.concatenate(([0.0], _prefix_sums(self.col, descending=True)))
         self.bottom = self.counts(floor)
+        self.total = float(self.mass(self.rows, self.bottom).sum())  # all it holds
 
     def counts(self, level):
         """c_i = #{j : col_j >= level / rows_i}, per row."""
@@ -527,33 +531,49 @@ class _LevelFold:
     def first_reaching(self, target, upper):
         """(n, partial_n, partial_(n-1), count at the final lower level) for
         the first n whose top-n sum reaches target, or None.
-        Bisects the levels between the floor and ``upper`` until at most
+        Splits the levels between the floor and ``upper`` until at most
         _SLICE_ENTRIES values lie between them or they all tie;
-        _first_reaching then decides on that sorted slice."""
-        rows, lo = self.rows, self.bottom
+        _first_reaching then decides on that sorted slice.  With the
+        slice's values in [b, a], a split aims where the mass, linear in
+        ln(level) between the sums at the slice's ends, reaches target,
+        within the middle 80% of ln(a/b); after an aimed split that did not
+        halve the slice, the next is at sqrt(ab).  No split widens ln(a/b)
+        and each sqrt(ab) halves it, from ln(1 / 1e-300) < 700 to a tie's
+        2^-40 in at most 50: with the aimed splits that halve the slice, at
+        most 101 + log2(slice / 2^16) rounds.  The splits move the count at
+        the final lower level and, within _total's few u, the sum above the
+        slice's values."""
+        rows, lo, lo_mass = self.rows, self.bottom, self.total
         hi = self.counts(upper)
 
-        def reaches(counts):
+        def mass_at(counts):
             terms = self.mass(rows, counts)
             total = float(terms.sum())
             # any summation order errs by at most (k-1)u of the sum, so only
             # a total this close to the target needs the compensated sum
             if abs(total - target) <= 2.3e-16 * (len(terms) + 4) * total:
                 total = _total(terms)
-            return total >= target
+            return total
 
-        if reaches(hi):
-            hi = np.zeros_like(lo)
-        while int((lo - hi).sum()) > _SLICE_ENTRIES:
+        hi_mass = mass_at(hi)
+        if hi_mass >= target:
+            hi, hi_mass = np.zeros_like(lo), 0.0
+        size, aim = int((lo - hi).sum()), True
+        while size > _SLICE_ENTRIES:
             a = float((rows * self._ends[hi]).max())  # largest value in the slice
             b = float((rows * self._ends[lo - 1]).min())  # smallest
             if a <= b * (1.0 + 2.0 ** -40):
                 break  # one tied value fills the slice: no level splits it
-            mid = self.counts(math.sqrt(a) * math.sqrt(b))
-            if reaches(mid):
-                lo = mid
+            share = (min(max((target - hi_mass) / (lo_mass - hi_mass), 0.1), 0.9)
+                     if aim and lo_mass > hi_mass else 0.5)
+            mid = self.counts(a * (b / a) ** share)
+            mass = mass_at(mid)
+            if mass >= target:
+                lo, lo_mass = mid, mass
             else:
-                hi = mid
+                hi, hi_mass = mid, mass
+            last, size = size, int((lo - hi).sum())
+            aim = not aim or 2 * size <= last
         z = max(int(np.searchsorted(hi, 1)) - 1, 0)  # counts ascend with rows
         base = _total(self.mass(rows[z:], hi[z:]))
         width = lo - hi
@@ -598,8 +618,7 @@ def _fold_decide(spectra, goal, low, kept, upper, budget, pops):
         floor = max(upper * math.exp(-step), 1e-300)
         fold = _LevelFold(spectra, floor, max_entries, budget.n_max + 1)
         floor = fold.floor
-        count = int(fold.bottom.sum())
-        total = float(fold.mass(fold.rows, fold.bottom).sum())
+        count, total = int(fold.bottom.sum()), fold.total
         hit = fold.first_reaching(goal, upper) if total >= goal else None
         if hit:
             if hit[0] > budget.n_max:

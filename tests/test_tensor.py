@@ -149,7 +149,7 @@ class TestInfoComplexity:
         # the answer, its bracket and pops are those of the unclamped cut
         p = ProductProblem((KorobovSpectrum(0.5, 0.55),))
         res = info_complexity(p, 0.5)
-        assert (res.n, res.certified, res.n_low, res.pops) == (481811, True, 481811, 540123)
+        assert (res.n, res.certified, res.n_low, res.pops) == (481811, True, 481811, 493215)
         with pytest.raises(BudgetExceededError) as exc:
             info_complexity(p, 0.5, Budget(n_max=10**5))
         assert (exc.value.n_lower, exc.value.pops) == (100_001, 100_333)
@@ -441,9 +441,10 @@ def _pairwise_fold(prod, v, floor, max_entries):
 
 
 class TestDenseFold:
-    """_dense_fold copies the side's products that meet a column's leading 1
-    and multiplies out only the rows that reach its second value: sorted, the
-    same doubles, bit for bit, as searching every row in the whole column."""
+    """_dense_fold copies a side, every entry at or above the floor, as its
+    products with a column's leading 1 and multiplies out only the rows that
+    reach its second value: sorted, the same doubles, bit for bit, as
+    searching every row in the whole column."""
 
     @staticmethod
     def assert_pairwise(prod, v, floor):
@@ -465,25 +466,27 @@ class TestDenseFold:
             self.assert_pairwise(folded, c.dense_values(floor, 10**6), floor)
 
     def test_explicit_columns_with_ties(self):
+        # each side cut at its floor, as the fold's columns are: ties at the
+        # floor are kept
         side = ExplicitSpectrum((1.0, 0.5, 0.5, 0.25, 0.25)).dense_values(1e-3, 10)
         col = ExplicitSpectrum((4.0, 2.0, 2.0, 1.0, 1.0, 1.0, 0.5)).dense_values(1e-3, 10)
         for floor in (0.5, 0.25, 0.125, 1 / 32, 1e-3):
-            self.assert_pairwise(side, col, floor)
+            self.assert_pairwise(side[side >= floor], col, floor)
 
     def test_rows_an_ulp_either_side_of_the_floor(self):
-        # a row just below the floor keeps nothing, not even its product
-        # with the leading 1; rows at the level each later value needs, and
-        # their neighbours, keep that value or not as the full search does
+        # rows at the floor and an ulp above it keep their product with the
+        # leading 1 and nothing more; rows at the level each later value
+        # needs, and an ulp either side, keep that value or not as the full
+        # search does
         import numpy as np
 
         floor = 0.01
         v = KorobovSpectrum(0.5, 1.0).dense_values(0.1, 10**3)
-        levels = [floor] + [floor / x for x in v[1:4]]
-        prod = np.array([x for y in levels for x in
-                         (math.nextafter(y, 0.0), y, math.nextafter(y, 1.0))])
-        assert self.assert_pairwise(prod, v, floor) > len(prod) - 1
-        below = np.full(3, math.nextafter(floor, 0.0))
-        assert self.assert_pairwise(below, v, floor) == 0
+        levels = [floor / x for x in v[1:4]]
+        prod = np.array([floor, math.nextafter(floor, 1.0)] + [
+            x for y in levels for x in (math.nextafter(y, 0.0), y, math.nextafter(y, 1.0))])
+        assert self.assert_pairwise(prod, v, floor) > len(prod)
+        assert self.assert_pairwise(prod[:2], v, floor) == 2
 
     def test_a_column_that_no_row_reaches_past_its_1(self):
         import numpy as np
@@ -523,6 +526,97 @@ class TestDenseFold:
                 want = two_sides(*calls[-1])
             for a, b in zip(got, want):
                 assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _geometric_first_reaching(fold, target, upper):
+    """_LevelFold.first_reaching with every split at sqrt(ab), the geometric
+    mean of the slice's largest and smallest values: the reference for the
+    aimed splits."""
+    import numpy as np
+    from tractlab.tensor import _SLICE_ENTRIES, _first_reaching, _total
+
+    rows, lo = fold.rows, fold.bottom
+    hi = fold.counts(upper)
+
+    def reaches(counts):
+        terms = fold.mass(rows, counts)
+        total = float(terms.sum())
+        if abs(total - target) <= 2.3e-16 * (len(terms) + 4) * total:
+            total = _total(terms)
+        return total >= target
+
+    if reaches(hi):
+        hi = np.zeros_like(lo)
+    while int((lo - hi).sum()) > _SLICE_ENTRIES:
+        a = float((rows * fold._ends[hi]).max())
+        b = float((rows * fold._ends[lo - 1]).min())
+        if a <= b * (1.0 + 2.0 ** -40):
+            break
+        mid = fold.counts(math.sqrt(a) * math.sqrt(b))
+        if reaches(mid):
+            lo = mid
+        else:
+            hi = mid
+    z = max(int(np.searchsorted(hi, 1)) - 1, 0)
+    base = _total(fold.mass(rows[z:], hi[z:]))
+    width = lo - hi
+    size, count = int(width.sum()), int(hi.sum())
+    idx = np.repeat(lo - np.cumsum(width), width) + np.arange(size)
+    values = np.repeat(rows, width) * fold.col[idx]
+    values[::-1].sort()
+    crossed, k, partial, prev = _first_reaching(values, target, base)
+    return (count + k, partial, prev, count + size) if crossed else None
+
+
+def _large_answer_points():
+    """perfbench's timed large_answers points at seeds 0 and 3, scaled as
+    its seeds draw them, and curse d = 7 and 8 at eps 0.5."""
+    points = []
+    for seed in (0, 3):
+        rng = random.Random(seed)
+        curse, strong = (1.0 - (rng.uniform(0.0, 0.01) if seed else 0.0)
+                         for _ in range(2))
+        points += [
+            ((KorobovSpectrum(0.5 * curse, 1.0),) * 6, 0.5, None),
+            ((KorobovSpectrum(0.5 * curse, 1.0),) * 6, 0.45, None),
+            (tuple(KorobovSpectrum(strong * k**-3.0, 1.0) for k in range(1, 21)),
+             0.1, None),
+        ]
+    return points + [((KorobovSpectrum(0.5, 1.0),) * d, 0.5, Budget(n_max=10**8))
+                     for d in (7, 8)]
+
+
+class TestAimedSplit:
+    """first_reaching aims its splits at the crossing, by the mass linear in
+    ln(level), and falls back to sqrt(ab) after an aimed split that does not
+    halve the slice: no more searches than splitting at sqrt(ab) always."""
+
+    @pytest.mark.parametrize("point", range(8))
+    def test_no_more_searches_than_geometric_splits(self, monkeypatch, point):
+        import tractlab.tensor as tensor_mod
+
+        calls = []
+        first_reaching = tensor_mod._LevelFold.first_reaching
+        monkeypatch.setattr(tensor_mod._LevelFold, "first_reaching",
+                            lambda self, *args: calls.append((self,) + args)
+                            or first_reaching(self, *args))
+        coords, eps, budget = _large_answer_points()[point]
+        assert info_complexity(ProductProblem(coords), eps, budget).certified
+        fold, target, upper = calls[-1]  # the decision
+        searches = []
+        counts = fold.counts
+        fold.counts = lambda level: searches.append(level) or counts(level)
+        got = first_reaching(fold, target, upper)
+        aimed = len(searches)
+        searches.clear()
+        want = _geometric_first_reaching(fold, target, upper)
+        assert aimed <= len(searches)
+        # the same n; the sums of the sorted slice are exact, but the base
+        # above it, summed by _total within a few u, moves with the final
+        # slice: on the strong point at seed 0 P_(n-1) moves by one ulp
+        assert got[0] == want[0]
+        for a, b in zip(got[1:3], want[1:3]):
+            assert a == pytest.approx(b, rel=1e-15, abs=0.0)
 
 
 class TestTopEigenvalues:
@@ -608,6 +702,82 @@ class TestTopEigenvalues:
         streamed = [v for _, v in top_eigenvalues(p, len(grid))]
         assert streamed
         assert streamed == pytest.approx(grid[:len(streamed)], rel=1e-12)
+
+
+def _unpruned_stream(coords, log_floor):
+    """_stream_normalized before its children's loop could stop early: first
+    found by a scan of z on every pop, and every child evaluated.  The
+    reference for the stream's values and multi-indices."""
+    import heapq
+    from tractlab.tensor import _coordinate_tables
+
+    logb, lengths = _coordinate_tables(coords), [m for _c, m in coords]
+    d = len(coords)
+    heap = [(-0.0, (1,) * d)]
+    while heap:
+        neg, z = heapq.heappop(heap)
+        logv = -neg
+        yield z, logv
+        first = next((i for i in range(d - 1, -1, -1) if z[i] > 1), 0)
+        for i in range(first, d):
+            ji = z[i]
+            if ji >= lengths[i]:
+                continue
+            child_log = logv - logb[i](ji - 1) + logb[i](ji)
+            if child_log >= log_floor:
+                heapq.heappush(heap, (-child_log, z[:i] + (ji + 1,) + z[i + 1:]))
+
+
+class TestHeapStream:
+    """The heap stops a pop's children once no later one can reach the
+    floor; it streams the same values and multi-indices as before."""
+
+    @staticmethod
+    def coordinate(rng):
+        kind = rng.random()
+        if kind < 0.4:  # a Korobov coordinate, sometimes past the 4096-value table
+            length = rng.choice((1, 2, 3, 40, 5000))
+            return KorobovSpectrum(rng.uniform(0.01, 1.0), rng.uniform(1.0, 2.0)), length
+        if kind < 0.8:  # explicit values with ties, cut anywhere
+            values = sorted((rng.choice((1.0, 0.5, 0.3, 0.1, 0.05))
+                             for _ in range(rng.randint(1, 6))), reverse=True)
+            spectrum = ExplicitSpectrum((1.0,) + tuple(values))
+            return spectrum, rng.randint(1, len(spectrum.values))
+        return ExplicitSpectrum((rng.uniform(0.5, 2.0),)), 1
+
+    def test_matches_the_unpruned_stream(self):
+        import itertools
+        from tractlab.tensor import _stream_normalized
+
+        rng = random.Random(21)
+        for _ in range(40):
+            coords = [self.coordinate(rng) for _ in range(rng.randint(1, 30))]
+            if rng.random() < 0.5:  # first steps that shrink along the order
+                coords.sort(key=lambda c: c[1] > 1 and c[0].log_eigenvalue(2)
+                            - c[0].log_eigenvalue(1), reverse=True)
+            for log_floor in (-math.inf, math.log(0.2), math.log(1e-2), math.log(1e-4)):
+                got = list(itertools.islice(_stream_normalized(coords, log_floor, math.inf),
+                                            1000))
+                want = list(itertools.islice(_unpruned_stream(coords, log_floor), 1000))
+                assert got == want
+
+    def test_a_pop_reads_few_table_values(self, monkeypatch):
+        # g_k = k^-3, d = 20 at eps 0.1 (a large_answers point): a pop reads
+        # its children's values up to the first that no later one beats,
+        # not all d (19,732 reads over the 552 heap pops before the stop)
+        import tractlab.tensor as tensor_mod
+
+        reads, pops = [], []
+        tables = tensor_mod._coordinate_tables
+        monkeypatch.setattr(tensor_mod, "_coordinate_tables", lambda coords: [
+            lambda j, f=f: reads.append(j) or f(j) for f in tables(coords)])
+        stream = tensor_mod._stream_normalized
+        monkeypatch.setattr(tensor_mod, "_stream_normalized", lambda *args: (
+            pops.append(item) or item for item in stream(*args)))
+        p = ProductProblem(tuple(KorobovSpectrum(k**-3.0, 1.0) for k in range(1, 21)))
+        res = info_complexity(p, 0.1)
+        assert (res.n, res.certified, res.pops, len(pops)) == (226_190, True, 230_831, 552)
+        assert len(reads) <= 4 * len(pops)
 
 
 @st.composite
