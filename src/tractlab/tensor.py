@@ -9,13 +9,14 @@ Small answers come from a max-heap over multi-indices that enumerates
 product eigenvalues in non-increasing order, generating each index
 exactly once: from index z, coordinate i may be incremented only if every
 later coordinate still sits at index 1.  Values are handled as sums of
-logarithms so the ordering survives small products; partial sums are
-accumulated in linear space with compensated summation.  Every other
-answer comes from a level-set fold: two balanced sides, each every product
-above the floor of its coordinates, whose pairs it counts and sums above a
-value level without materializing them; it sorts only the boundary slice
-where the partial sum crosses the threshold.  Both engines are exact above
-their floors: they miss only the declared tails of explicit spectra.
+logarithms so the ordering survives small products.  Every other answer
+comes from a level-set fold: two balanced sides, each every product above
+the floor of its coordinates, whose pairs it counts and sums above a value
+level without materializing them; it sorts only the boundary slice where
+the partial sum crosses the threshold.  Both engines are exact above their
+floors: they miss only the declared tails of explicit spectra.  One scan
+decides every crossing, on the heap's values, the fold's boundary slice
+and the oracle's grid alike.
 
 A result is *certified* when those tails plus a rounding allowance
 provably cannot move the integer answer.
@@ -39,7 +40,6 @@ from .errors import (
     DomainError,
     GridSizeError,
 )
-from .numutil import CompensatedSum
 from .spectra import ExplicitSpectrum, Spectrum
 
 _DEFAULT_N_MAX = 10_000_000
@@ -312,8 +312,23 @@ class _Target:
     def certified(self, crossed: bool, prev: float, lost: float) -> bool:
         return crossed and self.threshold - prev > lost + self.rounding
 
+    def decide(self, values, lost: float):
+        """(crossing, certified, short) on non-increasing kept values that
+        miss at most ``lost``: _first_reaching's crossing at the threshold,
+        and the size of the largest top set short of low(lost), n - 1 when
+        certified (then S_(n-1) < low)."""
+        crossing = _first_reaching(values, self.threshold)
+        crossed, n, _partial, prev = crossing
+        if self.certified(crossed, prev, lost):
+            return crossing, True, n - 1
+        reached, n_low = _first_reaching(values, self.low(lost))[:2]
+        return crossing, False, n_low - reached
+
     def _scaled(self, x: float) -> float:
-        """x times the leading product eigenvalue, formed in log space."""
+        """x times the leading product eigenvalue: x itself where that is 1
+        (exp(log x) may move x an ulp), else formed in log space."""
+        if self.log_scale == 0.0:
+            return x
         lv = math.log(x) + self.log_scale if x > 0.0 else -math.inf
         return math.exp(lv) if lv < 709.0 else math.inf
 
@@ -358,16 +373,14 @@ def info_complexity(problem: ProductProblem, epsilon: float,
             spectra, low, low, trace - tails, 1.0, budget, 0)
         raise BudgetExceededError("declared tails block the threshold",
                                   n_lower=n - 1 if crossed else n, pops=ranked)
-    pops, upper, found = 0, 1.0, None
     heap_left = min(_HANDOFF_POPS, budget.n_max, budget.heap_entries(d) // d)
-    if not spectra:  # all single atoms: one eigenvalue carries the trace
-        found = (1, 1.0, 0.0, 1)
-    elif heap_left:
-        found, pops, upper = _heap_scan(spectra, target, low, heap_left)
-    if found:
-        n, partial, prev, n_low = found
-        certified = target.certified(True, prev, tails)
-        return target.result(n, partial, certified, pops, n if certified else n_low)
+    values, upper = np.ones(0 if spectra else 1), 1.0  # all single atoms: 1 is the trace
+    if spectra and heap_left:
+        values, upper = _heap_scan(spectra, target, heap_left)
+    pops = len(values) if spectra else 0
+    (crossed, n, partial, _prev), certified, short = target.decide(values, tails)
+    if crossed:
+        return target.result(n, partial, certified, pops, short + 1)
     fold, (crossed, n, partial, prev), ranked = _fold_decide(
         spectra, threshold, low, trace - tails, upper, budget, pops)
     certified = target.certified(crossed, prev, tails)
@@ -384,32 +397,34 @@ def info_complexity(problem: ProductProblem, epsilon: float,
 _HANDOFF_POPS = 2048
 
 
-def _heap_scan(spectra, target, low, pops_left):
-    """Lazy-heap crossing: (found, pops, level).  found is (n, partial,
-    partial_prev, n_low), n_low the first n reaching ``low`` (_Target.low),
-    or None when the values above the heap's floor or the reach of its pops
-    left ran out; the crossing then lies below ``level``, where the fold
-    starts.  Each spectrum is cut once, at tol = min(1e-3 (1 - eps^2), 1e-6)
-    / d of its trace, to bound the heap's tables, and _cut raises the floor
-    over every value the cuts leave out, so the heap streams every product
-    above it, in order, as the fold holds them.  A pop adds at most d heap
-    entries, so the pops left bound the heap's memory."""
+def _heap_scan(spectra, target, pops_left):
+    """(values, level): the values the lazy heap pops, in order, and a level
+    no unpopped value exceeds, where the fold starts if _Target.decide finds
+    no crossing in them.  It pops until their float sum s_n surely crosses
+    the threshold, its pops left (each at most the last value) cannot reach
+    it, it has popped pops_left values, or its values above the floor run
+    out.  Summed in order, n values >= 0 err by at most (n - 1)u / (1 - (n -
+    1)u) <= 2nu of their sum (u = 2^-53), so s_n - threshold > 2.3e-16 n s_n
+    puts that sum, and its correct rounding, at or above the threshold.
+    Each spectrum is cut once, at tol = min(1e-3 (1 - eps^2), 1e-6) / d of
+    its trace, to bound the heap's tables, and _cut raises the floor over
+    every value the cuts leave out, so the heap streams every product above
+    it, as the fold holds them.  A pop adds at most d heap entries, so
+    pops_left bounds the heap's memory."""
     eps2, threshold = target.epsilon * target.epsilon, target.threshold
     tol = min(1e-3 * (1.0 - eps2), 1e-6) / target.d
     coords, log_floor = _cut(spectra, tol, max(min(-8.0, math.log(eps2) - 2.0), -64.0))
-    acc, n, n_low, level = CompensatedSum(), 0, 0, 1.0
-    for _z, logv in _stream_normalized(coords, log_floor, math.inf):
-        prev = acc.value
+    values, acc, level = [], 0.0, 1.0
+    stream = _stream_normalized(coords, log_floor, math.inf)
+    for n, (_z, logv) in enumerate(itertools.islice(stream, pops_left), 1):
         level = math.exp(logv)
-        acc.add(level)
-        n += 1
-        if not n_low and acc.value >= low:
-            n_low = n
-        if acc.value >= threshold:
-            return (n, acc.value, prev, n_low), n, level
-        if threshold - acc.value > (pops_left - n) * level:
-            return None, n, level
-    return None, n, math.exp(log_floor)
+        values.append(level)
+        acc += level
+        if (acc - threshold > 2.3e-16 * n * acc
+                or threshold - acc > (pops_left - n) * level):
+            return np.array(values), level
+    dry = len(values) < pops_left  # the stream, not the cap, ended the pops
+    return np.array(values), math.exp(log_floor) if dry else level
 
 
 def _dense_fold(prod, v, floor, max_entries):
@@ -447,33 +462,20 @@ def _two_sides(cols, floor, max_entries):
     return col, rows[::-1]
 
 
-def _prefix_sums(x, descending=False):
-    """Compensated prefix sums: np.cumsum plus the cumsum of each addition's
-    exact error (Knuth's TwoSum, or Dekker's FastTwoSum for a ``descending``
-    x, whose sum before each addition is >= its term), rounded once.  For x
-    >= 0, u = 2^-53 and S_k = sum(x[:k+1]): each error e_i <= u hi_i <~ u S_k,
-    their rounded cumsum errs by <= (k-1) u sum e_i <= k^2 u^2 S_k, and entry
-    k lies within u + k^2 u^2 of S_k, relative: a correct rounding but within
-    k^2 u^2 of a tie."""
+def _prefix_sums(x):
+    """Compensated prefix sums of a non-increasing x >= 0: np.cumsum plus
+    the cumsum of each addition's exact error (Dekker's FastTwoSum: the sum
+    before an addition is >= its term), rounded once.  With u = 2^-53 and
+    S_k = sum(x[:k+1]), each error e_i <= u hi_i <~ u S_k, their rounded
+    cumsum errs by <= (k-1) u sum e_i <= k^2 u^2 S_k, and entry k lies within
+    u + k^2 u^2 of S_k, relative: correctly rounded unless near a tie."""
     hi = np.cumsum(x)
     err = np.concatenate(([0.0], hi[:-1]))  # the sum before each addition
-    if descending:
-        np.subtract(x, np.subtract(hi, err, out=err), out=err)
-    else:
-        part = hi - err  # the part of x[k] that the addition kept
-        err -= hi - part
-        err += x - part
+    np.subtract(x, np.subtract(hi, err, out=err), out=err)
     return np.add(hi, np.cumsum(err, out=err), out=hi)
 
 
 _SLICE_ENTRIES = 1 << 16  # a boundary slice this small is sorted, not split
-
-
-def _total(x):
-    """_prefix_sums(x)[-1] in the memory of one 2^16-value slice: the slices'
-    totals added by fsum, within 2u + 2^32 u^2 of exact for x >= 0."""
-    return math.fsum(float(_prefix_sums(x[k:k + _SLICE_ENTRIES])[-1])
-                     for k in range(0, len(x), _SLICE_ENTRIES))
 
 
 class _LevelFold:
@@ -488,10 +490,11 @@ class _LevelFold:
     t / rows_i} entries of ``col``, summing to rows_i * prefix(c_i): a level
     costs a search per row, memory |rows| + |col|.  Prefix sums within
     u + m^2 u^2 of exact (_prefix_sums; u = 2^-53, m = len(col)) put each
-    row term within 2u + m^2 u^2, and their _total within 4u + (m^2 +
-    2^32) u^2 of exact: below 5u for m < 6e7.  In either association a
-    product takes at most d - 1 roundings, (d - 1)u relative, so the sums
-    err by far less than _Target's 1e-12 share of the trace for d < 4000.
+    row term within 2u + m^2 u^2, and the correct rounding of their exact
+    sum (_exact_parts) within 3u + m^2 u^2: below 4u for m < 9e7.  In
+    either association a product takes at most d - 1 roundings, (d - 1)u
+    relative, so the sums err by far less than _Target's 1e-12 share of
+    the trace for d < 4000.
 
     No coordinate's column holds more than ``cap`` = n_max + 1 values: one
     reaching cap raises the floor to its cap-th value, and with the others'
@@ -516,7 +519,7 @@ class _LevelFold:
         self._neg_col = -self.col
         self.floor, self.max_entries = floor, max_entries
         self._ends = np.concatenate((self.col, [0.0, math.inf]))  # empty-slice pads
-        self.prefix = np.concatenate(([0.0], _prefix_sums(self.col, descending=True)))
+        self.prefix = np.concatenate(([0.0], _prefix_sums(self.col)))
         self.bottom = self.counts(floor)
         self.total = float(self.mass(self.rows, self.bottom).sum())  # all it holds
 
@@ -541,8 +544,8 @@ class _LevelFold:
         and each sqrt(ab) halves it, from ln(1 / 1e-300) < 700 to a tie's
         2^-40 in at most 50: with the aimed splits that halve the slice, at
         most 101 + log2(slice / 2^16) rounds.  The splits move the count at
-        the final lower level and, within _total's few u, the sum above the
-        slice's values."""
+        the final lower level and, by a few u, the row terms above the
+        slice's values, whose correctly rounded sum is the scan's base."""
         rows, lo, lo_mass = self.rows, self.bottom, self.total
         hi = self.counts(upper)
 
@@ -550,9 +553,9 @@ class _LevelFold:
             terms = self.mass(rows, counts)
             total = float(terms.sum())
             # any summation order errs by at most (k-1)u of the sum, so only
-            # a total this close to the target needs the compensated sum
+            # a total this close to the target needs the correct rounding
             if abs(total - target) <= 2.3e-16 * (len(terms) + 4) * total:
-                total = _total(terms)
+                total = math.fsum(_exact_parts(terms))
             return total
 
         hi_mass = mass_at(hi)
@@ -575,7 +578,7 @@ class _LevelFold:
             last, size = size, int((lo - hi).sum())
             aim = not aim or 2 * size <= last
         z = max(int(np.searchsorted(hi, 1)) - 1, 0)  # counts ascend with rows
-        base = _total(self.mass(rows[z:], hi[z:]))
+        base = math.fsum(_exact_parts(self.mass(rows[z:], hi[z:])))
         width = lo - hi
         size, count = int(width.sum()), int(hi.sum())
         if size > self.max_entries:
@@ -673,7 +676,7 @@ def _exact_parts(x):
 
 
 def _first_reaching(values, target, base=0.0):
-    """The scan both engines decide on: (crossed, k, P_k, P_(k-1)) for the
+    """The scan every decision is made on: (crossed, k, P_k, P_(k-1)) for the
     first k >= 1 with P_k >= target in a non-increasing, non-negative
     array, where P_k = math.fsum([base] + values[:k]), the correctly rounded
     prefix sum; (False, len, P_len, P_len) when no k reaches target.
@@ -719,19 +722,17 @@ class _BruteForceOracle:
     Each attempt materializes every product of its truncation lengths and
     sorts them in place, so the grid of 8 bytes per entry (at most 80 MB at
     _BRUTE_GRID_CAP) is the only array of its length alive during a call:
-    the scans for n and, when uncertified, for n_low (_first_reaching) hold
-    one chunk beside it.  The grid depends on epsilon only through those
-    lengths: the first attempt's come from tol = 0.01/d and the grid cap
-    alone.  So the oracle keeps the last attempt's lengths, descending grid
-    and log kept mass for the next call, and drops them before it builds a
-    grid for other lengths: at most one grid is alive.
+    the scans of _Target.decide hold one chunk beside it.  The grid depends
+    on epsilon only through those lengths: the first attempt's come from
+    tol = 0.01/d and the grid cap alone.  So the oracle keeps the last
+    attempt's lengths, descending grid and log kept mass for the next call,
+    and drops them before it builds a grid for other lengths: at most one
+    grid is alive.
 
     When the last grid does not cross (a declared tail, a cap or the attempt
     limit stops the refinement), its size bounds nothing, and the call raises
-    BudgetExceededError: the kept mass a top set misses is at most the
-    grid's lost mass, so a top set of the grid short of low(lost)
-    (_Target.low) leaves its exact counterpart short of the threshold, and
-    n_lower is the size of the largest such set.
+    BudgetExceededError with _Target.decide's short count as n_lower: a top
+    set misses at most the grid's lost mass of the kept mass.
     """
 
     def __init__(self, problem: ProductProblem):
@@ -781,12 +782,10 @@ class _BruteForceOracle:
                 order, log_kept = self._sorted_grid(lengths)
                 pops += len(order)
                 t_mass = target.lost(log_kept)
-                crossed, n, partial, prev = _first_reaching(order, threshold)
-                certified = target.certified(crossed, prev, t_mass)
-                reached, n_low = (True, n) if certified else _first_reaching(
-                    order, target.low(t_mass))[:2]
+                (crossed, n, partial, prev), certified, short = target.decide(
+                    order, t_mass)
                 del order  # so that _sorted_grid can free this grid before the next
-                result = target.result(n, partial, certified, pops, n_low)
+                result = target.result(n, partial, certified, pops, short + 1)
                 if certified or t_mass <= 0.0:
                     break
                 if crossed:
@@ -799,7 +798,7 @@ class _BruteForceOracle:
             tol = max(min(need, tol * 0.25), 1e-16)
         if not crossed:  # the last grid's size bounds nothing; its short top sets do
             raise BudgetExceededError("the oracle's grid falls short of the threshold",
-                                      n_lower=n_low - reached, pops=pops)
+                                      n_lower=short, pops=pops)
         return result
 
 

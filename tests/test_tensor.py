@@ -255,7 +255,9 @@ class TestInfoComplexity:
         geometric = ExplicitSpectrum(tuple(0.05**j for j in range(6)))
         p = ProductProblem((geometric,) * 8)
         res = info_complexity(p, 0.1)
-        assert [(found, pops) for found, pops, _hint in scans] == [(None, 45)]
+        threshold = tensor_mod._Target(p, 0.1).threshold
+        assert [(tensor_mod._first_reaching(values, threshold)[0], len(values))
+                for values, _level in scans] == [(False, 45)]
         oracle = brute_force_complexity(p, 0.1)
         assert res.certified and oracle.certified
         assert (res.n, res.n_low, res.n_high) == (oracle.n, oracle.n_low,
@@ -272,12 +274,15 @@ class TestInfoComplexity:
         monkeypatch.setattr(tensor_mod, "_heap_scan",
                             lambda *args: scans.append(heap_scan(*args)) or scans[-1])
         p = ProductProblem(tuple(KorobovSpectrum(k**-3.0, 1.0) for k in range(1, 21)))
+        threshold = tensor_mod._Target(p, 0.5).threshold
         free = info_complexity(p, 0.5)
-        assert [found is None for found, _pops, _hint in scans] == [False]
+        assert [tensor_mod._first_reaching(values, threshold)[0]
+                for values, _level in scans] == [True]
         scans.clear()
         capped = info_complexity(p, 0.5, budget=Budget(heap_bytes=1))
-        (found, pops, _hint), = scans
-        assert found is None and pops <= 1024 // 20
+        (values, _level), = scans
+        assert not tensor_mod._first_reaching(values, threshold)[0]
+        assert len(values) <= 1024 // 20
         assert (capped.n, capped.certified, capped.n_low, capped.n_high) == (
             free.n, free.certified, free.n_low, free.n_high) == (78, True, 78, 78)
 
@@ -390,8 +395,8 @@ class TestInfoComplexity:
                 assert np.array_equal(fold.counts(level), want)
 
     def test_prefix_sums_round_like_fsum(self):
-        # within u + k^2 u^2 of exact: a correct rounding on any seeded input,
-        # and on its descending order with FastTwoSum, bit for bit as TwoSum
+        # within u + k^2 u^2 of exact: a correct rounding on any seeded
+        # descending input, as the fold's column is
         import numpy as np
         from tractlab.tensor import _prefix_sums
 
@@ -399,10 +404,9 @@ class TestInfoComplexity:
         for _ in range(100):
             x = rng.random(int(rng.integers(1, 20_000))) ** rng.uniform(1.0, 40.0)
             down = np.sort(x)[::-1]
-            assert np.array_equal(_prefix_sums(down, descending=True), _prefix_sums(down))
-            for x, sums in ((x, _prefix_sums(x)), (down, _prefix_sums(down, True))):
-                for k in [len(x) - 1] + list(rng.integers(0, len(x), 5)):
-                    assert sums[k] == math.fsum(x[: k + 1])
+            sums = _prefix_sums(down)
+            for k in [len(down) - 1] + list(rng.integers(0, len(down), 5)):
+                assert sums[k] == math.fsum(down[: k + 1])
 
     def test_heap_computes_each_long_coordinate_value_once(self, monkeypatch):
         # g_k = k^-3, d = 20 at eps 0.1 (a large_answers point): the heap's
@@ -533,7 +537,7 @@ def _geometric_first_reaching(fold, target, upper):
     mean of the slice's largest and smallest values: the reference for the
     aimed splits."""
     import numpy as np
-    from tractlab.tensor import _SLICE_ENTRIES, _first_reaching, _total
+    from tractlab.tensor import _SLICE_ENTRIES, _exact_parts, _first_reaching
 
     rows, lo = fold.rows, fold.bottom
     hi = fold.counts(upper)
@@ -542,7 +546,7 @@ def _geometric_first_reaching(fold, target, upper):
         terms = fold.mass(rows, counts)
         total = float(terms.sum())
         if abs(total - target) <= 2.3e-16 * (len(terms) + 4) * total:
-            total = _total(terms)
+            total = math.fsum(_exact_parts(terms))
         return total >= target
 
     if reaches(hi):
@@ -558,7 +562,7 @@ def _geometric_first_reaching(fold, target, upper):
         else:
             hi = mid
     z = max(int(np.searchsorted(hi, 1)) - 1, 0)
-    base = _total(fold.mass(rows[z:], hi[z:]))
+    base = math.fsum(_exact_parts(fold.mass(rows[z:], hi[z:])))
     width = lo - hi
     size, count = int(width.sum()), int(hi.sum())
     idx = np.repeat(lo - np.cumsum(width), width) + np.arange(size)
@@ -611,9 +615,10 @@ class TestAimedSplit:
         searches.clear()
         want = _geometric_first_reaching(fold, target, upper)
         assert aimed <= len(searches)
-        # the same n; the sums of the sorted slice are exact, but the base
-        # above it, summed by _total within a few u, moves with the final
-        # slice: on the strong point at seed 0 P_(n-1) moves by one ulp
+        # the same n; the sums of the sorted slice are exact and the base
+        # above it is the correctly rounded sum of its row terms, but those
+        # terms move with the final slice by a few u: on the strong point
+        # at seed 0 P_(n-1) may move by an ulp
         assert got[0] == want[0]
         for a, b in zip(got[1:3], want[1:3]):
             assert a == pytest.approx(b, rel=1e-15, abs=0.0)
@@ -778,6 +783,125 @@ class TestHeapStream:
         res = info_complexity(p, 0.1)
         assert (res.n, res.certified, res.pops, len(pops)) == (226_190, True, 230_831, 552)
         assert len(reads) <= 4 * len(pops)
+
+
+class TestHeapStop:
+    """The heap pops until its plain float sum has surely crossed, and at
+    most its pops left; _Target.decide then decides on the values popped."""
+
+    @staticmethod
+    def eps_between(p, lo, hi):
+        """An eps whose threshold lies in (lo, hi], searched over the doubles
+        next to the eps of hi."""
+        from tractlab.tensor import _Target
+
+        eps = down = math.sqrt(1.0 - hi / _Target(p, 0.5).trace)
+        for _ in range(300):
+            for e in (eps, down):
+                if lo < _Target(p, e).threshold <= hi:
+                    return e
+            eps, down = math.nextafter(eps, 1.0), math.nextafter(down, 0.0)
+        return None
+
+    def test_decides_on_the_correctly_rounded_sum(self, monkeypatch):
+        # a seeded search over explicit spectra for a pop k whose plain
+        # running sum rounds above fsum's P_k, with P_(k+1) above both, and an
+        # eps whose threshold falls between them: the plain sum reaches the
+        # threshold first, the correctly rounded one only at k + 1
+        import itertools
+        import tractlab.tensor as tensor_mod
+
+        rng = random.Random(0)
+        for _ in range(50):
+            p = ProductProblem(tuple(
+                ExplicitSpectrum((1.0,) + tuple(sorted(
+                    (rng.uniform(0.05, 1.0) for _ in range(rng.randint(3, 12))),
+                    reverse=True)))
+                for _ in range(rng.randint(2, 3))))
+            values = [v for _z, v in itertools.islice(top_eigenvalues(p, 1000), 1000)]
+            plain = list(itertools.accumulate(values))
+            sums = [math.fsum(values[:k]) for k in range(1, len(values) + 1)]
+            k = next((k for k in range(len(values) - 1)
+                      if sums[k] < plain[k] < sums[k + 1]), None)
+            eps = k is not None and self.eps_between(p, sums[k], plain[k])
+            if eps:
+                break
+        assert eps, "the search found no such point"
+        threshold = tensor_mod._Target(p, eps).threshold
+        first_plain = next(j for j, s in enumerate(plain) if s >= threshold)
+        assert first_plain <= k and sums[k] < threshold  # 0-based: n = k + 1
+        folds, decide = [], tensor_mod._fold_decide
+        monkeypatch.setattr(tensor_mod, "_fold_decide",
+                            lambda *args: folds.append(1) or decide(*args))
+        res = info_complexity(p, eps)
+        assert not folds
+        assert (res.n, res.n_high, res.partial_sum) == (k + 2, k + 2, sums[k + 1])
+
+    def test_pop_cap_holds_inside_the_margin(self, monkeypatch):
+        # n_max = 5 caps the heap at five pops, and the threshold sits at
+        # most the stop rule's margin below their plain sum: the sum has
+        # not surely crossed nor fallen short, and the heap stops anyway
+        import itertools
+        import tractlab.tensor as tensor_mod
+
+        p = ProductProblem((ExplicitSpectrum((1.0, 0.7, 0.45, 0.3)),) * 2)
+        values = [v for _z, v in itertools.islice(top_eigenvalues(p, 5), 5)]
+        s5 = sum(values)
+        eps = self.eps_between(p, s5 - 2.3e-16 * 5 * s5, s5)
+        assert 0.0 <= s5 - tensor_mod._Target(p, eps).threshold <= 2.3e-16 * 5 * s5
+        pops, stream = [], tensor_mod._stream_normalized
+        monkeypatch.setattr(tensor_mod, "_stream_normalized", lambda *args: (
+            pops.append(item) or item for item in stream(*args)))
+        try:
+            res = info_complexity(p, eps, Budget(n_max=5))
+        except BudgetExceededError as exc:
+            assert exc.n_lower <= 5
+        else:
+            assert res.n <= 5 and res.pops <= 5
+        assert len(pops) <= 5
+
+    def test_no_heap_without_pops_left(self, monkeypatch):
+        # heap_bytes=1 leaves 1024 heap entries, fewer than d = 1100: no pop
+        # fits, so the heap is not even set up and the fold answers alone
+        import tractlab.tensor as tensor_mod
+
+        scans, heap_scan = [], tensor_mod._heap_scan
+        monkeypatch.setattr(tensor_mod, "_heap_scan",
+                            lambda *args: scans.append(1) or heap_scan(*args))
+        p = ProductProblem(tuple(KorobovSpectrum(k**-3.0, 1.0) for k in range(1, 1101)))
+        capped = info_complexity(p, 0.5, budget=Budget(heap_bytes=1))
+        assert not scans
+        free = info_complexity(p, 0.5)
+        assert scans
+        assert (capped.n, capped.certified, capped.n_low, capped.n_high) == (
+            free.n, free.certified, free.n_low, free.n_high)
+
+    def test_partial_sum_is_the_fsum_of_the_top_values(self, monkeypatch):
+        # leading-1 problems answered on the heap report the correctly
+        # rounded sum of the first n values that top_eigenvalues streams
+        import itertools
+        import tractlab.tensor as tensor_mod
+
+        folds, decide = [], tensor_mod._fold_decide
+        monkeypatch.setattr(tensor_mod, "_fold_decide",
+                            lambda *args: folds.append(1) or decide(*args))
+        rng = random.Random(8)
+        for _ in range(60):
+            coords = []
+            for _ in range(rng.randint(1, 5)):
+                if rng.random() < 0.5:
+                    coords.append(KorobovSpectrum(rng.uniform(0.05, 0.8),
+                                                  rng.uniform(1.0, 3.0)))
+                else:
+                    q = rng.uniform(0.2, 0.7)
+                    coords.append(ExplicitSpectrum(tuple(
+                        q ** j for j in range(rng.randint(2, 30)))))
+            p = ProductProblem(tuple(coords))
+            res = info_complexity(p, rng.uniform(0.3, 0.9))
+            top = [v for _z, v in itertools.islice(top_eigenvalues(p, res.n), res.n)]
+            assert len(top) == res.n
+            assert res.partial_sum == math.fsum(top)
+        assert not folds
 
 
 @st.composite
@@ -1068,6 +1192,76 @@ class TestFirstReaching:
             assert tensor_mod._first_reaching(v, sums[k]) == (
                 True, k, sums[k], sums[k - 1])
             assert len(calls) <= (k - 1) // self.CHUNK + 3
+
+
+class TestDecide:
+    """_Target.decide, the certify-and-bracket step of the heap and the
+    oracle, matches a plain scan over math.fsum prefix sums."""
+
+    @staticmethod
+    def reference(values, target, lost):
+        # the first n reaching each level, by math.fsum of every prefix
+        sums = [math.fsum(values[:k].tolist()) for k in range(len(values) + 1)]
+
+        def first(level):
+            return next((k for k in range(1, len(sums)) if sums[k] >= level), None)
+
+        n, m = first(target.threshold), len(values)
+        crossing = ((True, n, sums[n], sums[n - 1]) if n
+                    else (False, m, sums[m], sums[m]))
+        certified = bool(n) and target.threshold - sums[n - 1] > lost + target.rounding
+        reached = first(target.threshold - (lost + target.rounding))
+        return crossing, certified, (reached - 1 if reached else m)
+
+    def test_matches_the_fsum_scan(self):
+        import numpy as np
+        from tractlab.tensor import _Target
+
+        target = _Target(small_problem(), 0.5)  # rounding 2.25e-12
+        rng = np.random.default_rng(5)
+        checked = set()
+        for _ in range(40):
+            length = int(rng.integers(1, 200))
+            pool = np.concatenate((rng.uniform(0.0, 1.0, length),
+                                   np.repeat(rng.uniform(0.0, 1.0, 4), length // 4 + 1),
+                                   np.zeros(length // 8 + 1)))
+            v = np.sort(rng.choice(pool, length, replace=False))[::-1]
+            sums = [math.fsum(v[:k].tolist()) for k in range(1, length + 1)]
+            picks = [sums[k] for k in rng.integers(0, length, 4)] + [sums[0], sums[-1]]
+            # each level a prefix sum and an ulp either side, and one past the total
+            for level in picks + [2.0 * sums[-1] + 1.0]:
+                for x in (math.nextafter(level, -math.inf), level,
+                          math.nextafter(level, math.inf)):
+                    target.threshold = x
+                    for lost in (0.0, float(rng.uniform(0.0, 0.1)) * x, 2.0 * x):
+                        got = target.decide(v, lost)
+                        assert got == self.reference(v, target, lost)
+                        checked.add((got[0][0], got[1], lost > 0.0))
+        # crossed and certified, crossed uncertified, never crossed; lost 0 and > 0
+        assert checked >= {(True, True, False), (True, True, True),
+                           (True, False, True), (False, False, False),
+                           (False, False, True)}
+
+    def test_an_uncrossed_array_keeps_the_oracles_lower_bound(self):
+        # short is the n_lower the oracle raises for a grid that does not
+        # cross: the first n reaching low(lost) less one, or every value
+        import numpy as np
+        from tractlab.tensor import _first_reaching, _Target
+
+        target = _Target(small_problem(), 0.5)
+        v = np.sort(np.random.default_rng(9).uniform(0.0, 1.0, 500))[::-1]
+        total = math.fsum(v.tolist())
+        target.threshold = total + 1.0
+        shorts = []
+        for lost in (0.0, 0.5, 1.0, 0.25 * total, 2.0 * total):
+            (crossed, n, partial, prev), certified, short = target.decide(v, lost)
+            assert (crossed, n, partial, prev, certified) == (
+                False, 500, total, total, False)
+            reached, n_low = _first_reaching(v, target.low(lost))[:2]
+            assert short == n_low - reached == self.reference(v, target, lost)[2]
+            shorts.append(short)
+        # low above the total proves every value short; low below 0, none
+        assert shorts[:3] == [500, 500, 499] and shorts[-1] == 0
 
 
 class TestExactSum:
