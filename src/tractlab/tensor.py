@@ -28,6 +28,7 @@ import functools
 import heapq
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Tuple
 
@@ -41,6 +42,7 @@ from .errors import (
     GridSizeError,
 )
 from .spectra import ExplicitSpectrum, Spectrum
+from .zeta import zeta_scope
 
 _DEFAULT_N_MAX = 10_000_000
 _DEFAULT_HEAP_BYTES = 2 << 30
@@ -275,6 +277,9 @@ def _reduced_spectra(problem: ProductProblem) -> tuple:
     return spectra, log_untailed
 
 
+_TINY = 2.0 ** -1022  # the least normal double
+
+
 class _Target:
     """The decision at one (problem, eps) point, shared by both engines.
 
@@ -291,13 +296,23 @@ class _Target:
     bound for uncertified answers and the n_lower of over-budget ones, the
     oracle's grids that do not cross included.  ``trivial`` is the n = 0
     answer of eps = 1, also where the trace overflows and the threshold
-    0 * inf is NaN."""
+    0 * inf is NaN.
+
+    Results report sums times the leading product eigenvalue, ``scale``:
+    multiplied out when every partial product of the coordinates' leading
+    values is a normal double, so that it is within (d - 1)u of exact and a
+    scaled sum takes one more rounding; else (scale None) formed in log
+    space, where ln x + ln(scale) errs by about |ln x + ln(scale)| u."""
 
     def __init__(self, problem: ProductProblem, epsilon: float):
         if not 0.0 < epsilon <= 1.0:
             raise DomainError(f"epsilon must be in (0, 1], got {epsilon}")
         self.epsilon, self.d = epsilon, problem.d
-        self.log_scale = problem.log_leading()
+        leads = list(itertools.accumulate(
+            (c.leading() for c in problem.coordinates), operator.mul))
+        normal = all(_TINY <= p < math.inf for p in leads)
+        self.scale = leads[-1] if normal else None
+        self.log_scale = None if normal else problem.log_leading()
         self.trace = problem.normalized_trace()
         self.threshold = (1.0 - epsilon * epsilon) * self.trace
         self.rounding = 1e-12 * self.trace
@@ -312,23 +327,35 @@ class _Target:
     def certified(self, crossed: bool, prev: float, lost: float) -> bool:
         return crossed and self.threshold - prev > lost + self.rounding
 
-    def decide(self, values, lost: float):
+    def decide(self, values, lost: float, bound: float = math.inf):
         """(crossing, certified, short) on non-increasing kept values that
         miss at most ``lost``: _first_reaching's crossing at the threshold,
         and the size of the largest top set short of low(lost), n - 1 when
-        certified (then S_(n-1) < low)."""
-        crossing = _first_reaching(values, self.threshold)
+        certified (then S_(n-1) < low).
+
+        ``bound``, a double at or above the exact sum of the values, spares
+        the scans it decides: every prefix sum, correctly rounded, is at
+        most the double bound, so a bound below the threshold proves that no
+        n crosses (the crossing then reads (False, len, nan, nan): its sums
+        go unscanned), and a bound below low(lost) too that every top set is
+        short of low."""
+        if bound < self.threshold:
+            crossing = (False, len(values), math.nan, math.nan)
+        else:
+            crossing = _first_reaching(values, self.threshold)
         crossed, n, _partial, prev = crossing
         if self.certified(crossed, prev, lost):
             return crossing, True, n - 1
-        reached, n_low = _first_reaching(values, self.low(lost))[:2]
+        low = self.low(lost)
+        if bound < low:
+            return crossing, False, len(values)
+        reached, n_low = _first_reaching(values, low)[:2]
         return crossing, False, n_low - reached
 
     def _scaled(self, x: float) -> float:
-        """x times the leading product eigenvalue: x itself where that is 1
-        (exp(log x) may move x an ulp), else formed in log space."""
-        if self.log_scale == 0.0:
-            return x
+        """x times the leading product eigenvalue (see the class)."""
+        if self.scale is not None:
+            return x * self.scale
         lv = math.log(x) + self.log_scale if x > 0.0 else -math.inf
         return math.exp(lv) if lv < 709.0 else math.inf
 
@@ -339,6 +366,7 @@ class _Target:
             n_low=n_low, n_high=n)
 
 
+@zeta_scope()
 def info_complexity(problem: ProductProblem, epsilon: float,
                     budget: Optional[Budget] = None) -> ComplexityResult:
     """Exact n^avg(eps, d): minimal n with top-n sum >= (1 - eps^2) * trace.
@@ -355,7 +383,8 @@ def info_complexity(problem: ProductProblem, epsilon: float,
     threshold needs mass that only those tails hold, they may split into
     any number of values: BudgetExceededError, n_lower from a fold walk.
     ``pops`` counts heap pops plus, for the fold decision, the products at
-    or above its final lower level."""
+    or above its final lower level.  The call runs in one zeta_scope, so the
+    closed-form traces evaluate each distinct zeta(2r) once."""
     target = _Target(problem, epsilon)
     if target.trivial:
         return target.trivial
@@ -642,22 +671,29 @@ def _fold_decide(spectra, goal, low, kept, upper, budget, pops):
 
 _SUM_CHUNK = 1 << 14  # _exact_parts's chunk: a call traces about 0.3 MB
 _LOW_BITS = (1 << 26) - 1  # the mantissa bits that _exact_parts splits off
+_SHORT_PARTS = 64  # arrays up to this long are their own exact parts
 
 
 def _exact_parts(x):
     """A list of doubles whose exact sum is that of x, for finite doubles
-    x >= 0 with a finite sum, in numpy per _SUM_CHUNK entries.
+    x >= 0 with a finite sum.
 
-    Each value splits exactly into hi, itself with its 26 low mantissa bits
-    cleared, and lo = x - hi, those bits alone.  Within a run of entries
-    that share an exponent field, of exponent e, every hi is a multiple of
-    2^(e-26) below 2^(e+1) and every lo one of 2^(e-52) below 2^(e-26)
-    (subnormals: of 2^-1074, as for e = -1022).  So each part's running sum
-    over a run of up to 2^26 entries, and a run ends with its chunk, is an
-    integer below 2^53 times its unit: every addition is exact, in any
-    order, and the run sums are the parts.  Input in any order stays exact;
-    sorted input, the scan's, has few runs per chunk, so few parts.
+    An array of at most _SHORT_PARTS values is its own list of parts: its
+    values as Python floats, exactly, for one numpy call where the split
+    below pays about eleven.  A longer one is split in numpy per
+    _SUM_CHUNK entries.  Each value splits exactly into hi, itself with its
+    26 low mantissa bits cleared, and lo = x - hi, those bits alone.
+    Within a run of entries that share an exponent field, of exponent e,
+    every hi is a multiple of 2^(e-26) below 2^(e+1) and every lo one of
+    2^(e-52) below 2^(e-26) (subnormals: of 2^-1074, as for e = -1022).  So
+    each part's running sum over a run of up to 2^26 entries, and a run
+    ends with its chunk, is an integer below 2^53 times its unit: every
+    addition is exact, in any order, and the run sums are the parts.  Input
+    in any order stays exact; sorted input, the scan's, has few runs per
+    chunk, so few parts.
     """
+    if len(x) <= _SHORT_PARTS:
+        return x.tolist()
     if x.strides[0] < 0:
         x = x[::-1]  # the same values, in the memory order numpy runs fastest
     parts = []
@@ -733,12 +769,17 @@ class _BruteForceOracle:
     limit stops the refinement), its size bounds nothing, and the call raises
     BudgetExceededError with _Target.decide's short count as n_lower: a top
     set misses at most the grid's lost mass of the kept mass.
+
+    Each grid comes with _grid_bound, a double at or above its exact sum,
+    from its columns' sums alone.  _Target.decide skips the scans that bound
+    decides, so a grid that falls short of the threshold is proven short
+    without a scan over all of it.  A call runs in one zeta_scope.
     """
 
     def __init__(self, problem: ProductProblem):
         self.problem = problem
         self._lengths = None
-        self._grid = None  # (descending grid, log kept mass)
+        self._grid = None  # (descending grid, log kept mass, _grid_bound)
 
     def _lengths_at(self, tol):
         return [min(c.truncate(tol), _BRUTE_COORD_CAP)
@@ -757,10 +798,11 @@ class _BruteForceOracle:
                 math.log(max(float(np.sum(g)) / (c.trace() / c.leading()), 1e-300))
                 for g, c in zip(grids, coords)
             )
-            self._grid = (prod[::-1], log_kept)
+            self._grid = (prod[::-1], log_kept, _grid_bound(grids))
             self._lengths = lengths
         return self._grid
 
+    @zeta_scope()
     def __call__(self, epsilon: float) -> ComplexityResult:
         target = _Target(self.problem, epsilon)
         if target.trivial:
@@ -772,20 +814,19 @@ class _BruteForceOracle:
             if tol > 0.5:
                 raise GridSizeError(
                     f"no truncation below tol=0.5 fits {_BRUTE_GRID_CAP} grid entries")
-        pops, result, built = 0, None, None
+        pops, built = 0, None
         for _attempt in range(24):
             lengths = self._lengths_at(tol)
             if math.prod(lengths) > _BRUTE_GRID_CAP:
                 break  # certification needs a grid the cap cannot hold
             if lengths != built:  # a tol that drops no more just shrinks again
                 built = lengths
-                order, log_kept = self._sorted_grid(lengths)
+                order, log_kept, bound = self._sorted_grid(lengths)
                 pops += len(order)
                 t_mass = target.lost(log_kept)
                 (crossed, n, partial, prev), certified, short = target.decide(
-                    order, t_mass)
+                    order, t_mass, bound)
                 del order  # so that _sorted_grid can free this grid before the next
-                result = target.result(n, partial, certified, pops, short + 1)
                 if certified or t_mass <= 0.0:
                     break
                 if crossed:
@@ -799,7 +840,31 @@ class _BruteForceOracle:
         if not crossed:  # the last grid's size bounds nothing; its short top sets do
             raise BudgetExceededError("the oracle's grid falls short of the threshold",
                                       n_lower=short, pops=pops)
-        return result
+        return target.result(n, partial, certified, pops, short + 1)
+
+
+def _grid_bound(cols):
+    """A double at or above the exact sum of the oracle's grid of cols.
+
+    Each column is non-increasing from exactly 1 in (0, 1], and a grid
+    entry is the product of one value per column, rounded after each
+    factor in column order; the first factor, times 1, is exact.  With u =
+    2^-53 and S_c a column's exact sum, so that the product of the S_c is
+    the exact sum of the unrounded products:
+    * each entry is at most its exact product times (1 + u)^(d-1), plus at
+      most (d - 1) 2^-1074 where a partial product falls below the normal
+      range (later factors <= 1 do not grow that);
+    * fsum is correctly rounded: S_c <= fsum(c) / (1 - u);
+    * the product B of the fsums, each >= 1, rounds d - 1 times: the exact
+      product of the fsums is at most B / (1 - u)^(d-1).
+    So the grid sums to at most B (1 + u)^(d-1) / (1 - u)^(2d-1) plus at
+    most 10^7 d 2^-1074, below B (1 + (3d + 1)u) as B >= 1.  The factor
+    1 + 4(d + 1)u is a double, and the rounded product B(1 + 4(d + 1)u)
+    is at least B(1 + (4d + 3)u)(1 - u) > B (1 + (3d + 1)u)."""
+    d, bound = len(cols), 1.0
+    for c in cols:
+        bound *= math.fsum(_exact_parts(c))
+    return bound * (1.0 + 4 * (d + 1) * 2.0 ** -53)
 
 
 def brute_force_complexity(problem: ProductProblem, epsilon: float) -> ComplexityResult:

@@ -23,10 +23,11 @@ series).  Above s = 60 only the terms n = 1, 2, 3 are kept: 4^-s < 1e-36.
 ``zeta_scope()`` is the per-call scope for these values.  While one is
 active, ``scoped(zeta, s)`` (and likewise for ``zeta_log_weighted``)
 evaluates each distinct s once and hands the same double out again; the
-spectra's closed forms go through it.  The bounds and the CLI ``bounds``
-and ``sweep`` commands enter a scope per call, a nested entry shares the
-outer one, and the values are dropped when the outermost one exits, so
-nothing is kept from one call to the next.
+spectra's closed forms go through it.  The bounds, ``info_complexity``,
+the brute-force oracle's calls and the CLI ``bounds`` and ``sweep``
+commands enter a scope per call, a nested entry shares the outer one, and
+the values are dropped when the outermost one exits, so nothing is kept
+from one call to the next.
 """
 
 from __future__ import annotations

@@ -28,6 +28,35 @@ def small_problem():
     )
 
 
+class TestZetaPerCall:
+    """A call evaluates each distinct zeta(2r) once, and keeps none."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        import tractlab.spectra as spectra
+
+        calls, zeta = [], spectra.zeta
+        monkeypatch.setattr(spectra, "zeta", lambda s: calls.append(s) or zeta(s))
+        return calls
+
+    def test_engine(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        p = ProductProblem(tuple(KorobovSpectrum(k ** -3.0, 1.0) for k in range(1, 11)))
+        for eps in (0.5, 0.1):  # a heap answer, a fold answer
+            calls.clear()
+            info_complexity(p, eps)
+            assert calls == [2.0]
+
+    def test_oracle(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        p = ProductProblem(tuple(KorobovSpectrum(k ** -3.0, 1.0) for k in range(1, 4)))
+        oracle = _BruteForceOracle(p)
+        for eps in (0.5, 0.1):
+            calls.clear()
+            oracle(eps)
+            assert calls == [2.0]
+
+
 class TestInfoComplexity:
     def test_two_coordinate_example(self):
         # eigenvalues {1, .5, .5, .25}, trace 2.25; at eps=0.6 the target
@@ -1050,6 +1079,13 @@ class TestOracleRefinement:
                                    0.5)
 
 
+class TestOracleRecords:
+    def test_match_the_reference(self):
+        from oracle_records import REFERENCE, records
+
+        assert list(records()) == REFERENCE.read_text().splitlines()
+
+
 class TestPerProblemOracle:
     """One oracle serves every eps of a problem, as fresh calls would."""
 
@@ -1242,6 +1278,37 @@ class TestDecide:
                            (True, False, True), (False, False, False),
                            (False, False, True)}
 
+    def test_a_bound_spares_the_scans_it_decides(self, monkeypatch):
+        # a bound at or above the exact sum: below the threshold it proves
+        # no crossing (sums unscanned, nan), below low(lost) every value short
+        import numpy as np
+        import tractlab.tensor as tensor_mod
+
+        target = tensor_mod._Target(small_problem(), 0.5)
+        v = np.sort(np.random.default_rng(13).uniform(0.0, 1.0, 300))[::-1]
+        total = math.fsum(v.tolist())
+        scans = []
+        first = tensor_mod._first_reaching
+        monkeypatch.setattr(tensor_mod, "_first_reaching",
+                            lambda *args: scans.append(args[1]) or first(*args))
+        # the least double above the exact sum, and one far above it
+        for bound in (math.nextafter(total, math.inf), 2.0 * total):
+            for x in (0.5 * total, total, math.nextafter(bound, math.inf)):
+                target.threshold = x
+                for lost in (0.0, 0.25 * total, 2.0 * total):
+                    scans.clear()
+                    (crossed, n, partial, prev), certified, short = got = (
+                        target.decide(v, lost, bound))
+                    want = self.reference(v, target, lost)
+                    if bound < x:
+                        assert (crossed, n, certified, short) == (
+                            False, 300, False, want[2])
+                        assert math.isnan(partial) and math.isnan(prev)
+                        low = target.low(lost)
+                        assert scans == ([] if bound < low else [low])
+                    else:
+                        assert got == want and scans[0] == x
+
     def test_an_uncrossed_array_keeps_the_oracles_lower_bound(self):
         # short is the n_lower the oracle raises for a grid that does not
         # cross: the first n reaching low(lost) less one, or every value
@@ -1300,6 +1367,22 @@ class TestExactSum:
         self.assert_fsum(np.repeat(v, 5000))
         self.assert_fsum(np.tile(v, 5000))
         self.assert_fsum(np.concatenate(([1e-300], np.full(3, 5e-324))))
+
+    def test_short_arrays_at_every_length(self):
+        # around _SHORT_PARTS, where the values themselves are the parts:
+        # subnormals, the normal edge, zeros, unsorted and reversed views
+        import numpy as np
+
+        edge = 2.0 ** -1022
+        rng = np.random.default_rng(17)
+        pool = np.concatenate((np.exp(rng.uniform(-745.0, 10.0, 200)), np.zeros(20),
+                               [5e-324, 3e-320, np.nextafter(edge, 0.0), edge]))
+        for length in range(131):
+            v = rng.choice(pool, length)
+            self.assert_fsum(v)
+            self.assert_fsum(np.sort(v)[::-1])
+            self.assert_fsum(v[::-2])
+            self.assert_fsum(np.zeros(length))
 
     def test_zeros(self):
         import numpy as np
@@ -1399,6 +1482,22 @@ class TestOracleMemory:
         assert (res.n, res.certified, res.n_low, res.n_high) == (
             5_996_204, True, 5_996_204, 5_996_204)
 
+    def test_a_short_grid_is_proven_without_a_full_scan(self, monkeypatch):
+        # the grid's bound falls short of the threshold at eps 0.1, so only
+        # the scan at low(lost) runs, up to its crossing near 782,848 values
+        import tractlab.tensor as tensor_mod
+
+        summed = []
+        exact_parts = tensor_mod._exact_parts
+        monkeypatch.setattr(tensor_mod, "_exact_parts",
+                            lambda x: summed.append(len(x)) or exact_parts(x))
+        oracle = _BruteForceOracle(_verify_instance_7())
+        with pytest.raises(BudgetExceededError) as exc:
+            oracle(0.1)
+        assert (exc.value.n_lower, exc.value.pops) == (782_848, self.GRID)
+        # the columns' sums of _grid_bound aside
+        assert sum(summed) - sum(oracle._lengths) <= 800_000
+
     def test_oracle_bracket_holds_the_answer(self):
         # the capped grid of 3,437,610 products falls short at eps 0.1, so
         # its size is no upper bound: the oracle raises, with a lower bound
@@ -1407,6 +1506,55 @@ class TestOracleMemory:
         with pytest.raises(BudgetExceededError) as exc:
             _BruteForceOracle(_verify_instance_7())(0.1)
         assert exc.value.n_lower == 782_848 < answer
+
+
+class TestGridBound:
+    """_grid_bound is at or above the exact sum of the oracle's grid."""
+
+    def test_covers_the_exact_sums_of_seeded_grids(self):
+        unit = 1 << 1074  # every double is a whole number of 2^-1074
+
+        def scaled(x):
+            num, den = x.as_integer_ratio()
+            return num * (unit // den)
+
+        rng, checked, slack = random.Random(21), 0, []
+        while checked < 60:
+            p = random_instance(rng)
+            oracle = _BruteForceOracle(p)
+            lengths = oracle._lengths_at(0.01 / p.d)
+            if math.prod(lengths) > 20_000:
+                continue
+            grid, _log_kept, bound = oracle._sorted_grid(lengths)
+            exact = sum(map(scaled, grid.tolist()))
+            assert scaled(bound) >= exact
+            slack.append(bound / (exact / unit) - 1.0)
+            checked += 1
+        # within 4(d + 1)u and a few roundings of the exact sum
+        assert max(slack) < 20 * 2.0 ** -53
+
+
+class TestScaledResults:
+    def test_traces_round_against_the_exact_product(self):
+        # a trace reported where leading values are not 1 is within (3d - 1)u
+        # of the exact product of the coordinate traces: d roundings of
+        # trace / leading, d - 1 of their product and of the leading values'
+        # product, and one of the scaling
+        from fractions import Fraction
+
+        checked = 0
+        for seed in (0, 1, 2):
+            rng = random.Random(seed)
+            for _ in range(50):
+                p = random_instance(rng)
+                if all(c.leading() == 1.0 for c in p.coordinates):
+                    continue
+                exact = math.prod(Fraction(c.trace()) for c in p.coordinates)
+                for res in (info_complexity(p, 0.9), _BruteForceOracle(p)(0.9)):
+                    err = abs(Fraction(res.trace) - exact) / exact
+                    assert err <= (3 * p.d - 1) * Fraction(2) ** -53
+                    checked += 1
+        assert checked > 150
 
 
 class TestResultInvariants:
