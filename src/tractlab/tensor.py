@@ -774,6 +774,10 @@ class _BruteForceOracle:
     from its columns' sums alone.  _Target.decide skips the scans that bound
     decides, so a grid that falls short of the threshold is proven short
     without a scan over all of it.  A call runs in one zeta_scope.
+
+    certifiable() bounds the kept mass of every grid the oracle can build
+    from its columns' closed forms, and so tells, without a grid, whether
+    any call can certify an answer.
     """
 
     def __init__(self, problem: ProductProblem):
@@ -794,13 +798,74 @@ class _BruteForceOracle:
             for arr in grids:
                 prod = np.multiply.outer(prod, arr).ravel()
             prod.sort()  # in place; prod[::-1].sort() would copy the whole grid
-            log_kept = math.fsum(
-                math.log(max(float(np.sum(g)) / (c.trace() / c.leading()), 1e-300))
-                for g, c in zip(grids, coords)
-            )
+            log_kept = _log_kept(coords, [float(np.sum(g)) for g in grids])
             self._grid = (prod[::-1], log_kept, _grid_bound(grids))
             self._lengths = lengths
         return self._grid
+
+    @zeta_scope()
+    def certifiable(self) -> bool:
+        """False when no grid this oracle can build certifies an answer at
+        any eps < 1, decided without building one; True when one may.
+
+        Every grid is cut at one tol in [1e-16, 0.5] (the refinement stops
+        at 1e-16, and the first cut raises GridSizeError past 0.5) to the
+        lengths _lengths_at(tol), whose product fits _BRUTE_GRID_CAP.  No
+        truncate rises as tol grows, so when the lengths at lo do not fit,
+        every grid is cut above lo and is no longer than they are.  The
+        search bisects between such a lo and a hi whose lengths fit, and
+        stops once the lengths at lo lose too much (False), the lengths at
+        hi do not (True), or no double lies between the two (False: every
+        grid is cut at hi or above).
+
+        A column's kept mass never falls as it lengthens, so _kept_bound
+        at lengths no grid exceeds bounds every grid's column sums.  Each
+        bound exceeds its column's sum by 2^-30 of the coordinate's trace,
+        so its share of the trace exceeds the column's by far more than
+        the few u that np.sum, the division and the logarithm err: the
+        log_kept a call computes is below the one computed here, and the
+        mass it counts lost is at least ``lost`` here.
+
+        A crossing at n certifies only when lost + rounding < threshold -
+        P_(n-1), where P_k is the correctly rounded sum of the top k
+        values (_first_reaching) and S_k its exact sum.  With P_n >=
+        threshold and u = 2^-53, threshold - P_(n-1) <= P_n - P_(n-1) <=
+        lambda_n + u (S_n + S_(n-1)), where the value lambda_n <= 1 (a
+        product of normalized values) and S_n is at most the grid's 10^7
+        entries: below 1 + 3e-9 with the subtraction's rounding.  So a grid
+        that loses more than 2, twice the leading value, certifies nothing.
+        Any change to how the oracle picks its grids' lengths must keep
+        this argument sound.
+        """
+        coords, trace = self.problem.coordinates, self.problem.normalized_trace()
+
+        def probe(tol):  # (the lengths at tol fit, every grid within them loses > 2)
+            lengths = self._lengths_at(tol)
+            log_kept = _log_kept(coords, list(map(_kept_bound, coords, lengths)))
+            lost = trace * (1.0 - math.exp(min(log_kept, 0.0)))
+            return math.prod(lengths) <= _BRUTE_GRID_CAP, lost > 2.0
+
+        lo, hi = 1e-16, 0.5
+        fits, loses = probe(lo)
+        if fits or loses:  # no grid is longer than the lengths at lo
+            return not loses
+        fits, hi_loses = probe(hi)
+        if not fits:
+            return False  # no grid fits: the oracle raises GridSizeError
+        while hi_loses:
+            mid = math.sqrt(lo * hi)
+            if not lo < mid < hi:
+                mid = 0.5 * (lo + hi)
+                if not lo < mid < hi:
+                    return False  # every grid is cut at hi or above
+            fits, loses = probe(mid)
+            if fits:
+                hi, hi_loses = mid, loses
+            elif loses:
+                return False  # every grid is cut above mid
+            else:
+                lo = mid
+        return True
 
     @zeta_scope()
     def __call__(self, epsilon: float) -> ComplexityResult:
@@ -865,6 +930,29 @@ def _grid_bound(cols):
     for c in cols:
         bound *= math.fsum(_exact_parts(c))
     return bound * (1.0 + 4 * (d + 1) * 2.0 ** -53)
+
+
+def _log_kept(coords, sums):
+    """ln of the share of the trace that columns of these sums keep."""
+    return math.fsum(math.log(max(s / (c.trace() / c.leading()), 1e-300))
+                     for c, s in zip(coords, sums))
+
+
+def _kept_bound(c, length):
+    """A double above the sum of the oracle's column of spectrum c at this
+    length by at least 2^-30 of c's normalized trace.
+
+    An explicit column, each value divided by the leading one, sums to
+    within a few u of the fsum of the values, divided.  A Korobov column
+    holds at most M = length // 2 pairs (a length is 2M + 1, or the even
+    coordinate cap), and as x^-2r falls the pairs past M sum to at least
+    2g times the integral of x^-2r from M + 1, 2g (M + 1)^(1-2r) / (2r -
+    1): the column keeps at most the trace less that.  Both forms err by a
+    few u of the trace (1e-15 relative for zeta), far below the slack."""
+    if isinstance(c, ExplicitSpectrum):
+        return (math.fsum(c.values[:length]) + 2.0 ** -30 * c.trace()) / c.leading()
+    p = 2.0 * c.r - 1.0
+    return c.trace() * (1.0 + 2.0 ** -30) - 2.0 * c.g * (length // 2 + 1.0) ** -p / p
 
 
 def brute_force_complexity(problem: ProductProblem, epsilon: float) -> ComplexityResult:

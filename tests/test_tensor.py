@@ -1508,6 +1508,48 @@ class TestOracleMemory:
         assert exc.value.n_lower == 782_848 < answer
 
 
+class TestCertifiable:
+    """certifiable() bounds every grid the oracle can build, building none."""
+
+    def test_rejected_instances_certify_nothing(self):
+        rejected = {}
+        for seed in (0, 1, 2):
+            rng = random.Random(seed)
+            for i in range(50):
+                p = random_instance(rng)
+                if not _BruteForceOracle(p).certifiable():
+                    rejected[seed, i] = p
+        assert list(rejected) == [(0, 7), (1, 23), (1, 48), (2, 5)]
+        assert rejected[0, 7] == _verify_instance_7()
+        for p in rejected.values():
+            oracle = _BruteForceOracle(p)
+            for eps in (0.9, 0.5, 0.3, 0.1, 0.05):
+                try:
+                    res = oracle(eps)
+                except (BudgetExceededError, GridSizeError):
+                    continue
+                assert not res.certified
+            del oracle  # one grid alive at a time
+
+    def test_builds_no_grid(self, monkeypatch):
+        def no_grid(self, lengths):
+            raise AssertionError("certifiable() built a grid")
+
+        monkeypatch.setattr(_BruteForceOracle, "_sorted_grid", no_grid)
+        assert not _BruteForceOracle(_verify_instance_7()).certifiable()
+        rng = random.Random(1)
+        assert sum(_BruteForceOracle(random_instance(rng)).certifiable()
+                   for _ in range(50)) == 48
+
+    @pytest.mark.parametrize("coords", [
+        (KorobovSpectrum(0.5, 1.0),) * 30,  # no grid fits the cap
+        # every grid leaves out the declared tail, its leading value
+        (KorobovSpectrum(0.5, 1.0), ExplicitSpectrum((1.0, 0.5), tail=1.0)),
+    ])
+    def test_rejects_oracles_that_raise(self, coords):
+        assert not _BruteForceOracle(ProductProblem(coords)).certifiable()
+
+
 class TestGridBound:
     """_grid_bound is at or above the exact sum of the oracle's grid."""
 
