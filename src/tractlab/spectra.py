@@ -30,6 +30,11 @@ from .zeta import scoped, zeta, zeta_log_weighted
 _LOG_PAIRS_CAP = 69.0
 
 
+def _check_exponent(tau: float) -> None:
+    if not tau > 0.0:  # NaN fails too
+        raise DomainError(f"power-sum exponent must be positive, got {tau}")
+
+
 @dataclass(frozen=True)
 class KorobovSpectrum:
     """Korobov-kernel eigenvalue sequence with weight g and smoothness r."""
@@ -73,8 +78,7 @@ class KorobovSpectrum:
         return 1.0 / (2.0 * self.r)
 
     def power_sum(self, tau: float) -> float:
-        if tau <= 0:
-            raise DomainError(f"power-sum exponent must be positive, got {tau}")
+        _check_exponent(tau)
         if 2.0 * self.r * tau <= 1.0:
             raise DivergenceError(
                 f"power sum diverges at tau={tau} (needs tau > {self.tau_min()})",
@@ -84,6 +88,7 @@ class KorobovSpectrum:
 
     def excess_power_sum(self, tau: float) -> float:
         """sum_{j>=2} (eigenvalue(j)/eigenvalue(1))^tau."""
+        _check_exponent(tau)
         if 2.0 * self.r * tau <= 1.0:
             raise DivergenceError(
                 f"normalized power sum diverges at tau={tau}",
@@ -218,8 +223,7 @@ class ExplicitSpectrum:
         return self.tail / lead * (self.values[-1] / lead) ** (tau - 1.0)
 
     def power_sum(self, tau: float) -> float:
-        if tau <= 0:
-            raise DomainError(f"power-sum exponent must be positive, got {tau}")
+        _check_exponent(tau)
         acc = CompensatedSum()
         for v in self.values:
             if v > 0.0:
@@ -228,6 +232,7 @@ class ExplicitSpectrum:
         return acc.value
 
     def excess_power_sum(self, tau: float) -> float:
+        _check_exponent(tau)
         lead = self.values[0]
         acc = CompensatedSum()
         for v in self.values[1:]:

@@ -398,8 +398,8 @@ def info_complexity(problem: ProductProblem, epsilon: float,
     tails = target.lost(log_untailed)
     low = target.low(tails)
     if tails > 0.0 and trace - tails < threshold + target.rounding:
-        _fold, (crossed, n, _p, _q), ranked = _fold_decide(
-            spectra, low, low, trace - tails, 1.0, budget, 0)
+        (crossed, n, _p, _q), _c, _n, ranked = _fold_decide(
+            spectra, target, tails, low, 1.0, budget, 0)
         raise BudgetExceededError("declared tails block the threshold",
                                   n_lower=n - 1 if crossed else n, pops=ranked)
     heap_left = min(_HANDOFF_POPS, budget.n_max, budget.heap_entries(d) // d)
@@ -410,13 +410,8 @@ def info_complexity(problem: ProductProblem, epsilon: float,
     (crossed, n, partial, _prev), certified, short = target.decide(values, tails)
     if crossed:
         return target.result(n, partial, certified, pops, short + 1)
-    fold, (crossed, n, partial, prev), ranked = _fold_decide(
-        spectra, threshold, low, trace - tails, upper, budget, pops)
-    certified = target.certified(crossed, prev, tails)
-    n_low = n
-    if not certified:
-        hit = fold.first_reaching(low, math.inf) if low > 0.0 else (1,)
-        n_low = hit[0] if hit else n
+    (_c, n, partial, _prev), certified, n_low, ranked = _fold_decide(
+        spectra, target, tails, threshold, upper, budget, pops)
     return target.result(n, partial, certified, pops + ranked, n_low)
 
 
@@ -456,51 +451,108 @@ def _heap_scan(spectra, target, pops_left):
     return np.array(values), math.exp(log_floor) if dry else level
 
 
-def _dense_fold(prod, v, floor, max_entries):
-    """Every product >= floor of a value of prod, each >= floor (as
-    _two_sides's sides are), and one of v (non-increasing from exactly 1),
-    unordered; products < floor drop, as further factors are <= 1.  A value
-    of prod times v[0] = 1 is itself, so prod is copied whole, and only the
-    rows that reach past v[0] (floor / prod <= v[1]) are searched and
-    multiplied out: in a short column's fold most rows meet only its 1."""
+def _runs(values, mults=None):
+    """(values, multiplicities): the distinct values of a multiset,
+    descending, each with its number of copies.  Without ``mults`` each
+    value is one copy and ``values`` is non-increasing already, as a column
+    from dense_values is (a Korobov pair is one run of 2); with them, values
+    come in any order and are sorted first.  Multiplicities are doubles
+    that hold integers (exact: see _LevelFold)."""
+    if mults is not None:
+        order = np.argsort(values)[::-1]
+        values, mults = values[order], mults[order]
+    edges = np.empty(len(values) + 1, dtype=bool)  # where a run starts or all end
+    edges[0] = edges[-1] = True
+    np.not_equal(values[1:], values[:-1], out=edges[1:-1])
+    bounds = np.flatnonzero(edges)
+    starts = bounds[:-1]
+    if mults is None:
+        return values[starts], (bounds[1:] - starts).astype(np.float64)
+    return values[starts], np.add.reduceat(mults, starts)
+
+
+def _memory_error():
+    return BudgetExceededError("dense enumeration exceeded its memory budget")
+
+
+# A fold holds fewer products than this, or it raises: then every sum of
+# multiplicities is an exact double, and each splits into two 26-bit halves.
+_COUNT_CAP = 2.0 ** 52
+
+
+def _dense_fold(side, col, floor, max_entries):
+    """Every product >= floor of a value of side, each >= floor (as
+    _two_sides's sides are), and one of col (non-increasing from exactly
+    1), as unordered (values, multiplicities), equal values not merged: a
+    product's multiplicity is its factors' multiplied.  Products < floor
+    drop, as further factors are <= 1.  A value of side times col's 1 is
+    itself, so side is copied whole, and only the rows that reach past the
+    1 (floor / prod <= col's second value) are searched and multiplied out:
+    in a short column's fold most rows meet only its 1."""
+    (prod, prod_mult), (v, v_mult) = side, col
     need = floor / prod  # the least factor that keeps a row's products
-    reach = need <= v[1]
+    reach = need <= (v[1] if len(v) > 1 else 0.0)
     rows, tail = prod[reach], v[1:]
     counts = np.searchsorted(-tail, -need[reach], side="right")
     start = len(prod)
     total = start + int(counts.sum())
     if total > max_entries:
-        raise BudgetExceededError("dense enumeration exceeded its memory budget")
+        raise _memory_error()
     idx = np.arange(total - start) - np.repeat(np.cumsum(counts) - counts, counts)
-    out = np.empty(total)
+    out, mult = np.empty(total), np.empty(total)
     out[:start] = prod
     np.multiply(np.repeat(rows, counts), tail[idx], out=out[start:])
-    return out
+    np.multiply(prod_mult, v_mult[0], out=mult[:start])
+    np.multiply(np.repeat(prod_mult[reach], counts), v_mult[1:][idx], out=mult[start:])
+    return out, mult
 
 
 def _two_sides(cols, floor, max_entries):
-    """(descending col, ascending rows) of _LevelFold: longest first, each
-    column folds into the side of fewer products; a lone column is not sorted."""
-    sides = [np.ones(1), np.ones(1)]
-    for c in sorted((c for c in cols if len(c) > 1), key=len, reverse=True):
-        i = int(len(sides[1]) < len(sides[0]))
-        sides[i] = _dense_fold(sides[i], c, floor, max_entries) if len(sides[i]) > 1 else c
-    for side in (s for s in sides if all(s is not c for c in cols)):
-        side[::-1].sort()  # descending, as a lone column is
-    rows, col = sorted(sides, key=len)
-    return col, rows[::-1]
+    """(col, rows) of _LevelFold from the columns' runs: col descending,
+    rows ascending, each (values, multiplicities) with distinct values.
+    Longest first (in products), each column folds into the side of fewer
+    products, as the same doubles whatever merges: equal factors make
+    equal products.  A side merges its equal values (a sort) once its
+    folds have at least doubled the entries it held at its last merge, and
+    after its last fold; a lone column is merged already.  So every merge
+    sorts at most twice the entries the folds added since the one before:
+    equal coordinates, whose products repeat, merge after nearly every
+    fold, and distinct ones, whose folds add few entries to a long side,
+    do not sort it again for each.  Rows is the side of fewer distinct
+    values."""
+    sides, counts, merged = [(np.ones(1), np.ones(1))] * 2, [1.0, 1.0], [1, 1]
+    for c, n in sorted(((c, c[1].sum()) for c in cols),
+                       key=lambda cn: cn[1], reverse=True):
+        if n == 1.0:
+            continue  # the leading 1 alone changes no product
+        i = int(counts[1] < counts[0])
+        if counts[i] == 1.0:
+            sides[i], merged[i] = c, len(c[0])
+        else:
+            side = _dense_fold(sides[i], c, floor, max_entries)
+            if len(side[0]) >= 2 * merged[i]:
+                side = _runs(*side)
+                merged[i] = len(side[0])
+            sides[i] = side
+        counts[i] = sides[i][1].sum()
+    # a side longer than at its last merge has unmerged entries
+    sides = [s if len(s[0]) == m else _runs(*s) for s, m in zip(sides, merged)]
+    rows, col = sorted(sides, key=lambda s: len(s[0]))
+    return col, (rows[0][::-1], rows[1][::-1])
 
 
 def _prefix_sums(x):
-    """Compensated prefix sums of a non-increasing x >= 0: np.cumsum plus
-    the cumsum of each addition's exact error (Dekker's FastTwoSum: the sum
-    before an addition is >= its term), rounded once.  With u = 2^-53 and
-    S_k = sum(x[:k+1]), each error e_i <= u hi_i <~ u S_k, their rounded
-    cumsum errs by <= (k-1) u sum e_i <= k^2 u^2 S_k, and entry k lies within
-    u + k^2 u^2 of S_k, relative: correctly rounded unless near a tie."""
+    """Compensated prefix sums of x >= 0: np.cumsum plus the cumsum of each
+    addition's exact error (Knuth's TwoSum, exact whatever the order of the
+    terms' sizes), rounded once.  With u = 2^-53 and S_k = sum(x[:k+1]),
+    each error e_i <= u hi_i <~ u S_k, their rounded cumsum errs by <= (k-1)
+    u sum e_i <= k^2 u^2 S_k, and entry k lies within u + k^2 u^2 of S_k,
+    relative: correctly rounded unless near a tie."""
     hi = np.cumsum(x)
-    err = np.concatenate(([0.0], hi[:-1]))  # the sum before each addition
-    np.subtract(x, np.subtract(hi, err, out=err), out=err)
+    prev = np.concatenate(([0.0], hi[:-1]))  # the sum before each addition
+    kept = hi - prev  # the part of the term that the addition kept
+    err = x - kept  # the term's error, plus the sum's below
+    np.add(err, np.subtract(prev, np.subtract(hi, kept, out=kept), out=prev), out=err)
     return np.add(hi, np.cumsum(err, out=err), out=hi)
 
 
@@ -509,21 +561,35 @@ _SLICE_ENTRIES = 1 << 16  # a boundary slice this small is sorted, not split
 
 class _LevelFold:
     """Every normalized product eigenvalue >= floor of the spectra, held as
-    level sets.  Its columns hold each spectrum's values >= floor, so it
-    misses only the declared tails of explicit spectra.
+    level sets of distinct values with multiplicities.  Its columns hold
+    each spectrum's values >= floor, so it misses only the declared tails of
+    explicit spectra.
 
-    _two_sides folds the columns into two sides, each every product >=
-    floor of its coordinates (a product >= floor has every factor >= floor):
-    the larger a descending array ``col``, the smaller ascending ``rows``.
-    The products >= a level t in row i are the first c_i = #{j : col_j >=
-    t / rows_i} entries of ``col``, summing to rows_i * prefix(c_i): a level
-    costs a search per row, memory |rows| + |col|.  Prefix sums within
-    u + m^2 u^2 of exact (_prefix_sums; u = 2^-53, m = len(col)) put each
-    row term within 2u + m^2 u^2, and the correct rounding of their exact
-    sum (_exact_parts) within 3u + m^2 u^2: below 4u for m < 9e7.  In
-    either association a product takes at most d - 1 roundings, (d - 1)u
-    relative, so the sums err by far less than _Target's 1e-12 share of
-    the trace for d < 4000.
+    _two_sides folds the columns' runs into two sides, each every product
+    >= floor of its coordinates (a product >= floor has every factor >=
+    floor), with equal products merged: descending distinct values ``col``
+    with multiplicities b_j, and the side of fewer distinct values as
+    ascending ``rows`` with multiplicities a_i.  The products >= a level t
+    in row i are the b_j copies of rows_i col_j over the first c_i = #{j :
+    col_j >= t / rows_i} values of ``col``, a_i B[c_i] products (B the
+    cumulative b_j, ``below``) summing to a_i rows_i M[c_i] (M the prefix
+    sums of b_j col_j, ``prefix``): a level costs a search per distinct
+    row, memory |rows| + |col| distinct values, however many copies.
+
+    Each b_j col_j rounds once and _prefix_sums errs by u + m^2 u^2 (u =
+    2^-53, m = len(col)), so M is within 2u + m^2 u^2 of its exact sum;
+    a_i rows_i, ``weights``, and its product with M[c_i] round once each,
+    which puts each row term within 4u + m^2 u^2, and the correct rounding
+    of their exact sum (_exact_parts) within 5u + m^2 u^2: below 6u for m <
+    9e7.  In either association a product takes at most d - 1 roundings,
+    (d - 1)u relative, so the sums err by far less than _Target's 1e-12
+    share of the trace for d < 4000.
+
+    Multiplicities and counts are integers held as doubles.  The fold
+    raises BudgetExceededError when it holds _COUNT_CAP = 2^52 products or
+    more; else they are exact, as every count it forms is at most that:
+    each value of a side meets the other side's leading 1, so a side, and
+    each side before it folds on, counts at most what the fold holds.
 
     No coordinate's column holds more than ``cap`` = n_max + 1 values: one
     reaching cap raises the floor to its cap-th value, and with the others'
@@ -543,43 +609,58 @@ class _LevelFold:
             floor = max(raised)
             cols = [c[c >= floor][:cap] for c in cols]
         if max(len(c) for c in cols) > max_entries:
-            raise BudgetExceededError("dense enumeration exceeded its memory budget")
-        self.col, self.rows = _two_sides(cols, floor, max_entries)
+            raise _memory_error()
+        cols = [_runs(c) for c in cols]  # freeing the full columns
+        (col, col_mult), (self.rows, self.row_mult) = _two_sides(cols, floor, max_entries)
+        del cols
+        # the prefix sums first, while their temporaries are the only others
+        self.prefix = np.concatenate(([0.0], _prefix_sums(col * col_mult)))
+        self.below = np.concatenate(([0.0], np.cumsum(col_mult)))
+        self._ends = np.concatenate((col, [0.0, math.inf]))  # empty-slice pads
+        self.col = self._ends[:-2]
         self._neg_col = -self.col
         self.floor, self.max_entries = floor, max_entries
-        self._ends = np.concatenate((self.col, [0.0, math.inf]))  # empty-slice pads
-        self.prefix = np.concatenate(([0.0], _prefix_sums(self.col)))
+        self.weights = self.rows * self.row_mult
         self.bottom = self.counts(floor)
-        self.total = float(self.mass(self.rows, self.bottom).sum())  # all it holds
+        held = self.row_mult @ self.below[self.bottom]  # bounds every count
+        if held >= _COUNT_CAP:
+            raise BudgetExceededError("the fold holds 2^52 products or more")
+        self.held = int(held)
+        self.total = float(self.mass(self.bottom).sum())
 
     def counts(self, level):
         """c_i = #{j : col_j >= level / rows_i}, per row."""
         return np.searchsorted(self._neg_col, -level / self.rows, side="right")
 
-    def mass(self, rows, counts):
-        """rows_i * (col[0] + ... + col[counts_i - 1]), per row."""
-        return rows * self.prefix[counts]
+    def number(self, counts):
+        """The products at these per-row counts: the sum of a_i B[c_i]."""
+        return int(self.row_mult @ self.below[counts])
+
+    def mass(self, counts, start=0):
+        """a_i rows_i M[c_i], per row from ``start`` on."""
+        return self.weights[start:] * self.prefix[counts]
 
     def first_reaching(self, target, upper):
         """(n, partial_n, partial_(n-1), count at the final lower level) for
         the first n whose top-n sum reaches target, or None.
         Splits the levels between the floor and ``upper`` until at most
-        _SLICE_ENTRIES values lie between them or they all tie;
-        _first_reaching then decides on that sorted slice.  With the
-        slice's values in [b, a], a split aims where the mass, linear in
-        ln(level) between the sums at the slice's ends, reaches target,
-        within the middle 80% of ln(a/b); after an aimed split that did not
-        halve the slice, the next is at sqrt(ab).  No split widens ln(a/b)
-        and each sqrt(ab) halves it, from ln(1 / 1e-300) < 700 to a tie's
-        2^-40 in at most 50: with the aimed splits that halve the slice, at
-        most 101 + log2(slice / 2^16) rounds.  The splits move the count at
-        the final lower level and, by a few u, the row terms above the
-        slice's values, whose correctly rounded sum is the scan's base."""
+        _SLICE_ENTRIES products lie between them or they all tie;
+        _first_reaching then decides on that slice: its distinct (row, col)
+        pairs, merged into runs of equal values.  With the slice's values in
+        [b, a], a split aims where the mass, linear in ln(level) between the
+        sums at the slice's ends, reaches target, within the middle 80% of
+        ln(a/b); after an aimed split that did not halve the slice, the next
+        is at sqrt(ab).  No split widens ln(a/b) and each sqrt(ab) halves
+        it, from ln(1 / 1e-300) < 700 to a tie's 2^-40 in at most 50: with
+        the aimed splits that halve the slice, at most 101 + log2(slice /
+        2^16) rounds.  The splits move the count at the final lower level
+        and, by a few u, the row terms above the slice's values, whose
+        correctly rounded sum is the scan's base."""
         rows, lo, lo_mass = self.rows, self.bottom, self.total
         hi = self.counts(upper)
 
         def mass_at(counts):
-            terms = self.mass(rows, counts)
+            terms = self.mass(counts)
             total = float(terms.sum())
             # any summation order errs by at most (k-1)u of the sum, so only
             # a total this close to the target needs the correct rounding
@@ -590,7 +671,7 @@ class _LevelFold:
         hi_mass = mass_at(hi)
         if hi_mass >= target:
             hi, hi_mass = np.zeros_like(lo), 0.0
-        size, aim = int((lo - hi).sum()), True
+        size, aim = self.number(lo) - self.number(hi), True
         while size > _SLICE_ENTRIES:
             a = float((rows * self._ends[hi]).max())  # largest value in the slice
             b = float((rows * self._ends[lo - 1]).min())  # smallest
@@ -604,69 +685,83 @@ class _LevelFold:
                 lo, lo_mass = mid, mass
             else:
                 hi, hi_mass = mid, mass
-            last, size = size, int((lo - hi).sum())
+            last, size = size, self.number(lo) - self.number(hi)
             aim = not aim or 2 * size <= last
         z = max(int(np.searchsorted(hi, 1)) - 1, 0)  # counts ascend with rows
-        base = math.fsum(_exact_parts(self.mass(rows[z:], hi[z:])))
+        base = math.fsum(_exact_parts(self.mass(hi[z:], z)))
         width = lo - hi
-        size, count = int(width.sum()), int(hi.sum())
+        size, count = int(width.sum()), self.number(hi)
         if size > self.max_entries:
-            raise BudgetExceededError("dense enumeration exceeded its memory budget")
+            raise _memory_error()
         ends = np.cumsum(width)  # row i's slice: idx hi_i to lo_i - 1
         idx = np.repeat(np.subtract(lo, ends, out=ends), width) + np.arange(size)
-        values = np.repeat(rows, width) * self.col[idx]
-        values[::-1].sort()  # descending
-        crossed, k, partial, prev = _first_reaching(values, target, base)
-        return (count + k, partial, prev, count + size) if crossed else None
+        values, mults = _runs(
+            np.repeat(rows, width) * self.col[idx],
+            np.repeat(self.row_mult, width) * (self.below[idx + 1] - self.below[idx]))
+        crossed, k, partial, prev = _first_reaching(values, target, base, mults)
+        return (count + k, partial, prev, self.number(lo)) if crossed else None
 
 
-def _fold_decide(spectra, goal, low, kept, upper, budget, pops):
+def _fold_decide(spectra, target, lost, goal, upper, budget, pops):
     """Level-set walk to the first n whose top-n sum reaches ``goal``, with
     folds at floors stepping down from e^-1 ``upper``.  The mass below a
     level falls about like a power of it, so the next floor extrapolates
     ln(kept - sum) in ln(level) from the last two levels to the crossing, in
-    steps clamped to [0.25, 2]; ``kept``, the trace less the declared tails,
-    is the mass of all products.  That power grows with depth on the curse
-    and k^-3 weights, so the walk lands a little below the crossing.  It
-    ends uncrossed only at the floor 1e-300.  Returns (fold, (crossed, n,
-    partial_n, partial_(n-1)), count at its lower level).
+    steps clamped to [0.25, 2]; ``kept``, the trace less ``lost``, the
+    declared tails, is the mass of all products.  That power grows with
+    depth on the curse and k^-3 weights, so the walk lands a little below
+    the crossing.  It ends uncrossed only at the floor 1e-300.  Returns
+    ((crossed, n, partial_n, partial_(n-1)), certified, n_low, count at its
+    lower level), certified and n_low as _Target decides them.
 
     Past n_max it raises BudgetExceededError.  Its n_lower, which the answer
-    exceeds, is proven with the proven-short level ``low`` (_Target.low): it
-    holds for every top set below the first reaching ``low``, and for the
-    whole fold when its total stays below it."""
-    # a fold keeps about eight float arrays per column or row entry
+    exceeds, is proven with the proven-short level low(lost) (_Target.low):
+    it holds for every top set below the first reaching low, and for the
+    whole fold when its total stays below it.  A memory check of the fold
+    raises the same error with the largest fold proven short of low so far
+    as its n_lower, and the products that fold counted as its pops."""
+    low, kept = target.low(lost), target.trace - lost
+    # a distinct value of a fold's rows and col, and an entry of a side or a
+    # slice before it is merged, keeps about eight 8-byte arrays (values,
+    # multiplicities, counts, sums, sort order) alive at once
     max_entries = max(budget.heap_bytes // 64, 1 << 20)
     step = 1.0
     above = None  # the sum of the values >= upper, once known
-
-    def exceeded(ranked):
-        hit = fold.first_reaching(low, math.inf) if total >= low else None
-        return BudgetExceededError("answer exceeds the enumeration budget",
-                                   n_lower=hit[0] - 1 if hit else count,
-                                   pops=pops + ranked)
-
-    while True:
-        floor = max(upper * math.exp(-step), 1e-300)
-        fold = _LevelFold(spectra, floor, max_entries, budget.n_max + 1)
-        floor = fold.floor
-        count, total = int(fold.bottom.sum()), fold.total
-        hit = fold.first_reaching(goal, upper) if total >= goal else None
-        if hit:
-            if hit[0] > budget.n_max:
-                raise exceeded(hit[3])
-            return fold, (True,) + hit[:3], hit[3]
-        if floor <= 1e-300:
-            return fold, (False, count, total, total), count
-        if count > budget.n_max:  # the fold holds a top set that falls short
-            raise exceeded(count)
-        if above is None:
-            above = float(fold.mass(fold.rows, fold.counts(upper)).sum())
-        fall = (math.log((kept - above) / (kept - total))
-                if total < goal < kept else 0.0)
-        gap = math.log((kept - total) / (kept - goal)) * math.log(
-            upper / floor) / fall if fall > 0.0 else 2.0
-        upper, above, step = floor, total, min(max(gap, 0.25), 2.0)
+    short = counted = 0  # the largest count proven short of low; the last fold's
+    try:
+        while True:
+            floor = max(upper * math.exp(-step), 1e-300)
+            fold = _LevelFold(spectra, floor, max_entries, budget.n_max + 1)
+            floor, count, total = fold.floor, fold.held, fold.total
+            counted = count
+            if total < low:
+                short = count
+            hit = fold.first_reaching(goal, upper) if total >= goal else None
+            if hit or floor <= 1e-300 or count > budget.n_max:
+                break
+            if above is None:
+                above = float(fold.mass(fold.counts(upper)).sum())
+            fall = (math.log((kept - above) / (kept - total))
+                    if total < goal < kept else 0.0)
+            gap = math.log((kept - total) / (kept - goal)) * math.log(
+                upper / floor) / fall if fall > 0.0 else 2.0
+            upper, above, step = floor, total, min(max(gap, 0.25), 2.0)
+        if hit and hit[0] <= budget.n_max or not hit and floor <= 1e-300:
+            crossing = (True,) + hit[:3] if hit else (False, count, total, total)
+            certified = target.certified(crossing[0], crossing[3], lost)
+            n_low = crossing[1]
+            if not certified:
+                reach = fold.first_reaching(low, math.inf) if low > 0.0 else (1,)
+                n_low = reach[0] if reach else n_low
+            return crossing, certified, n_low, hit[3] if hit else count
+        # past n_max: the fold holds a top set that falls short
+        over = fold.first_reaching(low, math.inf) if total >= low else None
+    except BudgetExceededError as exc:  # only the fold's own checks raise here
+        raise BudgetExceededError(str(exc), n_lower=short,
+                                  pops=pops + counted) from exc
+    raise BudgetExceededError("answer exceeds the enumeration budget",
+                              n_lower=over[0] - 1 if over else count,
+                              pops=pops + (hit[3] if hit else count))
 
 
 _SUM_CHUNK = 1 << 14  # _exact_parts's chunk: a call traces about 0.3 MB
@@ -683,14 +778,13 @@ def _exact_parts(x):
     below pays about eleven.  A longer one is split in numpy per
     _SUM_CHUNK entries.  Each value splits exactly into hi, itself with its
     26 low mantissa bits cleared, and lo = x - hi, those bits alone.
-    Within a run of entries that share an exponent field, of exponent e,
-    every hi is a multiple of 2^(e-26) below 2^(e+1) and every lo one of
-    2^(e-52) below 2^(e-26) (subnormals: of 2^-1074, as for e = -1022).  So
-    each part's running sum over a run of up to 2^26 entries, and a run
-    ends with its chunk, is an integer below 2^53 times its unit: every
-    addition is exact, in any order, and the run sums are the parts.  Input
-    in any order stays exact; sorted input, the scan's, has few runs per
-    chunk, so few parts.
+    Among entries that share an exponent field, of exponent e, every hi is
+    a multiple of 2^(e-26) below 2^(e+1) and every lo one of 2^(e-52)
+    below 2^(e-26) (subnormals: of 2^-1074, as for e = -1022).  So each
+    part's sum over up to 2^26 such entries, and a chunk holds fewer, is an
+    integer below 2^53 times its unit: every addition is exact, in any
+    order.  The parts are those sums over each exponent of the chunk
+    (np.bincount), at most two per exponent, in sorted input or not.
     """
     if len(x) <= _SHORT_PARTS:
         return x.tolist()
@@ -701,55 +795,114 @@ def _exact_parts(x):
         chunk = x[k:k + _SUM_CHUNK]
         bits = chunk.view(np.int64)
         exp = bits >> 52
-        runs = np.empty(len(chunk), dtype=bool)
-        runs[0] = True
-        np.not_equal(exp[1:], exp[:-1], out=runs[1:])
-        starts = np.flatnonzero(runs)
-        hi = np.bitwise_and(bits, ~_LOW_BITS, out=exp).view(np.float64)
-        parts += np.add.reduceat(hi, starts).tolist()
-        parts += np.add.reduceat(np.subtract(chunk, hi, out=hi), starts).tolist()
+        hi = np.bitwise_and(bits, ~_LOW_BITS).view(np.float64)
+        for sums in (np.bincount(exp, weights=hi),
+                     np.bincount(exp, weights=np.subtract(chunk, hi, out=hi))):
+            parts += sums[sums != 0.0].tolist()
     return parts
 
 
-def _first_reaching(values, target, base=0.0):
+def _run_parts(values, mults=None):
+    """_exact_parts of np.repeat(values, mults), without the copies, for
+    doubles values >= 0 and integer mults below _COUNT_CAP.  A value splits
+    into its 27 high significant bits and its 26 low ones, as in
+    _exact_parts, and a multiplicity into two 26-bit halves (the upper one
+    0 below 2^26), so each product of a piece of each is exact: its
+    significand has at most 53 bits."""
+    if mults is None:
+        return _exact_parts(values)
+    hi = np.bitwise_and(values.view(np.int64), ~_LOW_BITS).view(np.float64)
+    low = np.fmod(mults, 2.0 ** 26)
+    high = mults - low
+    parts = []
+    for m in (low, high) if high.any() else (low,):
+        for piece in (hi, values - hi):
+            parts += _exact_parts(m * piece)
+    return parts
+
+
+def _times(t, v):
+    """Doubles whose exact sum is t * v, for an int t >= 0 and a finite
+    double v >= 0: t times v's integer significand, an exact int, is cut
+    into correctly rounded doubles until nothing is left (at most three),
+    each scaled by v's power of two.  Every cut keeps the trailing zeros
+    that make v a multiple of 2^-1074, so the scaling is exact."""
+    mant, exp = math.frexp(v)
+    rest, parts = t * int(math.ldexp(mant, 53)), []
+    while rest:
+        part = float(rest)
+        parts.append(math.ldexp(part, exp - 53))
+        rest -= int(part)
+    return parts
+
+
+def _first_reaching(values, target, base=0.0, mults=None):
     """The scan every decision is made on: (crossed, k, P_k, P_(k-1)) for the
     first k >= 1 with P_k >= target in a non-increasing, non-negative
     array, where P_k = math.fsum([base] + values[:k]), the correctly rounded
-    prefix sum; (False, len, P_len, P_len) when no k reaches target.
+    prefix sum; (False, len, P_len, P_len) when no k reaches target.  With
+    ``mults``, integers (as doubles) that sum below _COUNT_CAP, the same
+    scan of np.repeat(values, mults), without the copies.
 
     A correct rounding of a sum that gains a term >= 0 never falls, so P_k
-    is monotone in k.  The scan keeps the exact parts (_exact_parts) of the
+    is monotone in k.  The scan keeps the exact parts (_run_parts) of the
     values it has passed, a _SUM_CHUNK-entry chunk at a time, and bisects
     the chunk whose parts first reach target, adding the parts of each half
     that falls short: the memory of one chunk and its parts, and every P_k
     it reports is fsum of exact parts, fsum's own double.  The bisection
     first splits where the chunk's np.cumsum crosses, then next to it: the
     exact parts still decide each split, so a wrong guess costs only a
-    step, and a right one ends the search after two.
+    step, and a right one ends the search after two.  Within the run of m
+    copies of v that first reaches target, t copies add _times(t, v), the
+    exact t v, and a bisection over t in [1, m] decides, first at the
+    quotient of the shortfall by v and next to it.
     """
     parts = [base]
     for k in range(0, len(values), _SUM_CHUNK):
         chunk = values[k:k + _SUM_CHUNK]
-        more = _exact_parts(chunk)
+        reps = None if mults is None else mults[k:k + _SUM_CHUNK]
+        more = _run_parts(chunk, reps)
         if math.fsum(parts + more) < target:
             parts += more
             continue
         lo, hi = 0, len(chunk)  # parts: base + values[:k+lo]; P_(k+hi) >= target
         # splits first at np.cumsum's crossing and next to it, a guess that
         # the exact parts check like any other split
-        guess = int(np.searchsorted(np.cumsum(chunk), target - math.fsum(parts)))
+        guess = int(np.searchsorted(np.cumsum(chunk if reps is None else chunk * reps),
+                                    target - math.fsum(parts)))
         tries = iter((guess, guess + 1, guess - 1))
         while hi - lo > 1:
             mid = next((t for t in tries if lo < t < hi), (lo + hi) // 2)
-            more = _exact_parts(chunk[lo:mid])
+            more = _run_parts(chunk[lo:mid], None if reps is None else reps[lo:mid])
             if math.fsum(parts + more) < target:
                 parts += more
                 lo = mid
             else:
                 hi = mid
-        return True, k + hi, math.fsum(parts + [float(chunk[lo])]), math.fsum(parts)
+        v, n, t = float(chunk[lo]), k + lo, 1  # the values before, and copies of v
+        if reps is not None:
+            n = int(mults[:k + lo].sum())
+            t = _copies_reaching(parts, v, int(reps[lo]), target)
+        return (True, n + t, math.fsum(parts + _times(t, v)),
+                math.fsum(parts + _times(t - 1, v)))
     total = math.fsum(parts)
-    return False, len(values), total, total
+    return False, len(values) if mults is None else int(mults.sum()), total, total
+
+
+def _copies_reaching(parts, v, m, target):
+    """The least t in [1, m] with fsum(parts + t copies of v) >= target,
+    where m copies reach it: a bisection on the exact sums, first at the
+    shortfall over v and just below it."""
+    lo, hi = 0, m  # t = lo falls short, t = hi reaches
+    guess = min(max(math.ceil((target - math.fsum(parts)) / v), 1), m)
+    tries = iter((guess, guess - 1))
+    while hi - lo > 1:
+        t = next((t for t in tries if lo < t < hi), (lo + hi) // 2)
+        if math.fsum(parts + _times(t, v)) < target:
+            lo = t
+        else:
+            hi = t
+    return hi
 
 
 class _BruteForceOracle:

@@ -49,8 +49,8 @@ _LOG_NS = np.log(_NS)
 
 def zeta(s: float) -> float:
     """Riemann zeta(s) = sum_{n>=1} n^-s for s > 1."""
-    if s <= 1.0:
-        raise DomainError(f"zeta(s) diverges for s <= 1, got s={s}")
+    if not s > 1.0:  # NaN fails too
+        raise DomainError(f"zeta(s) needs s > 1 (it diverges at or below 1), got s={s}")
     if s > 60.0:
         # 2^-s already below double resolution relative to the leading 1.
         return 1.0 + 2.0 ** (-s) + 3.0 ** (-s)
@@ -69,8 +69,8 @@ def zeta(s: float) -> float:
 
 def zeta_log_weighted(s: float) -> float:
     """sum_{n>=1} n^-s * ln(n) for s > 1 (equals -zeta'(s))."""
-    if s <= 1.0:
-        raise DomainError(f"log-weighted zeta series diverges for s <= 1, got s={s}")
+    if not s > 1.0:  # NaN fails too
+        raise DomainError(f"log-weighted zeta series needs s > 1, got s={s}")
     if s > 60.0:
         ln2, ln3 = math.log(2.0), math.log(3.0)
         return ln2 * 2.0 ** (-s) + ln3 * 3.0 ** (-s)

@@ -217,6 +217,15 @@ class TestExplicit:
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
+@pytest.mark.parametrize("spec", [KorobovSpectrum(0.5, 1.0),
+                                  ExplicitSpectrum((1.0, 0.5), tail=0.1)])
+@pytest.mark.parametrize("name", ["power_sum", "excess_power_sum"])
+def test_power_sums_reject_a_nan_exponent(spec, name):
+    # NaN fails every comparison, so a guard written as tau <= 0 passed it
+    with pytest.raises(DomainError):
+        getattr(spec, name)(float("nan"))
+
+
 def test_spectrum_from_config_roundtrip():
     k = spectrum_from_config({"kind": "korobov", "g": 0.5, "r": 1.25})
     assert isinstance(k, KorobovSpectrum)

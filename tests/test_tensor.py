@@ -319,12 +319,12 @@ class TestInfoComplexity:
     def test_walk_builds_at_most_twice_the_final_fold(self, monkeypatch, seed):
         # the timed points of perfbench's large_answers: curse and
         # g_k = k^-3 weights, scaled as its seed draws them.  A fold's
-        # entries are its rows and col; the final fold is also no larger
-        # than where the walk, stepping by the local slope of the sum in
-        # ln(level), lands on each point
+        # entries are the distinct values of its rows and col; the final
+        # fold is also no larger than where the walk, stepping by the local
+        # slope of the sum in ln(level), lands on each point
         import tractlab.tensor as tensor_mod
 
-        earlier = {0: (11_054, 21_074, 40_112), 3: (11_054, 20_954, 39_328)}
+        earlier = {0: (258, 422, 5_565), 3: (366, 606, 6_921)}
 
         entries = []
         init = tensor_mod._LevelFold.__init__
@@ -353,11 +353,12 @@ class TestInfoComplexity:
         # never need a coordinate's column of more than n_max + 1 values
         import tractlab.tensor as tensor_mod
 
-        columns = []
+        columns = []  # the values each column holds, its copies counted
         two_sides = tensor_mod._two_sides
         monkeypatch.setattr(
             tensor_mod, "_two_sides",
-            lambda cols, *args: columns.extend(map(len, cols)) or two_sides(cols, *args))
+            lambda cols, *args: columns.extend(int(m.sum()) for _v, m in cols)
+            or two_sides(cols, *args))
         n_max = 10**5
         for d in (1, 2):
             columns.clear()
@@ -370,22 +371,23 @@ class TestInfoComplexity:
     def test_large_curse_answer_folds_two_small_sides(self, monkeypatch):
         # curse d = 8: each side of the final fold holds the 154,729
         # products of four coordinates; folding seven coordinates against
-        # one column would take 7.6M rows
+        # one column would put 7.6M products on one side.  Products, not
+        # distinct values, since equal coordinates leave few of those
         import tractlab.tensor as tensor_mod
 
-        entries = []
+        sides = []
         init = tensor_mod._LevelFold.__init__
 
         def counting_init(self, *args):
             init(self, *args)
-            entries.append(len(self.rows) + len(self.col))
+            sides.append((int(self.row_mult.sum()), int(self.below[-1])))
 
         monkeypatch.setattr(tensor_mod._LevelFold, "__init__", counting_init)
         res = info_complexity(ProductProblem((KorobovSpectrum(0.5, 1.0),) * 8), 0.5,
                               budget=Budget(n_max=10**8))
         assert (res.n, res.certified, res.n_low, res.n_high, res.pops) == (
             22_242_046, True, 22_242_046, 22_242_046, 23_093_027)
-        assert entries[-1] < 10**6
+        assert max(sides[-1]) < 10**6
 
     def test_fold_is_exact_above_its_floor(self):
         # the fold takes its columns from the spectra, so it holds every
@@ -397,8 +399,8 @@ class TestInfoComplexity:
         # both spectra fall below 1e-3 before index 200
         grid = [x * y for x in map(a.eigenvalue, range(1, 200))
                 for y in map(b.eigenvalue, range(1, 200)) if x * y >= 1e-3]
-        assert int(fold.bottom.sum()) == len(grid) == 137
-        mass = float(fold.mass(fold.rows, fold.bottom).sum())
+        assert fold.held == fold.number(fold.bottom) == len(grid) == 137
+        mass = float(fold.mass(fold.bottom).sum())
         assert mass == pytest.approx(math.fsum(grid), rel=1e-14)
         assert mass == pytest.approx(4.4023815274753, rel=1e-13)
 
@@ -425,7 +427,8 @@ class TestInfoComplexity:
 
     def test_prefix_sums_round_like_fsum(self):
         # within u + k^2 u^2 of exact: a correct rounding on any seeded
-        # descending input, as the fold's column is
+        # descending input, as the fold's column is, and on its terms
+        # weighted by multiplicities, which can grow along it
         import numpy as np
         from tractlab.tensor import _prefix_sums
 
@@ -433,9 +436,11 @@ class TestInfoComplexity:
         for _ in range(100):
             x = rng.random(int(rng.integers(1, 20_000))) ** rng.uniform(1.0, 40.0)
             down = np.sort(x)[::-1]
-            sums = _prefix_sums(down)
-            for k in [len(down) - 1] + list(rng.integers(0, len(down), 5)):
-                assert sums[k] == math.fsum(down[: k + 1])
+            weighted = down * rng.integers(1, 1 << 20, len(down))
+            for terms in (down, weighted):
+                sums = _prefix_sums(terms)
+                for k in [len(terms) - 1] + list(rng.integers(0, len(terms), 5)):
+                    assert sums[k] == math.fsum(terms[: k + 1])
 
     def test_heap_computes_each_long_coordinate_value_once(self, monkeypatch):
         # g_k = k^-3, d = 20 at eps 0.1 (a large_answers point): the heap's
@@ -460,41 +465,69 @@ class TestInfoComplexity:
                 Budget(**kwargs)
 
 
-def _pairwise_fold(prod, v, floor, max_entries):
+def _pairwise_fold(side, col, floor, max_entries):
     """_dense_fold by one search of every row in the whole column, its
-    leading 1 included: the reference for which pairs a fold keeps."""
+    leading 1 included: the reference for which pairs a fold keeps, as
+    (values, multiplicities)."""
     import numpy as np
 
+    (prod, prod_mult), (v, v_mult) = side, col
     counts = np.searchsorted(-v, -(floor / prod), side="right")
     total = int(counts.sum())
     if total > max_entries:
         raise BudgetExceededError("dense enumeration exceeded its memory budget")
     idx = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-    return np.repeat(prod, counts) * v[idx]
+    return (np.repeat(prod, counts) * v[idx],
+            np.repeat(prod_mult, counts) * v_mult[idx])
+
+
+def _expanded(runs):
+    """Every copy of (values, multiplicities), sorted: the multiset they hold."""
+    import numpy as np
+
+    values, mults = runs
+    return np.sort(np.repeat(values, mults.astype(np.int64)))
+
+
+def _as_runs(x):
+    """A side or a column as _two_sides takes it: (values, multiplicities)."""
+    import numpy as np
+    from tractlab.tensor import _runs
+
+    return _runs(np.sort(np.asarray(x, dtype=float))[::-1])
 
 
 class TestDenseFold:
     """_dense_fold copies a side, every entry at or above the floor, as its
     products with a column's leading 1 and multiplies out only the rows that
-    reach its second value: sorted, the same doubles, bit for bit, as
-    searching every row in the whole column."""
+    reach its second value: expanded by multiplicity and sorted, the same
+    doubles, bit for bit, as searching every row in the whole column, and
+    as folding every copy of each value."""
 
     @staticmethod
-    def assert_pairwise(prod, v, floor):
+    def assert_pairwise(side, col, floor):
         import numpy as np
         from tractlab.tensor import _dense_fold
 
-        got = np.sort(_dense_fold(prod, v, floor, 1 << 30))
-        want = np.sort(_pairwise_fold(prod, v, floor, 1 << 30))
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
-        return len(want)
+        side, col = _as_runs(side), _as_runs(col)
+        got = _dense_fold(side, col, floor, 1 << 30)
+        want = _pairwise_fold(side, col, floor, 1 << 30)
+        copies = _pairwise_fold((_expanded(side), np.ones(int(side[1].sum()))),
+                                (_expanded(col)[::-1], np.ones(int(col[1].sum()))),
+                                floor, 1 << 30)[0]
+        for runs in (got, want):
+            assert np.array_equal(_expanded(runs).view(np.int64),
+                                  np.sort(copies).view(np.int64))
+        return len(copies)
 
     def test_korobov_columns(self):
         a, b, c = (KorobovSpectrum(g, r) for g, r in ((0.5, 1.0), (0.3, 1.5), (0.01, 1.0)))
         for floor in (1e-2, 1e-4):
             side = a.dense_values(floor, 10**6)
             assert self.assert_pairwise(side, b.dense_values(floor, 10**6), floor) > len(side)
-            folded = _pairwise_fold(side, b.dense_values(floor, 10**6), floor, 1 << 30)
+            folded = _expanded(_pairwise_fold(_as_runs(side),
+                                              _as_runs(b.dense_values(floor, 10**6)),
+                                              floor, 1 << 30))
             # a short column: most products meet only its leading 1
             self.assert_pairwise(folded, c.dense_values(floor, 10**6), floor)
 
@@ -505,6 +538,10 @@ class TestDenseFold:
         col = ExplicitSpectrum((4.0, 2.0, 2.0, 1.0, 1.0, 1.0, 0.5)).dense_values(1e-3, 10)
         for floor in (0.5, 0.25, 0.125, 1 / 32, 1e-3):
             self.assert_pairwise(side[side >= floor], col, floor)
+
+    def test_a_column_of_one_repeated_value(self):
+        # (1, 1, 1) keeps every row, three times over
+        assert self.assert_pairwise([0.5, 0.25, 0.25], [1.0, 1.0, 1.0], 0.1) == 9
 
     def test_rows_an_ulp_either_side_of_the_floor(self):
         # rows at the floor and an ulp above it keep their product with the
@@ -529,18 +566,23 @@ class TestDenseFold:
         assert self.assert_pairwise(prod, v, 0.01) == len(prod)
 
     def test_budget_error_at_the_same_total(self):
+        # the budget counts entries, a pair of a side's value and a
+        # column's, not their copies
         from tractlab.tensor import _dense_fold
 
-        a, b = KorobovSpectrum(0.5, 1.0), KorobovSpectrum(0.3, 1.5)
-        side, col = a.dense_values(1e-4, 10**6), b.dense_values(1e-4, 10**6)
-        total = self.assert_pairwise(side, col, 1e-4)
+        a, b = (c.dense_values(1e-4, 10**6) for c in (KorobovSpectrum(0.5, 1.0),
+                                                      KorobovSpectrum(0.3, 1.5)))
+        side, col = _as_runs(a), _as_runs(b)
+        total = len(_pairwise_fold(side, col, 1e-4, 1 << 30)[0])
+        assert total < self.assert_pairwise(a, b, 1e-4)
         for fold in (_dense_fold, _pairwise_fold):
-            assert len(fold(side, col, 1e-4, total)) == total
+            assert len(fold(side, col, 1e-4, total)[0]) == total
             with pytest.raises(BudgetExceededError):
                 fold(side, col, 1e-4, total - 1)
 
     def test_two_sides_on_the_large_answers_final_folds(self, monkeypatch):
-        # the timed points of perfbench's large_answers at seed 0
+        # the timed points of perfbench's large_answers at seed 0, and curse
+        # d = 10, the largest fold pinned
         import numpy as np
         import tractlab.tensor as tensor_mod
 
@@ -550,15 +592,59 @@ class TestDenseFold:
                             lambda *args: calls.append(args) or two_sides(*args))
         curse = (KorobovSpectrum(0.5, 1.0),) * 6
         strong = tuple(KorobovSpectrum(k**-3.0, 1.0) for k in range(1, 21))
-        for coords, eps in ((curse, 0.5), (curse, 0.45), (strong, 0.1)):
+        for coords, eps, budget in ((curse, 0.5, None), (curse, 0.45, None),
+                                    (strong, 0.1, None),
+                                    (curse + curse[:4], 0.5, Budget(n_max=10**11))):
             calls.clear()
-            assert info_complexity(ProductProblem(coords), eps).certified
+            assert info_complexity(ProductProblem(coords), eps, budget).certified
             got = two_sides(*calls[-1])
             with monkeypatch.context() as m:
                 m.setattr(tensor_mod, "_dense_fold", _pairwise_fold)
                 want = two_sides(*calls[-1])
             for a, b in zip(got, want):
-                assert np.array_equal(a.view(np.int64), b.view(np.int64))
+                for x, y in zip(a, b):
+                    assert np.array_equal(x.view(np.int64), y.view(np.int64))
+            # distinct values only, the copies of each in its multiplicity
+            for values, _mults in got:
+                assert (np.diff(values) != 0.0).all()
+
+    def test_sides_merge_once_their_folds_double_them(self, monkeypatch):
+        # a side enters a fold with fewer than twice as many entries as
+        # distinct values (so curse sides, whose products repeat, merge
+        # nearly every fold), and the merges sort at most twice what the
+        # folds added plus the two final sides (so the k^-3 sides, which
+        # grow a little per fold, are not sorted again for each)
+        import numpy as np
+        import tractlab.tensor as tensor_mod
+
+        added, merges, finals = [], [], []
+        dense_fold, runs, two_sides = (tensor_mod._dense_fold, tensor_mod._runs,
+                                       tensor_mod._two_sides)
+
+        def recording_fold(side, *args):
+            assert len(side[0]) < 2 * len(np.unique(side[0]))
+            out = dense_fold(side, *args)
+            added.append(len(out[0]) - len(side[0]))
+            return out
+
+        def recording_sides(*args):
+            # the merges of _two_sides, not of first_reaching's slices
+            with monkeypatch.context() as m:
+                m.setattr(tensor_mod, "_runs",
+                          lambda *a: merges.append(len(a[0])) or runs(*a))
+                col, rows = two_sides(*args)
+            finals.append(len(col[0]) + len(rows[0]))
+            return col, rows
+
+        monkeypatch.setattr(tensor_mod, "_dense_fold", recording_fold)
+        monkeypatch.setattr(tensor_mod, "_two_sides", recording_sides)
+        curse = (KorobovSpectrum(0.5, 1.0),) * 10
+        strong = tuple(KorobovSpectrum(k**-3.0, 1.0) for k in range(1, 21))
+        for coords, eps in ((curse, 0.5), (strong, 0.1)):
+            added.clear(), merges.clear(), finals.clear()
+            assert info_complexity(ProductProblem(coords), eps,
+                                   Budget(n_max=10**11)).certified
+            assert added and sum(merges) <= 2 * sum(added) + sum(finals)
 
 
 def _geometric_first_reaching(fold, target, upper):
@@ -566,13 +652,13 @@ def _geometric_first_reaching(fold, target, upper):
     mean of the slice's largest and smallest values: the reference for the
     aimed splits."""
     import numpy as np
-    from tractlab.tensor import _SLICE_ENTRIES, _exact_parts, _first_reaching
+    from tractlab.tensor import _SLICE_ENTRIES, _exact_parts, _first_reaching, _runs
 
     rows, lo = fold.rows, fold.bottom
     hi = fold.counts(upper)
 
     def reaches(counts):
-        terms = fold.mass(rows, counts)
+        terms = fold.mass(counts)
         total = float(terms.sum())
         if abs(total - target) <= 2.3e-16 * (len(terms) + 4) * total:
             total = math.fsum(_exact_parts(terms))
@@ -580,7 +666,7 @@ def _geometric_first_reaching(fold, target, upper):
 
     if reaches(hi):
         hi = np.zeros_like(lo)
-    while int((lo - hi).sum()) > _SLICE_ENTRIES:
+    while fold.number(lo) - fold.number(hi) > _SLICE_ENTRIES:
         a = float((rows * fold._ends[hi]).max())
         b = float((rows * fold._ends[lo - 1]).min())
         if a <= b * (1.0 + 2.0 ** -40):
@@ -590,15 +676,14 @@ def _geometric_first_reaching(fold, target, upper):
             lo = mid
         else:
             hi = mid
-    z = max(int(np.searchsorted(hi, 1)) - 1, 0)
-    base = math.fsum(_exact_parts(fold.mass(rows[z:], hi[z:])))
+    base = math.fsum(_exact_parts(fold.mass(hi)))
     width = lo - hi
-    size, count = int(width.sum()), int(hi.sum())
+    size, count = int(width.sum()), fold.number(hi)
     idx = np.repeat(lo - np.cumsum(width), width) + np.arange(size)
-    values = np.repeat(rows, width) * fold.col[idx]
-    values[::-1].sort()
-    crossed, k, partial, prev = _first_reaching(values, target, base)
-    return (count + k, partial, prev, count + size) if crossed else None
+    values, mults = _runs(np.repeat(rows, width) * fold.col[idx],
+                          np.repeat(fold.row_mult, width) * np.diff(fold.below)[idx])
+    crossed, k, partial, prev = _first_reaching(values, target, base, mults)
+    return (count + k, partial, prev, count + int(mults.sum())) if crossed else None
 
 
 def _large_answer_points():
@@ -651,6 +736,150 @@ class TestAimedSplit:
         assert got[0] == want[0]
         for a, b in zip(got[1:3], want[1:3]):
             assert a == pytest.approx(b, rel=1e-15, abs=0.0)
+
+
+def _fold_problems():
+    """verify's random instances (seeds 0-2), tower problems, uniform
+    blocks and the curse at d = 3 to 9: explicit ties, Korobov pairs and
+    equal coordinates."""
+    from tractlab.fixtures import tower_problem, uniform_block_problem
+
+    problems = []
+    for seed in (0, 1, 2):
+        rng = random.Random(seed)
+        problems += [random_instance(rng).coordinates for _ in range(10)]
+    problems += [tower_problem(d).coordinates for d in (4, 16, 20)]
+    problems += [uniform_block_problem(d).coordinates for d in (3, 20)]
+    return problems + [(KorobovSpectrum(0.5, 1.0),) * d for d in range(3, 10)]
+
+
+def _small_fold(coords):
+    """The fold at the highest floor 4^-k that holds at least 2,000 products
+    (or 4^-20)."""
+    from tractlab.tensor import _LevelFold
+
+    for k in range(1, 21):
+        fold = _LevelFold(coords, 4.0 ** -k, 1 << 22, 10**7)
+        if fold.held >= 2000:
+            break
+    return fold
+
+
+class TestRunFold:
+    """The fold holds distinct values with multiplicities: every count,
+    mass and crossing is that of the multiset they hold, each copy apart."""
+
+    @pytest.mark.parametrize("coords", _fold_problems())
+    def test_counts_and_masses_match_the_expanded_fold(self, coords):
+        import numpy as np
+
+        fold = _small_fold(coords)
+        rows = np.repeat(fold.rows, fold.row_mult.astype(np.int64))
+        col = np.repeat(fold.col, np.diff(fold.below).astype(np.int64))
+        assert (np.diff(fold.rows) > 0.0).all() and (np.diff(fold.col) < 0.0).all()
+        rng = random.Random(len(coords))
+        levels = [math.inf, fold.floor, 1.0]
+        for _ in range(20):  # products themselves, and an ulp either side
+            v = float(rows[rng.randrange(len(rows))] * col[rng.randrange(len(col))])
+            levels += [v, math.nextafter(v, 0.0), math.nextafter(v, 1.0)]
+        for level in levels:
+            counts = np.searchsorted(-col, -level / rows, side="right")
+            idx = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+            products = np.sort(np.repeat(rows, counts) * col[idx])
+            got = fold.counts(level)
+            assert fold.number(got) == len(products)
+            assert float(fold.mass(got).sum()) == pytest.approx(
+                math.fsum(products), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("coords", _fold_problems())
+    def test_crossings_match_the_expanded_slice(self, coords, monkeypatch):
+        # the scan of a slice's runs reports, bit for bit, what the scan of
+        # every copy would
+        import numpy as np
+        import tractlab.tensor as tensor_mod
+
+        first = tensor_mod._first_reaching
+        scans = []
+
+        def both(values, target, base=0.0, mults=None):
+            got = first(values, target, base, mults)
+            want = first(np.repeat(values, mults.astype(np.int64)), target, base)
+            scans.append(len(values))
+            assert got == want
+            return got
+
+        monkeypatch.setattr(tensor_mod, "_first_reaching", both)
+        fold = _small_fold(coords)
+        rng = random.Random(len(coords))
+        for share in [0.999, 0.5] + [rng.random() for _ in range(6)]:
+            hit = fold.first_reaching(share * fold.total, math.inf)
+            assert hit and hit[0] <= fold.held
+        assert len(scans) == 8
+
+    def test_large_multiplicities_against_exact_sums(self):
+        # runs of up to 2^46 copies, below 2^52 in all, against sums of
+        # fractions, correctly rounded by float(): crossings at, and an ulp
+        # either side of, the sums a run's first, second, middle and last
+        # copies reach
+        import numpy as np
+        from fractions import Fraction
+        from tractlab.tensor import _first_reaching
+
+        rng = random.Random(5)
+        values = sorted((rng.random() ** 4 for _ in range(40)), reverse=True)
+        mults = [rng.choice([1, 2, 3, 2**26 + 1, 2**40 + 7, 2**46 - 1]) for _ in values]
+        base = 0.3
+        starts = [Fraction(base)]
+        for v, m in zip(values, mults):
+            starts.append(starts[-1] + m * Fraction(v))
+
+        def reference(target):
+            passed = 0
+            for v, m, start in zip(values, mults, starts):
+                if float(start + m * Fraction(v)) >= target:
+                    lo, hi = 0, m
+                    while hi - lo > 1:
+                        mid = (lo + hi) // 2
+                        if float(start + mid * Fraction(v)) >= target:
+                            hi = mid
+                        else:
+                            lo = mid
+                    return (True, passed + hi, float(start + hi * Fraction(v)),
+                            float(start + lo * Fraction(v)))
+                passed += m
+            return False, passed, float(starts[-1]), float(starts[-1])
+
+        arrays = np.array(values), np.array(mults, dtype=np.float64)
+        for v, m, start in list(zip(values, mults, starts))[::3]:
+            for t in {1, 2, m // 2, m}:
+                x = float(start + t * Fraction(v))
+                for target in (math.nextafter(x, 0.0), x, math.nextafter(x, 2.0)):
+                    assert _first_reaching(*arrays[:1], target, base,
+                                           arrays[1]) == reference(target)
+        assert _first_reaching(arrays[0], 2 * float(starts[-1]), base,
+                               arrays[1]) == reference(2 * float(starts[-1]))
+
+    def test_tied_curse_answers(self):
+        # the products of equal coordinates tie in runs of millions of
+        # copies; the fold decides inside a run without building it
+        budget = Budget(n_max=10**11)
+        for d, n in ((9, 212_519_180), (10, 2_022_940_510)):
+            res = info_complexity(ProductProblem((KorobovSpectrum(0.5, 1.0),) * d), 0.5,
+                                  budget)
+            assert (res.n, res.certified, res.n_low, res.n_high) == (n, True, n, n)
+
+    def test_a_memory_check_carries_a_proof(self):
+        # a 64 MB budget (2^20 entries) stops the walk's folds short of the
+        # answer, 109,973,931; the memory error carries the largest fold the
+        # walk proved short of the threshold as its n_lower
+        p = ProductProblem(tuple(KorobovSpectrum(0.9 - 0.1 * k, 0.6 + 0.05 * k)
+                                 for k in range(3)))
+        answer = info_complexity(p, 0.47, Budget(n_max=10**12))
+        assert (answer.n, answer.certified) == (109_973_931, True)
+        with pytest.raises(BudgetExceededError) as exc_info:
+            info_complexity(p, 0.47, Budget(n_max=10**12, heap_bytes=1 << 26))
+        assert 0 < exc_info.value.n_lower < answer.n
+        assert exc_info.value.pops > exc_info.value.n_lower
 
 
 class TestTopEigenvalues:

@@ -49,6 +49,13 @@ def test_zeta_rejects_divergent_arguments():
             zeta(s)
 
 
+@pytest.mark.parametrize("fn", [zeta, zeta_log_weighted])
+def test_nan_is_rejected(fn):
+    # NaN fails every comparison, so a guard written as s <= 1 passed it
+    with pytest.raises(DomainError):
+        fn(float("nan"))
+
+
 def test_zeta_large_s_approaches_one():
     assert zeta(60.0) == pytest.approx(1.0, abs=1e-15)
     assert math.isfinite(zeta_log_weighted(60.0))
