@@ -507,7 +507,7 @@ def _dense_fold(side, col, floor, max_entries):
     return out, mult
 
 
-def _two_sides(cols, floor, max_entries):
+def _two_sides(cols, floor, max_entries, keys=None):
     """(col, rows) of _LevelFold from the columns' runs: col descending,
     rows ascending, each (values, multiplicities) with distinct values.
     Longest first (in products), each column folds into the side of fewer
@@ -519,13 +519,25 @@ def _two_sides(cols, floor, max_entries):
     equal coordinates, whose products repeat, merge after nearly every
     fold, and distinct ones, whose folds add few entries to a long side,
     do not sort it again for each.  Rows is the side of fewer distinct
-    values."""
+    values.
+
+    ``keys`` (default: all distinct) are equal for equal columns.  A side
+    is a function of the keys folded into it, in order: the same folds and
+    merges of the same inputs, in the same order, give the same doubles.
+    So a side whose next fold would give it the other side's keys takes
+    that side, bit for bit what the fold would build, and merges it once."""
     sides, counts, merged = [(np.ones(1), np.ones(1))] * 2, [1.0, 1.0], [1, 1]
-    for c, n in sorted(((c, c[1].sum()) for c in cols),
-                       key=lambda cn: cn[1], reverse=True):
+    seqs = [(), ()]  # the keys folded into each side
+    keys = range(len(cols)) if keys is None else keys
+    for c, n, k in sorted(((c, c[1].sum(), k) for c, k in zip(cols, keys)),
+                          key=lambda cnk: cnk[1], reverse=True):
         if n == 1.0:
             continue  # the leading 1 alone changes no product
         i = int(counts[1] < counts[0])
+        seqs[i] += (k,)
+        if seqs[i] == seqs[1 - i]:
+            sides[i], counts[i], merged[i] = sides[1 - i], counts[1 - i], merged[1 - i]
+            continue
         if counts[i] == 1.0:
             sides[i], merged[i] = c, len(c[0])
         else:
@@ -535,9 +547,12 @@ def _two_sides(cols, floor, max_entries):
                 merged[i] = len(side[0])
             sides[i] = side
         counts[i] = sides[i][1].sum()
-    # a side longer than at its last merge has unmerged entries
-    sides = [s if len(s[0]) == m else _runs(*s) for s, m in zip(sides, merged)]
-    rows, col = sorted(sides, key=lambda s: len(s[0]))
+    # a side longer than at its last merge has unmerged entries; a shared
+    # side merges once, and rows is then a reversed view of col
+    shared = seqs[0] == seqs[1]
+    sides = [s if len(s[0]) == m else _runs(*s)
+             for s, m in zip(sides[:2 - shared], merged)]
+    rows, col = sorted(sides * (1 + shared), key=lambda s: len(s[0]))
     return col, (rows[0][::-1], rows[1][::-1])
 
 
@@ -597,21 +612,30 @@ class _LevelFold:
     n_max products.  Values left out lie at or below the new floor, the cut
     to cap drops only values equal to it and the sides only products below
     it: the fold holds every product above its floor and some of those
-    equal to it, so its counts and sums are still those of top sets."""
+    equal to it, so its counts and sums are still those of top sets.
 
-    def __init__(self, spectra, floor, max_entries, cap):
+    ``keys`` (default: all distinct) gives each spectrum the index of the
+    first one equal to it; equal spectra share one column and _two_sides
+    builds equal sides once.  dense_values is a function of the spectrum,
+    floor and limit, so the shared column, the raised floor and every
+    value, multiplicity and count are bit for bit those of one column per
+    coordinate."""
+
+    def __init__(self, spectra, floor, max_entries, cap, keys=None):
+        keys = range(len(spectra)) if keys is None else keys
         # fetching cap + 1 values makes a column cut short by the limit
         # (Korobov keeps whole pairs) reach cap, so the floor rises to at
         # least every value the limit left out
-        cols = [c.dense_values(floor, cap + 1) for c in spectra]
-        raised = [float(c[cap - 1]) for c in cols if len(c) >= cap]
+        cols = {k: spectra[k].dense_values(floor, cap + 1) for k in dict.fromkeys(keys)}
+        raised = [float(c[cap - 1]) for c in cols.values() if len(c) >= cap]
         if raised:
             floor = max(raised)
-            cols = [c[c >= floor][:cap] for c in cols]
-        if max(len(c) for c in cols) > max_entries:
+            cols = {k: c[c >= floor][:cap] for k, c in cols.items()}
+        if max(len(c) for c in cols.values()) > max_entries:
             raise _memory_error()
-        cols = [_runs(c) for c in cols]  # freeing the full columns
-        (col, col_mult), (self.rows, self.row_mult) = _two_sides(cols, floor, max_entries)
+        cols = {k: _runs(c) for k, c in cols.items()}  # freeing the full columns
+        (col, col_mult), (self.rows, self.row_mult) = _two_sides(
+            [cols[k] for k in keys], floor, max_entries, keys)
         del cols
         # the prefix sums first, while their temporaries are the only others
         self.prefix = np.concatenate(([0.0], _prefix_sums(col * col_mult)))
@@ -725,13 +749,15 @@ def _fold_decide(spectra, target, lost, goal, upper, budget, pops):
     # slice before it is merged, keeps about eight 8-byte arrays (values,
     # multiplicities, counts, sums, sort order) alive at once
     max_entries = max(budget.heap_bytes // 64, 1 << 20)
+    first = {}  # equal spectra fold as one, keyed by the first of them
+    keys = [first.setdefault(c, i) for i, c in enumerate(spectra)]
     step = 1.0
     above = None  # the sum of the values >= upper, once known
     short = counted = 0  # the largest count proven short of low; the last fold's
     try:
         while True:
             floor = max(upper * math.exp(-step), 1e-300)
-            fold = _LevelFold(spectra, floor, max_entries, budget.n_max + 1)
+            fold = _LevelFold(spectra, floor, max_entries, budget.n_max + 1, keys)
             floor, count, total = fold.floor, fold.held, fold.total
             counted = count
             if total < low:

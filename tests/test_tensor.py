@@ -646,6 +646,64 @@ class TestDenseFold:
                                    Budget(n_max=10**11)).certified
             assert added and sum(merges) <= 2 * sum(added) + sum(finals)
 
+    @staticmethod
+    def _columns(coords, floor):
+        """Each coordinate's own column, and keys as _fold_decide gives them."""
+        from tractlab.tensor import _runs
+
+        first = {}
+        return ([_runs(c.dense_values(floor, 10**7)) for c in coords],
+                [first.setdefault(c, i) for i, c in enumerate(coords)])
+
+    def test_shared_sides_are_bit_identical(self, monkeypatch):
+        # equal coordinates build each side once: the same doubles and
+        # multiplicities as folding every coordinate's own column
+        import numpy as np
+        import tractlab.tensor as tensor_mod
+
+        a, b = KorobovSpectrum(0.5, 1.0), KorobovSpectrum(0.3, 1.5)
+        ex = ExplicitSpectrum((2.0, 1.0, 1.0, 0.5, 0.4, 0.2), tail=0.1)
+        cases = [((a,) * 6, (1e-2, 1e-3, 1e-4)), ((a,) * 7, (1e-2, 1e-3, 3e-4)),
+                 ((a,) * 9, (1e-1, 1e-2, 2e-3)), ((a, a, b, b, a, b), (1e-2, 1e-4)),
+                 ((ex, a, ex, a, ex, b), (0.3, 1e-2, 1e-4))]
+        for coords, floors in cases:
+            for floor in floors:
+                cols, keys = self._columns(coords, floor)
+                assert len(set(keys)) < len(keys)
+                shared = tensor_mod._two_sides([cols[k] for k in keys], floor, 1 << 24, keys)
+                own = tensor_mod._two_sides(cols, floor, 1 << 24)
+                for x, y in zip(shared, own):
+                    for u, v in zip(x, y):
+                        assert np.array_equal(u.view(np.int64), v.view(np.int64))
+        folds = []
+        dense_fold = tensor_mod._dense_fold
+        monkeypatch.setattr(tensor_mod, "_dense_fold",
+                            lambda *args: folds.append(1) or dense_fold(*args))
+        cols, keys = self._columns((a,) * 6, 1e-3)
+        for args, calls in (((keys,), 2), ((), 4)):
+            folds.clear()
+            tensor_mod._two_sides(cols, 1e-3, 1 << 24, *args)
+            assert len(folds) == calls
+
+    def test_one_column_per_distinct_spectrum(self, monkeypatch):
+        # each fold fetches the column of curse d = 6 once, and each of
+        # the twenty distinct k^-3 columns once
+        import tractlab.tensor as tensor_mod
+
+        fetched, folds = [], []
+        dense = KorobovSpectrum.dense_values
+        monkeypatch.setattr(KorobovSpectrum, "dense_values",
+                            lambda self, *args: fetched.append(1) or dense(self, *args))
+        init = tensor_mod._LevelFold.__init__
+        monkeypatch.setattr(tensor_mod._LevelFold, "__init__",
+                            lambda self, *args: folds.append(1) or init(self, *args))
+        curse = (KorobovSpectrum(0.5, 1.0),) * 6
+        strong = tuple(KorobovSpectrum(k**-3.0, 1.0) for k in range(1, 21))
+        for coords, eps, per_fold in ((curse, 0.45, 1), (strong, 0.1, 20)):
+            fetched.clear(), folds.clear()
+            assert info_complexity(ProductProblem(coords), eps).certified
+            assert folds and len(fetched) == per_fold * len(folds)
+
 
 def _geometric_first_reaching(fold, target, upper):
     """_LevelFold.first_reaching with every split at sqrt(ab), the geometric
