@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
 from .errors import DivergenceError, DomainError
-from .numutil import CompensatedSum, ln_plus
+from .numutil import RunningSum, ln_plus
 from .spectra import Spectrum
 from .tensor import ProductProblem
 from .zeta import zeta_scope
@@ -242,37 +242,37 @@ def series_converges(
 
     Partial sums are compared octave by octave (K vs 2K): the series is
     declared convergent when the increments decay geometrically (ratio
-    bounded away from 1) or become negligible relative to the total.
+    bounded away from 1) or become negligible relative to the total.  A
+    term that is not finite, or a term or sum past the largest double,
+    shows no convergence.
     """
-    total = CompensatedSum()
+    total = RunningSum()
     k = 1
     block = 8
     prev_inc = None
-    verdict = False
     while k <= k_max:
-        inc = CompensatedSum()
         stop = min(2 * (k - 1) if k > 1 else block, k_max)
-        while k <= stop:
-            inc.add(term(k))
-            k += 1
-        total.add(inc.value)
+        try:
+            inc = math.fsum(term(j) for j in range(k, stop + 1))
+            total.add(inc)
+        except OverflowError:
+            return False
+        k = stop + 1
+        if not math.isfinite(inc):
+            return False
         if prev_inc is not None and prev_inc > 0.0:
-            ratio = inc.value / prev_inc
-            if inc.value <= 1e-9 * max(total.value, 1e-300):
-                verdict = True
-                break
+            ratio = inc / prev_inc
+            if inc <= 1e-9 * max(total.value, 1e-300):
+                return True
             if ratio >= 0.95 and k > 4096:
                 # early octaves of a convergent series can still look flat
-                verdict = False
-                break
+                return False
             if ratio <= 0.80 and k > 1024:
-                verdict = True
-                break
-        elif prev_inc == 0.0 and inc.value == 0.0:
-            verdict = True
-            break
-        prev_inc = inc.value
-    return verdict
+                return True
+        elif prev_inc == 0.0 and inc == 0.0:
+            return True
+        prev_inc = inc
+    return False
 
 
 @zeta_scope()
@@ -336,14 +336,12 @@ def qpt_criterion(family: Family, delta: float, d_max: int) -> BoundEvaluation:
 
     def log_value(d: int) -> float:
         tau_d = 1.0 - delta / ln_plus(float(d))
-        acc = CompensatedSum()
         try:
-            for k in range(1, d + 1):
-                acc.add(math.log(coords.power_sum(k, tau_d))
-                        - tau_d * coords.log_trace(k))
+            return math.fsum(math.log(coords.power_sum(k, tau_d))
+                             - tau_d * coords.log_trace(k)
+                             for k in range(1, d + 1))
         except DivergenceError:
             return math.inf  # an infinite power sum makes the supremum infinite
-        return acc.value
 
     return _max_over_d(
         "qpt_m_delta", BoundParams(delta=delta), log_value, coords.depth(d_max),
@@ -428,10 +426,8 @@ def weak_tract_theta(family: Family, tau: float, d: int) -> float:
     if d < 1:
         raise DomainError(f"d must be positive, got {d}")
     coords = _Coordinates(family)
-    acc = CompensatedSum()
-    for k in range(1, coords.depth(d) + 1):
-        acc.add(coords.power_sum(k, tau, excess=True))
-    return acc.value / d
+    return math.fsum(coords.power_sum(k, tau, excess=True)
+                     for k in range(1, coords.depth(d) + 1)) / d
 
 
 @zeta_scope()
@@ -448,8 +444,8 @@ def pt_log_criterion(family: Family, tau: float, d_max: int) -> BoundEvaluation:
         raise DomainError(f"d_max must be positive, got {d_max}")
     coords = _Coordinates(family)
     depth = coords.depth(d_max)
-    log_acc = CompensatedSum()
-    lin_acc = CompensatedSum()
+    log_acc = RunningSum()
+    lin_acc = RunningSum()
     q_log = 0.0
     q_lin = 0.0
     sup_coord = 0.0

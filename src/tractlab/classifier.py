@@ -29,7 +29,7 @@ from ._descriptors import (
     BOOLEAN, NUMBER, NUMBERS, OBJECT, FieldType, is_number, read, read_kind,
 )
 from .errors import DomainError, ValidationError
-from .numutil import CompensatedSum, ln_plus
+from .numutil import ln_plus
 from .spectra import KorobovSpectrum
 from .tensor import ProductProblem
 
@@ -281,15 +281,15 @@ def qpt_condition_value(weights: WeightFamily, d: int) -> float:
     """(1/ln_+ d) * sum_{k<=d} g_k ln_+(1/g_k)."""
     if d < 1:
         raise DomainError(f"d must be positive, got {d}")
-    acc = CompensatedSum()
+    terms = []
     for k in range(1, d + 1):
         g = weights.g(k)
         if g == 0.0:
             continue  # an underflowed weight adds its limit, 0
         inv = 1.0 / g
         # 1/g overflows for g below 1/DBL_MAX, where ln_+(1/g) = -ln g
-        acc.add(g * ln_plus(inv) if inv < math.inf else -g * math.log(g))
-    return acc.value / ln_plus(float(d))
+        terms.append(g * ln_plus(inv) if inv < math.inf else -g * math.log(g))
+    return math.fsum(terms) / ln_plus(float(d))
 
 
 @dataclass(frozen=True)

@@ -1,47 +1,55 @@
-"""Small numeric helpers: compensated summation and log conventions."""
+"""Small numeric helpers: a correctly rounded running sum and log conventions.
+
+A sum read once is one ``math.fsum``; ``RunningSum`` serves a sum read after
+every term.
+"""
 
 from __future__ import annotations
 
 import math
-from typing import Iterable
 
 from .errors import DomainError
 
 
-class CompensatedSum:
-    """Running Neumaier-compensated sum.
+class RunningSum:
+    """A sum of doubles that reads correctly rounded after each term.
 
-    Integer-valued partial sums and sums of a few well-scaled doubles come
-    out exact; in general the error is O(eps * sum |x_i|) independent of
-    the number of terms.
+    It keeps Shewchuk's non-overlapping partials, the list ``math.fsum``
+    keeps internally: each ``add`` folds a finite term into them with
+    error-free two-sums, and ``value`` is ``math.fsum`` of them, which is
+    ``math.fsum`` of the terms, at the cost of a few partials a read.
+    As in ``math.fsum``, an infinite term makes the sum infinite, a NaN
+    (or infinities of both signs) NaN, and finite terms past the largest
+    double raise OverflowError; the sum then stays as it was.
     """
 
-    __slots__ = ("_s", "_c")
+    __slots__ = ("_partials", "_special")
 
-    def __init__(self, value: float = 0.0):
-        self._s = float(value)
-        self._c = 0.0
+    def __init__(self):
+        self._partials = []
+        self._special = 0.0  # the sum of the non-finite terms
 
-    def add(self, x: float) -> "CompensatedSum":
-        s = self._s
-        t = s + x
-        if abs(s) >= abs(x):
-            self._c += (s - t) + x
-        else:
-            self._c += (x - t) + s
-        self._s = t
-        return self
+    def add(self, x: float) -> None:
+        if not math.isfinite(x):
+            self._special += x
+            return
+        partials = []
+        for y in self._partials:
+            if abs(x) < abs(y):
+                x, y = y, x
+            hi = x + y
+            lo = y - (hi - x)
+            if lo:
+                partials.append(lo)
+            x = hi
+        if math.isinf(x):
+            raise OverflowError("intermediate overflow in RunningSum")
+        partials.append(x)
+        self._partials = partials
 
     @property
     def value(self) -> float:
-        return self._s + self._c
-
-
-def comp_sum(values: Iterable[float]) -> float:
-    acc = CompensatedSum()
-    for v in values:
-        acc.add(v)
-    return acc.value
+        return self._special or math.fsum(self._partials)
 
 
 def ln_plus(x: float) -> float:

@@ -22,7 +22,6 @@ import numpy as np
 
 from ._descriptors import NUMBER, NUMBERS, read_kind
 from .errors import DivergenceError, DomainError
-from .numutil import CompensatedSum, comp_sum
 from .zeta import scoped, zeta, zeta_log_weighted
 
 # ln of the most pairs a Korobov truncation keeps; KorobovSpectrum.truncate
@@ -191,7 +190,11 @@ class ExplicitSpectrum:
         if self.tail > 0.0 and vals[-1] == 0.0:
             raise DomainError("a declared tail cannot follow a zero eigenvalue")
         # not a field: ==, hash and repr see values and tail only
-        object.__setattr__(self, "_trace", comp_sum(vals) + self.tail)
+        try:
+            trace = math.fsum(vals + (self.tail,))
+        except OverflowError:
+            raise DomainError("explicit spectrum trace overflows") from None
+        object.__setattr__(self, "_trace", trace)
 
     def eigenvalue(self, j: int) -> float:
         if j < 1:
@@ -224,30 +227,19 @@ class ExplicitSpectrum:
 
     def power_sum(self, tau: float) -> float:
         _check_exponent(tau)
-        acc = CompensatedSum()
-        for v in self.values:
-            if v > 0.0:
-                acc.add(v if tau == 1.0 else v ** tau)
-        acc.add(self._tail_power_sum(tau))
-        return acc.value
+        return math.fsum([v ** tau for v in self.values]
+                         + [self._tail_power_sum(tau)])
 
     def excess_power_sum(self, tau: float) -> float:
         _check_exponent(tau)
         lead = self.values[0]
-        acc = CompensatedSum()
-        for v in self.values[1:]:
-            if v > 0.0:
-                acc.add((v / lead) ** tau)
-        acc.add(self._tail_power_sum(tau, lead))
-        return acc.value
+        return math.fsum([(v / lead) ** tau for v in self.values[1:]]
+                         + [self._tail_power_sum(tau, lead)])
 
     def entropy(self) -> float:
         lam_sum = self.trace()
-        acc = CompensatedSum()
-        for v in self.values:
-            if v > 0.0:
-                acc.add((v / lam_sum) * math.log(lam_sum / v))
-        return acc.value
+        return math.fsum((v / lam_sum) * math.log(lam_sum / v)
+                         for v in self.values if v > 0.0)
 
     def truncate(self, tol_rel: float) -> int:
         """The number of leading values to keep so that the omitted mass,

@@ -130,10 +130,6 @@ class ProductProblem:
                 ) from exc
         return total
 
-    def power_sum_d(self, tau: float) -> float:
-        lp = self.log_power_sum_d(tau)
-        return math.exp(lp) if lp < 709.0 else math.inf
-
     def log_leading(self) -> float:
         return math.fsum(math.log(c.leading()) for c in self.coordinates)
 

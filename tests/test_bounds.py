@@ -49,7 +49,8 @@ class TestChebyshev:
             tau = rng.uniform(0.6, 0.95)
             eps = rng.uniform(0.05, 0.9)
             got = bounds.chebyshev_bound(p, eps, tau=tau, z=tau)
-            ratio = p.power_sum_d(tau) / p.trace_d() ** tau
+            power_sum = math.prod(c.power_sum(tau) for c in p.coordinates)
+            ratio = power_sum / p.trace_d() ** tau
             want = ratio ** (1.0 / (1.0 - tau)) * eps ** (-2.0 * tau / (1.0 - tau))
             assert got == pytest.approx(want, rel=1e-12)
 
@@ -146,6 +147,17 @@ class TestSeriesHeuristic:
     def test_finite_support(self):
         assert bounds.series_converges(lambda k: 1.0 if k < 50 else 0.0)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_a_term_that_is_not_finite_shows_no_convergence(self, bad):
+        assert not bounds.series_converges(lambda k: bad if k == 5 else 1.0 / k)
+        assert not bounds.series_converges(lambda k: bad if k == 5 else k ** -2.0)
+        assert not bounds.series_converges(lambda k: bad if k == 100 else k ** -2.0)
+
+    def test_a_sum_past_the_largest_double_shows_no_convergence(self):
+        # within the octave k = 9..16, then across the first two octaves
+        assert not bounds.series_converges(lambda k: 1.0 if k <= 8 else 1e308)
+        assert not bounds.series_converges(lambda k: 1.5e307)
+
 
 class TestSptExponent:
     def test_fast_decay_reaches_small_exponent(self):
@@ -161,6 +173,17 @@ class TestSptExponent:
         def family(k):
             return KorobovSpectrum(0.5, 1.0)
 
+        ev = bounds.spt_exponent_bisect(family, k_max=20_000)
+        assert not ev.finite
+        assert ev.value == math.inf
+
+    @pytest.mark.parametrize("family", [
+        # r = 0.6 makes every excess power sum below tau = 1/(2r) diverge
+        lambda k: KorobovSpectrum(0.5, 2.0 if k == 1 else 0.6),
+        # a declared tail has no power sum below tau = 1
+        lambda k: ExplicitSpectrum((1.0, 0.5), tail=0.0 if k == 1 else 0.25),
+    ], ids=["korobov", "explicit_tail"])
+    def test_divergent_coordinates_past_the_first_never_converge(self, family):
         ev = bounds.spt_exponent_bisect(family, k_max=20_000)
         assert not ev.finite
         assert ev.value == math.inf
@@ -242,6 +265,19 @@ class TestPtLogCriterion:
         ev = bounds.pt_log_criterion(family, tau=0.9, d_max=500)
         assert ev.extra["linear"] >= ev.value
         assert ev.extra["sup_coordinate"] >= 1.0
+
+    def test_maxima_of_fsum_prefix_sums(self):
+        # e_k grows with k, so the maxima come late, where a plain running
+        # sum of either series has drifted off the fsum by an ulp
+        family = [ExplicitSpectrum((1.0,) + (0.6,) * k) for k in range(1, 31)]
+        ev = bounds.pt_log_criterion(lambda k: family[k - 1], tau=0.9, d_max=30)
+        e = [s.excess_power_sum(0.9) for s in family]
+        logs = [math.log1p(x) for x in e]
+        ln = [max(1.0, math.log(k)) for k in range(1, 31)]
+        assert ev.value == max(math.fsum(logs[:k]) / ln[k - 1]
+                               for k in range(1, 31))
+        assert ev.extra["linear"] == max(math.fsum(e[:k]) / ln[k - 1]
+                                         for k in range(1, 31))
 
 
 class TestWeakTheta:

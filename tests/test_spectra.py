@@ -142,30 +142,49 @@ class TestExplicit:
         with pytest.raises(DomainError):
             ExplicitSpectrum((1.0, 0.5), tail=tail)
 
+    def test_rejects_a_trace_past_the_largest_double(self):
+        with pytest.raises(DomainError, match="trace overflows"):
+            ExplicitSpectrum((1e308, 1e308))
+        with pytest.raises(DomainError, match="trace overflows"):
+            ExplicitSpectrum((1e308,), tail=1e308)
+
     def test_trace_includes_tail(self):
         spec = ExplicitSpectrum((1.0, 0.5), tail=0.25)
         assert spec.trace() == 1.75
 
     def test_trace_is_summed_once(self, monkeypatch):
         import pickle
+        from types import SimpleNamespace
 
         from tractlab import spectra
 
         values, tail = (1.0, 1e-16, 1e-16), 0.125  # a plain sum drops the 1e-16s
-        real, calls = spectra.comp_sum, []
-        monkeypatch.setattr(spectra, "comp_sum",
-                            lambda v: calls.append(v) or real(v))
+        calls = []
+
+        def fsum(terms):
+            calls.append(terms)
+            return math.fsum(terms)
+
+        # spectra's own name for math, so the global module stays untouched
+        monkeypatch.setattr(spectra, "math",
+                            SimpleNamespace(**{**vars(math), "fsum": fsum}))
         spec = ExplicitSpectrum(values, tail)
-        made = len(calls)
-        want = real(values) + tail
+        assert len(calls) == 1
+        want = math.fsum(values + (tail,))
         assert want != sum(values) + tail
         assert spec.trace() == spec.trace() == want
-        assert len(calls) == made
+        assert len(calls) == 1
         twin = ExplicitSpectrum(list(values), tail)
         assert twin == spec and hash(twin) == hash(spec)
         assert repr(spec) == f"ExplicitSpectrum(values={values!r}, tail={tail!r})"
         copy = pickle.loads(pickle.dumps(spec))
         assert copy == spec and copy.trace() == want
+
+    def test_trace_with_tail_rounds_once(self):
+        # the values alone round to 1, and then 1 + 2^-53 ties back to 1;
+        # the exact sum 1 + 2^-52 is a double
+        spec = ExplicitSpectrum((1.0, 2.0 ** -53), tail=2.0 ** -53)
+        assert spec.trace() == 1.0 + 2.0 ** -52
 
     def test_declared_tail_bounds_power_sums(self):
         # the omitted mass 0.25 is spread over values of at most 0.5
