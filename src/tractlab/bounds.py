@@ -10,10 +10,10 @@ diagnostic, never a fabricated limit.
 A "family" argument is either a ProductProblem (its coordinates are
 used) or a callable k -> spectrum for k = 1, 2, ...
 
-One public call evaluates each distinct zeta argument once (every public
-function runs in a ``zeta_scope``) and asks the family for each
-coordinate once, however many dimensions or exponents it walks; nothing
-survives the call.
+One public call asks the family for each coordinate once, however many
+dimensions or exponents it walks, and keeps no coordinate past the call;
+the closed forms' zeta values come from zeta's bounded memo, so a
+distinct argument is evaluated once across calls while it stays in it.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .errors import DivergenceError, DomainError
 from .numutil import RunningSum, ln_plus
 from .spectra import Spectrum
 from .tensor import ProductProblem
-from .zeta import zeta_scope
 
 Family = Union[ProductProblem, Callable[[int], Spectrum]]
 
@@ -175,7 +174,6 @@ def _max_over_d(
     )
 
 
-@zeta_scope()
 def chebyshev_bound(
     problem: ProductProblem, eps: float, tau: float, z: float
 ) -> float:
@@ -198,7 +196,6 @@ def chebyshev_bound(
     return _exp(log_val)
 
 
-@zeta_scope()
 def poly_tract_ratio(problem: ProductProblem, q: float, tau: float) -> float:
     """(S_tau,d)^(1/tau) / S_1,d * d^(-q), the quantity whose supremum
     over d is the polynomial-tractability constant C_{q,tau}."""
@@ -212,7 +209,6 @@ def poly_tract_ratio(problem: ProductProblem, q: float, tau: float) -> float:
     return _exp(log_val)
 
 
-@zeta_scope()
 def poly_tract_constant(
     family: Family, q: float, tau: float, d_max: int
 ) -> BoundEvaluation:
@@ -233,7 +229,6 @@ def poly_tract_constant(
                        log_value, coords.depth(d_max))
 
 
-@zeta_scope()
 def series_converges(
     term: Callable[[int], float], k_max: int = 1_000_000
 ) -> bool:
@@ -275,7 +270,6 @@ def series_converges(
     return False
 
 
-@zeta_scope()
 def spt_exponent_bisect(
     family: Family,
     k_max: int = 1_000_000,
@@ -325,7 +319,6 @@ def spt_exponent_bisect(
     )
 
 
-@zeta_scope()
 def qpt_criterion(family: Family, delta: float, d_max: int) -> BoundEvaluation:
     """Finite-horizon M_delta: max over d <= d_max of
     prod_k S_{tau_d}(k) / S_1(k)^{tau_d} with tau_d = 1 - delta/ln_+ d."""
@@ -349,7 +342,6 @@ def qpt_criterion(family: Family, delta: float, d_max: int) -> BoundEvaluation:
     )
 
 
-@zeta_scope()
 def qpt_criterion_general(
     problems: Callable[[int], ProductProblem], delta: float, d_max: int
 ) -> BoundEvaluation:
@@ -371,7 +363,6 @@ def qpt_criterion_general(
     return _max_over_d("qpt_m_delta", BoundParams(delta=delta), log_value, d_max)
 
 
-@zeta_scope()
 def jensen_lower_bound(problem: ProductProblem, gamma: float) -> float:
     """exp(gamma * sum_k H_k), a lower bound for the normalized power sum
     sum_j (lambda_{d,j}/Lambda_d)^{1-gamma}; H_k is the entropy of the
@@ -382,7 +373,6 @@ def jensen_lower_bound(problem: ProductProblem, gamma: float) -> float:
     return _exp(log_val)
 
 
-@zeta_scope()
 def jensen_lhs(problem: ProductProblem, gamma: float) -> float:
     """The quantity Jensen bounds from below:
     sum_j lambda_{d,j}^{1-gamma} / Lambda_d^{1-gamma}."""
@@ -394,7 +384,6 @@ def jensen_lhs(problem: ProductProblem, gamma: float) -> float:
     return _exp(log_val)
 
 
-@zeta_scope()
 def entropy_sum(problem: ProductProblem) -> BoundEvaluation:
     """sum_k H_k and its ln_+ d normalization (the quantity whose
     boundedness over d is necessary for quasi-polynomial tractability)."""
@@ -409,7 +398,6 @@ def entropy_sum(problem: ProductProblem) -> BoundEvaluation:
     )
 
 
-@zeta_scope()
 def curse_lower_bound(problem: ProductProblem, eps: float) -> float:
     """(1 - eps^2) * trace_d / lambda_{d,1}: no algorithm using fewer
     functionals can reduce the initial error by the factor eps."""
@@ -418,7 +406,6 @@ def curse_lower_bound(problem: ProductProblem, eps: float) -> float:
     return _exp(log_val)
 
 
-@zeta_scope()
 def weak_tract_theta(family: Family, tau: float, d: int) -> float:
     """theta_d = d^{-1} sum_{k<=d} sum_{j>=2} b(k,j)^tau; weak
     tractability follows when theta_d -> 0 along d."""
@@ -427,10 +414,9 @@ def weak_tract_theta(family: Family, tau: float, d: int) -> float:
         raise DomainError(f"d must be positive, got {d}")
     coords = _Coordinates(family)
     return math.fsum(coords.power_sum(k, tau, excess=True)
-                     for k in range(1, coords.depth(d) + 1)) / d
+                     for k in range(1, d + 1)) / d
 
 
-@zeta_scope()
 def pt_log_criterion(family: Family, tau: float, d_max: int) -> BoundEvaluation:
     """The three polynomial-tractability diagnostics at exponent tau.
 

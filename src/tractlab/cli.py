@@ -37,7 +37,6 @@ from .errors import (
 )
 from .tensor import Budget, info_complexity
 from .verify import render_report, run_verify
-from .zeta import zeta_scope
 
 _COMPLEXITY_COLUMNS = (
     "d", "epsilon", "n", "certified", "n_low", "n_high",
@@ -136,13 +135,12 @@ def cmd_complexity(cfg: ExperimentConfig, jobs: int, fmt: str, out) -> int:
 def cmd_bounds(cfg: ExperimentConfig, fmt: str, out) -> int:
     requests = cfg.bounds or (("chebyshev", ()), ("curse", ()))
     rows = []
-    with zeta_scope():
-        for d in cfg.dims:
-            problem = cfg.build_problem(d)
-            for eps in cfg.epsilons:
-                for request in requests:
-                    rows.append({"d": d, "epsilon": eps, "bound": request[0],
-                                 **_bound_row(request, problem, d, eps)})
+    for d in cfg.dims:
+        problem = cfg.build_problem(d)
+        for eps in cfg.epsilons:
+            for request in requests:
+                rows.append({"d": d, "epsilon": eps, "bound": request[0],
+                             **_bound_row(request, problem, d, eps)})
     columns = ("d", "epsilon", "bound", "value", "status")
     _emit(rows, columns, fmt, out)
     return _exit_code(rows)
@@ -155,12 +153,11 @@ def cmd_sweep(cfg: ExperimentConfig, jobs: int, fmt: str, out) -> int:
     # the bound columns are evaluated first, so that a bad bound parameter
     # fails before the complexity grid runs
     values = {}
-    with zeta_scope():
-        for d in cfg.dims:
-            problem = cfg.build_problem(d)
-            for eps in cfg.epsilons:
-                values[d, eps] = [_bound_row(request, problem, d, eps)["value"]
-                                  for request in cfg.bounds]
+    for d in cfg.dims:
+        problem = cfg.build_problem(d)
+        for eps in cfg.epsilons:
+            values[d, eps] = [_bound_row(request, problem, d, eps)["value"]
+                              for request in cfg.bounds]
     rows = _map_tasks(_grid(cfg), jobs)
     for row in rows:
         row.update(zip(colnames, values[row["d"], row["epsilon"]]))

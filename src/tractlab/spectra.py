@@ -22,7 +22,7 @@ import numpy as np
 
 from ._descriptors import NUMBER, NUMBERS, read_kind
 from .errors import DivergenceError, DomainError
-from .zeta import scoped, zeta, zeta_log_weighted
+from .zeta import zeta, zeta_log_weighted
 
 # ln of the most pairs a Korobov truncation keeps; KorobovSpectrum.truncate
 # argues why no caller reads past it
@@ -70,7 +70,7 @@ class KorobovSpectrum:
         return 1.0
 
     def trace(self) -> float:
-        return 1.0 + 2.0 * self.g * scoped(zeta, 2.0 * self.r)
+        return 1.0 + 2.0 * self.g * zeta(2.0 * self.r)
 
     def tau_min(self) -> float:
         """Smallest exponent (exclusive) at which power_sum converges."""
@@ -83,7 +83,7 @@ class KorobovSpectrum:
                 f"power sum diverges at tau={tau} (needs tau > {self.tau_min()})",
                 tau_min=self.tau_min(),
             )
-        return 1.0 + 2.0 * self.g ** tau * scoped(zeta, 2.0 * self.r * tau)
+        return 1.0 + 2.0 * self.g ** tau * zeta(2.0 * self.r * tau)
 
     def excess_power_sum(self, tau: float) -> float:
         """sum_{j>=2} (eigenvalue(j)/eigenvalue(1))^tau."""
@@ -93,7 +93,7 @@ class KorobovSpectrum:
                 f"normalized power sum diverges at tau={tau}",
                 tau_min=self.tau_min(),
             )
-        return 2.0 * self.g ** tau * scoped(zeta, 2.0 * self.r * tau)
+        return 2.0 * self.g ** tau * zeta(2.0 * self.r * tau)
 
     def entropy(self) -> float:
         """Entropy of the trace-normalized spectrum: sum (l/L) ln(L/l) >= 0."""
@@ -101,8 +101,8 @@ class KorobovSpectrum:
         s2r = 2.0 * self.r
         # sum_j l_j ln l_j  (the leading eigenvalue 1 contributes 0)
         mass_log = 2.0 * self.g * (
-            math.log(self.g) * scoped(zeta, s2r)
-            - s2r * scoped(zeta_log_weighted, s2r)
+            math.log(self.g) * zeta(s2r)
+            - s2r * zeta_log_weighted(s2r)
         )
         return math.log(lam_sum) - mass_log / lam_sum
 

@@ -42,7 +42,6 @@ from .errors import (
     GridSizeError,
 )
 from .spectra import ExplicitSpectrum, Spectrum
-from .zeta import zeta_scope
 
 _DEFAULT_N_MAX = 10_000_000
 _DEFAULT_HEAP_BYTES = 2 << 30
@@ -362,7 +361,6 @@ class _Target:
             n_low=n_low, n_high=n)
 
 
-@zeta_scope()
 def info_complexity(problem: ProductProblem, epsilon: float,
                     budget: Optional[Budget] = None) -> ComplexityResult:
     """Exact n^avg(eps, d): minimal n with top-n sum >= (1 - eps^2) * trace.
@@ -379,8 +377,8 @@ def info_complexity(problem: ProductProblem, epsilon: float,
     threshold needs mass that only those tails hold, they may split into
     any number of values: BudgetExceededError, n_lower from a fold walk.
     ``pops`` counts heap pops plus, for the fold decision, the products at
-    or above its final lower level.  The call runs in one zeta_scope, so the
-    closed-form traces evaluate each distinct zeta(2r) once."""
+    or above its final lower level.  The closed-form traces take zeta(2r)
+    from zeta's bounded memo, so each distinct 2r is evaluated once."""
     target = _Target(problem, epsilon)
     if target.trivial:
         return target.trivial
@@ -948,7 +946,8 @@ class _BruteForceOracle:
     Each grid comes with _grid_bound, a double at or above its exact sum,
     from its columns' sums alone.  _Target.decide skips the scans that bound
     decides, so a grid that falls short of the threshold is proven short
-    without a scan over all of it.  A call runs in one zeta_scope.
+    without a scan over all of it.  The columns' closed forms take their
+    zeta values from zeta's bounded memo.
 
     certifiable() bounds the kept mass of every grid the oracle can build
     from its columns' closed forms, and so tells, without a grid, whether
@@ -978,7 +977,6 @@ class _BruteForceOracle:
             self._lengths = lengths
         return self._grid
 
-    @zeta_scope()
     def certifiable(self) -> bool:
         """False when no grid this oracle can build certifies an answer at
         any eps < 1, decided without building one; True when one may.
@@ -1042,7 +1040,6 @@ class _BruteForceOracle:
                 lo = mid
         return True
 
-    @zeta_scope()
     def __call__(self, epsilon: float) -> ComplexityResult:
         target = _Target(self.problem, epsilon)
         if target.trivial:

@@ -20,22 +20,18 @@ about 1e-15 relative for 1 < s <= 60 (measured against mpmath at 40
 digits: at most 5.6e-16 for zeta and 9.7e-16 for the log-weighted
 series).  Above s = 60 only the terms n = 1, 2, 3 are kept: 4^-s < 1e-36.
 
-``zeta_scope()`` is the per-call scope for these values.  While one is
-active, ``scoped(zeta, s)`` (and likewise for ``zeta_log_weighted``)
-evaluates each distinct s once and hands the same double out again; the
-spectra's closed forms go through it.  The bounds, ``info_complexity``,
-the brute-force oracle's calls and the CLI ``bounds`` and ``sweep``
-commands enter a scope per call, a nested entry shares the outer one, and
-the values are dropped when the outermost one exits, so nothing is kept
-from one call to the next.
+Both functions are pure and keep their last ``_MEMO_SIZE`` distinct
+arguments in an LRU memo (``functools.lru_cache``), so the spectra's
+closed forms, which every bound, criterion and engine call goes through,
+evaluate each distinct s once for as long as it stays among the recent
+ones, and hand out the same double as a fresh evaluation would.  An
+argument that raises DomainError stores nothing.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from contextlib import contextmanager
-from contextvars import ContextVar
-from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -45,8 +41,12 @@ from .errors import DomainError
 _N = 100
 _NS = np.arange(1.0, _N)  # 1, 2, ..., N - 1
 _LOG_NS = np.log(_NS)
+# Distinct arguments each function keeps: about 190 bytes an entry, so
+# 0.8 MB when full.
+_MEMO_SIZE = 4096
 
 
+@functools.lru_cache(maxsize=_MEMO_SIZE)
 def zeta(s: float) -> float:
     """Riemann zeta(s) = sum_{n>=1} n^-s for s > 1."""
     if not s > 1.0:  # NaN fails too
@@ -67,6 +67,7 @@ def zeta(s: float) -> float:
     return math.fsum(terms)
 
 
+@functools.lru_cache(maxsize=_MEMO_SIZE)
 def zeta_log_weighted(s: float) -> float:
     """sum_{n>=1} n^-s * ln(n) for s > 1 (equals -zeta'(s))."""
     if not s > 1.0:  # NaN fails too
@@ -89,35 +90,3 @@ def zeta_log_weighted(s: float) -> float:
     terms.append(integral + half - fprime / 12.0 + fppp / 720.0)
     return math.fsum(terms)
 
-
-# (function, s) -> value, for the outermost active zeta_scope only.
-_VALUES: ContextVar[Optional[dict]] = ContextVar("zeta_values", default=None)
-
-
-@contextmanager
-def zeta_scope() -> Iterator[None]:
-    """Share zeta values within the block; a nested entry reuses the
-    outer scope, and the outermost exit drops them, also on an error."""
-    if _VALUES.get() is not None:
-        yield
-        return
-    token = _VALUES.set({})
-    try:
-        yield
-    finally:
-        _VALUES.reset(token)
-
-
-def scoped(fn: Callable[[float], float], s: float) -> float:
-    """fn(s), evaluated once per distinct (fn, s) inside a zeta_scope.
-
-    An exception from fn propagates and stores nothing."""
-    values = _VALUES.get()
-    if values is None:
-        return fn(s)
-    key = (fn, s)
-    try:
-        return values[key]
-    except KeyError:
-        value = values[key] = fn(s)
-        return value

@@ -1,4 +1,3 @@
-import importlib
 import json
 import math
 import random
@@ -7,7 +6,6 @@ from pathlib import Path
 import pytest
 
 from tractlab import bounds
-from tractlab import spectra as spectra_mod
 from tractlab.classifier import (
     KorobovFamily,
     smoothness_family_from_config,
@@ -18,10 +16,7 @@ from tractlab.errors import DivergenceError, DomainError
 from tractlab.fixtures import uniform_block_problem
 from tractlab.spectra import ExplicitSpectrum, KorobovSpectrum
 from tractlab.tensor import ProductProblem, info_complexity
-from tractlab.zeta import zeta, zeta_scope
-
-# tractlab.zeta names the function; the module holds the scope's state
-zeta_mod = importlib.import_module("tractlab.zeta")
+from tractlab.zeta import zeta, zeta_log_weighted
 
 
 def korobov_problem(d, g=0.5, r=1.0):
@@ -291,6 +286,15 @@ class TestWeakTheta:
         ]
         assert thetas[0] > thetas[1] > thetas[2]
 
+    def test_dimension_past_the_problem_raises(self):
+        # d = 10 on 5 coordinates once summed 5 terms and divided by 10
+        p = korobov_problem(5)
+        one = KorobovSpectrum(0.5, 1.0).excess_power_sum(0.9)
+        assert bounds.weak_tract_theta(p, 0.9, 5) == pytest.approx(one, rel=1e-15)
+        for d in (6, 10):
+            with pytest.raises(DomainError, match="coordinate 6"):
+                bounds.weak_tract_theta(p, 0.9, d)
+
 
 class TestPolyTractConstant:
     def test_matches_pointwise_ratio_supremum(self):
@@ -331,14 +335,12 @@ TAUS = (0.35, 0.5, 0.65, 0.8, 0.95)
 
 
 @pytest.fixture
-def zeta_args(monkeypatch):
-    """Every zeta and log-weighted zeta evaluation the spectra ask for."""
-    args = []
-    for name in ("zeta", "zeta_log_weighted"):
-        fn = getattr(spectra_mod, name)
-        monkeypatch.setattr(spectra_mod, name,
-                            lambda s, fn=fn, name=name: args.append((name, s)) or fn(s))
-    return args
+def zeta_misses():
+    """Clears zeta's memos; returns a function giving their misses since,
+    that is the evaluations of zeta and of the log-weighted series."""
+    for fn in (zeta, zeta_log_weighted):
+        fn.cache_clear()
+    return lambda: (zeta.cache_info().misses, zeta_log_weighted.cache_info().misses)
 
 
 class TestPerCallScope:
@@ -361,30 +363,31 @@ class TestPerCallScope:
         }
         assert got == RECORDS[kind]
 
-    def test_spt_evaluates_each_tau_once(self, zeta_args):
+    def test_spt_evaluates_each_tau_once(self, zeta_misses):
         # constant r: one zeta argument per grid tau, not one per (tau, k)
         def family(k):
             return KorobovSpectrum(min(1.0, float(k) ** -3.0), 2.0)
 
         assert bounds.spt_exponent_bisect(family, k_max=4096, tau_grid=TAUS).finite
-        assert len(zeta_args) == len(set(zeta_args)) <= len(TAUS)
+        zetas, log_weighted = zeta_misses()
+        assert zetas <= len(TAUS) and log_weighted == 0
 
-    def test_weak_theta_evaluates_once_per_call(self, zeta_args):
+    def test_weak_theta_evaluates_once_per_call(self, zeta_misses):
         def family(k):
             return KorobovSpectrum(1.0 / k, 1.5)
 
         first = bounds.weak_tract_theta(family, 0.9, 400)
-        assert zeta_args == [("zeta", 2.0 * 1.5 * 0.9)]
-        # nothing survives the call: the next one evaluates again
+        assert zeta_misses() == (1, 0)
+        # the memo keeps the value for the next call, which evaluates nothing
+        assert bounds.weak_tract_theta(family, 0.9, 100) > first
         assert bounds.weak_tract_theta(family, 0.9, 400) == first
-        assert len(zeta_args) == 2
-        # a nested call shares the scope it runs in
-        with zeta_scope():
-            bounds.weak_tract_theta(family, 0.9, 400)
-            bounds.weak_tract_theta(family, 0.9, 100)
-        assert len(zeta_args) == 3
+        assert zeta_misses() == (1, 0)
+        # a memoized value is the double a fresh evaluation gives
+        s = 2.0 * 1.5 * 0.9
+        assert zeta(s) == zeta.__wrapped__(s)
+        assert zeta_log_weighted(s) == zeta_log_weighted.__wrapped__(s)
 
-    def test_cli_bounds_share_one_scope(self, zeta_args, tmp_path, capsys):
+    def test_cli_bounds_share_one_scope(self, zeta_misses, tmp_path, capsys):
         cfg = {
             "problem": {"kind": "korobov_family",
                         "weights": {"kind": "power", "rho": 2.0},
@@ -401,16 +404,32 @@ class TestPerCallScope:
         assert len(capsys.readouterr().out.splitlines()) == 2 + 3 * 2 * 8
         # zeta(2r), zeta at 2r tau for tau = 0.9 and 0.75, the log-weighted
         # series at 2r: each once over all dims, epsilons and bounds
-        assert len(zeta_args) == len(set(zeta_args)) == 4
+        assert zeta_misses() == (3, 1)
 
-    def test_no_scope_is_left_after_a_divergence(self, zeta_args):
+    def test_no_scope_is_left_after_a_divergence(self, zeta_misses):
         def family(k):
             return KorobovSpectrum(0.5, 1.0 if k < 3 else 0.6)
 
         with pytest.raises(DivergenceError):
             bounds.poly_tract_constant(family, q=1.0, tau=0.7, d_max=10)
-        assert zeta_mod._VALUES.get() is None
-        count = len(zeta_args)
+        # an argument that raises stores nothing
+        sizes = (zeta.cache_info().currsize, zeta_log_weighted.cache_info().currsize)
+        for fn in (zeta, zeta_log_weighted):
+            for s in (1.0, 0.5, float("nan")):
+                with pytest.raises(DomainError):
+                    fn(s)
+        assert sizes == (zeta.cache_info().currsize,
+                         zeta_log_weighted.cache_info().currsize)
+        count = zeta_misses()[0]
         bounds.weak_tract_theta(family, 0.9, 2)
         bounds.weak_tract_theta(family, 0.9, 2)
-        assert len(zeta_args) == count + 2
+        assert zeta_misses()[0] == count + 1
+
+    def test_memo_stays_bounded(self, zeta_misses):
+        maxsize = zeta.cache_parameters()["maxsize"]
+        for fn in (zeta, zeta_log_weighted):
+            for i in range(maxsize + 10):
+                fn(2.0 + i / 64.0)
+            info = fn.cache_info()
+            assert info.misses == maxsize + 10
+            assert info.currsize == maxsize

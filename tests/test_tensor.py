@@ -17,6 +17,7 @@ from tractlab.tensor import (
     top_eigenvalues,
 )
 from tractlab.verify import random_instance
+from tractlab.zeta import zeta
 
 
 def small_problem():
@@ -29,32 +30,27 @@ def small_problem():
 
 
 class TestZetaPerCall:
-    """A call evaluates each distinct zeta(2r) once, and keeps none."""
+    """A call evaluates each distinct zeta(2r) once; the memo keeps it."""
 
     @staticmethod
-    def counted(monkeypatch):
-        import tractlab.spectra as spectra
+    def evaluations(call):
+        """zeta evaluations, from a cleared memo, of call() and then
+        zeta(2): 1 exactly when call() evaluated zeta(2) and nothing else."""
+        zeta.cache_clear()
+        call()
+        zeta(2.0)
+        return zeta.cache_info().misses
 
-        calls, zeta = [], spectra.zeta
-        monkeypatch.setattr(spectra, "zeta", lambda s: calls.append(s) or zeta(s))
-        return calls
-
-    def test_engine(self, monkeypatch):
-        calls = self.counted(monkeypatch)
+    def test_engine(self):
         p = ProductProblem(tuple(KorobovSpectrum(k ** -3.0, 1.0) for k in range(1, 11)))
         for eps in (0.5, 0.1):  # a heap answer, a fold answer
-            calls.clear()
-            info_complexity(p, eps)
-            assert calls == [2.0]
+            assert self.evaluations(lambda: info_complexity(p, eps)) == 1
 
-    def test_oracle(self, monkeypatch):
-        calls = self.counted(monkeypatch)
+    def test_oracle(self):
         p = ProductProblem(tuple(KorobovSpectrum(k ** -3.0, 1.0) for k in range(1, 4)))
         oracle = _BruteForceOracle(p)
         for eps in (0.5, 0.1):
-            calls.clear()
-            oracle(eps)
-            assert calls == [2.0]
+            assert self.evaluations(lambda: oracle(eps)) == 1
 
 
 class TestInfoComplexity:
