@@ -9,14 +9,16 @@ Small answers come from a max-heap over multi-indices that enumerates
 product eigenvalues in non-increasing order, generating each index
 exactly once: from index z, coordinate i may be incremented only if every
 later coordinate still sits at index 1.  Values are handled as sums of
-logarithms so the ordering survives small products.  Every other answer
-comes from a level-set fold: two balanced sides, each every product above
-the floor of its coordinates, whose pairs it counts and sums above a value
-level without materializing them; it sorts only the boundary slice where
-the partial sum crosses the threshold.  Both engines are exact above their
-floors: they miss only the declared tails of explicit spectra.  One scan
-decides every crossing, on the heap's values, the fold's boundary slice
-and the oracle's grid alike.
+logarithms so the ordering survives small products.  The heap runs only
+where it may decide: when Cauchy-Schwarz, with the sum of squared products
+in closed form, puts the answer past its pop cap, it is skipped.  Every
+other answer comes from a level-set fold: two balanced sides, each every
+product above the floor of its coordinates, whose pairs it counts and sums
+above a value level without materializing them; it sorts only the boundary
+slice where the partial sum crosses the threshold.  Both engines are
+exact above their floors: they miss only the declared tails of explicit
+spectra.  One scan decides every crossing, on the heap's values, the
+fold's boundary slice and the oracle's grid alike.
 
 A result is *certified* when those tails plus a rounding allowance
 provably cannot move the integer answer.
@@ -371,14 +373,17 @@ def info_complexity(problem: ProductProblem, epsilon: float,
     bracketing interval [n_low, n_high] and report its larger end.
 
     The lazy heap runs once, for at most _HANDOFF_POPS pops, and a crossing
-    it finds is the answer.  Otherwise one fold walk from where the heap
-    stopped answers.  Both hold every product above their floors, so either
-    answer is certified against the declared tails alone.  When the
-    threshold needs mass that only those tails hold, they may split into
+    it finds is the answer.  It runs only where it may decide: when the
+    answer provably lies past its pops (_beyond_heap), it is skipped.
+    Otherwise one fold walk answers, from where the heap stopped or from the
+    level _beyond_heap proves.  Both hold every product above their floors,
+    so either answer is certified against the declared tails alone.  When
+    the threshold needs mass that only those tails hold, they may split into
     any number of values: BudgetExceededError, n_lower from a fold walk.
-    ``pops`` counts heap pops plus, for the fold decision, the products at
-    or above its final lower level.  The closed-form traces take zeta(2r)
-    from zeta's bounded memo, so each distinct 2r is evaluated once."""
+    ``pops`` counts heap pops (none when the heap is skipped) plus, for the
+    fold decision, the products at or above its final lower level.  The
+    closed forms take zeta(2r) and zeta(4r) from zeta's bounded memo, so
+    each distinct argument is evaluated once."""
     target = _Target(problem, epsilon)
     if target.trivial:
         return target.trivial
@@ -398,7 +403,10 @@ def info_complexity(problem: ProductProblem, epsilon: float,
                                   n_lower=n - 1 if crossed else n, pops=ranked)
     heap_left = min(_HANDOFF_POPS, budget.n_max, budget.heap_entries(d) // d)
     values, upper = np.ones(0 if spectra else 1), 1.0  # all single atoms: 1 is the trace
-    if spectra and heap_left:
+    skip = _beyond_heap(spectra, threshold, heap_left) if spectra else None
+    if skip is not None:
+        upper = skip
+    elif spectra and heap_left:
         values, upper = _heap_scan(spectra, target, heap_left)
     pops = len(values) if spectra else 0
     (crossed, n, partial, _prev), certified, short = target.decide(values, tails)
@@ -412,7 +420,44 @@ def info_complexity(problem: ProductProblem, epsilon: float,
 # Heap pops a call may spend before the fold takes over, sooner once the pops
 # left, each at most the last value, cannot reach the threshold.  The cap keeps
 # every small_answers point (<= 1,963 pops) on the heap; timings in CHANGES.md.
+# The heap runs only where it may decide: _beyond_heap skips it, and its pops,
+# for answers that Cauchy-Schwarz puts past the cap.
 _HANDOFF_POPS = 2048
+
+
+def _beyond_heap(spectra, threshold, heap_left):
+    """The level where the fold walk starts when no crossing lies within
+    heap_left pops, proven without a pop; else None.
+
+    The normalized products sum their squares to S2, the product over the
+    spectra of 1 + excess_power_sum(2) (a declared tail's bound included),
+    so by Cauchy-Schwarz any k of them sum to at most sqrt(k S2): with
+    heap_left S2 < threshold^2, even the top heap_left fall short.  A
+    margin of 2e-9 on that test allows for rounding (u = 2^-53):
+    * the heap's values are exp of sums of logs, not exact products.  A
+      value's log is its factors' table entries plus two roundings per
+      step along its fewer than heap_left ancestors.  An entry errs by u
+      times the logs it takes: two below 745 for an explicit value and
+      its leading one, under 4 * 64 for a Korobov one (1.8e-13); a step's
+      terms lie within the floor's [-64, 64] (1.4e-14).  So a value, and a
+      sum of them, is within 2048 * 1.94e-13 < 4e-10 of exact, 8e-10
+      once squared;
+    * each factor 1 + x of S2 is within 1e-15 x + 6u: zeta's error on a
+      Korobov x = 2 g^2 zeta(4r) < 3.3, and a few roundings (an explicit x
+      is an fsum of terms rounded thrice); the d - 1 products round once
+      each.  As ln(1 + x) > x / 4.3 for those x and ln S2 <= ln(trace) <=
+      690, S2 is within 7d u + 1e-15 * 4.3 * 690 < 7.8e-10 for d < 10^6.
+    Together 1.6e-9, and the test rounds thrice.  Then n > K = threshold^2
+    / S2, and S2 / threshold (or 1 if that is lower) is a valid start for
+    the walk: fewer than K <= n products lie above it, as each adds more
+    than (S2 / threshold)^2 to S2, and its first fold, at e^-1 of it,
+    holds at most e^2 K < 7.4 n products.  As S2 >= 1, a threshold^2
+    within the margin of heap_left decides without S2 (or zeta(4r))."""
+    room = threshold * threshold * (1.0 - 2e-9)
+    if room <= heap_left:
+        return None
+    s2 = math.prod(1.0 + c.excess_power_sum(2.0) for c in spectra)
+    return min(1.0, s2 / threshold) if heap_left * s2 < room else None
 
 
 def _heap_scan(spectra, target, pops_left):

@@ -178,25 +178,27 @@ class TestInfoComplexity:
         with pytest.raises(BudgetExceededError) as exc:
             info_complexity(p, 0.5, Budget(n_max=10**5))
         assert (exc.value.n_lower, exc.value.pops) == (100_001, 100_333)
-        # at r = 0.5 + 1e-6 the unclamped cut built a ten-million-bit length
+        # at r = 0.5 + 1e-6 the unclamped cut built a ten-million-bit length;
+        # Cauchy-Schwarz puts the answer past the heap, so no pop is counted
         near = ProductProblem((KorobovSpectrum(0.5, 0.5 + 1e-6),))
         with pytest.raises(BudgetExceededError) as exc:
             info_complexity(near, 0.5, Budget(n_max=10**5))
-        assert (exc.value.n_lower, exc.value.pops) == (100_001, 100_002)
+        assert (exc.value.n_lower, exc.value.pops) == (100_001, 100_001)
 
-    def test_large_answer_pays_the_heap_prefix_once(self, monkeypatch):
-        # one reduction, one heap prefix and one fold walk
+    def test_large_answer_skips_the_heap(self, monkeypatch):
+        # one reduction and one fold walk; Cauchy-Schwarz puts the answer
+        # past the heap's cap, so the heap never runs
         import tractlab.tensor as tensor_mod
 
         calls = []
-        for name in ("_reduced_spectra", "_fold_decide"):
+        for name in ("_reduced_spectra", "_heap_scan", "_fold_decide"):
             fn = getattr(tensor_mod, name)
             monkeypatch.setattr(tensor_mod, name, lambda *args, name=name, fn=fn: (
                 calls.append(name), fn(*args))[1])
         p = ProductProblem(tuple(KorobovSpectrum(0.5, 1.0) for _ in range(6)))
         res = info_complexity(p, 0.45)
         assert res.certified and res.n == 475_412
-        assert res.pops <= 1.2 * res.n + tensor_mod._HANDOFF_POPS
+        assert res.pops <= 1.2 * res.n
         assert calls == ["_reduced_spectra", "_fold_decide"]
 
     @pytest.mark.parametrize("eps", [0.3, 0.2])
@@ -382,7 +384,7 @@ class TestInfoComplexity:
         res = info_complexity(ProductProblem((KorobovSpectrum(0.5, 1.0),) * 8), 0.5,
                               budget=Budget(n_max=10**8))
         assert (res.n, res.certified, res.n_low, res.n_high, res.pops) == (
-            22_242_046, True, 22_242_046, 22_242_046, 23_093_027)
+            22_242_046, True, 22_242_046, 22_242_046, 23_093_025)
         assert max(sides[-1]) < 10**6
 
     def test_fold_is_exact_above_its_floor(self):
@@ -925,7 +927,8 @@ class TestRunFold:
     def test_a_memory_check_carries_a_proof(self):
         # a 64 MB budget (2^20 entries) stops the walk's folds short of the
         # answer, 109,973,931; the memory error carries the largest fold the
-        # walk proved short of the threshold as its n_lower
+        # walk proved short of the threshold as its n_lower, and as its pops
+        # the products of the fold that raised (the heap never ran)
         p = ProductProblem(tuple(KorobovSpectrum(0.9 - 0.1 * k, 0.6 + 0.05 * k)
                                  for k in range(3)))
         answer = info_complexity(p, 0.47, Budget(n_max=10**12))
@@ -933,7 +936,7 @@ class TestRunFold:
         with pytest.raises(BudgetExceededError) as exc_info:
             info_complexity(p, 0.47, Budget(n_max=10**12, heap_bytes=1 << 26))
         assert 0 < exc_info.value.n_lower < answer.n
-        assert exc_info.value.pops > exc_info.value.n_lower
+        assert (exc_info.value.n_lower, exc_info.value.pops) == (18_202_919, 18_202_919)
 
 
 class TestTopEigenvalues:
@@ -1214,6 +1217,173 @@ class TestHeapStop:
             assert len(top) == res.n
             assert res.partial_sum == math.fsum(top)
         assert not folds
+
+
+def _small_answers_points(seed):
+    """Points drawn as perfbench's small_answers draws them: half of d in
+    1..4 with Korobov or geometric explicit coordinates, half from the
+    power-weight family g_k = k^-rho, each with an eps in [0.45, 0.75]."""
+    rng = random.Random(seed)
+    for i in range(1000):
+        if i % 2 == 0:
+            coords = []
+            for _ in range(rng.randint(1, 4)):
+                if rng.random() < 0.5:
+                    coords.append(KorobovSpectrum(rng.uniform(0.05, 0.8),
+                                                  rng.uniform(1.0, 3.0)))
+                else:
+                    q = rng.uniform(0.2, 0.7)
+                    m = rng.randint(2, 30)
+                    coords.append(ExplicitSpectrum(tuple(q ** j for j in range(m))))
+        else:
+            rho, r = rng.uniform(2.0, 4.0), rng.uniform(1.0, 2.0)
+            coords = [KorobovSpectrum(k ** -rho, r)
+                      for k in range(1, rng.randint(5, 10) + 1)]
+        yield ProductProblem(tuple(coords)), rng.uniform(0.45, 0.75)
+
+
+class TestHeapSkip:
+    """Cauchy-Schwarz bounds any k products by sqrt(k S2), S2 the sum of
+    their squares; where that puts the answer past the heap's cap, the fold
+    walk starts at S2 / threshold with no heap pop, and every answer is the
+    one the heap path gives."""
+
+    @staticmethod
+    def skip_problems():
+        points = [(ProductProblem((KorobovSpectrum(0.5, 1.0),) * d), eps)
+                  for d in range(2, 9) for eps in (0.3, 0.4, 0.5, 0.6, 0.7)]
+        strong = ProductProblem(tuple(KorobovSpectrum(k**-3.0, 1.0)
+                                      for k in range(1, 21)))
+        points += [(strong, 0.5), (strong, 0.1)]
+        rng = random.Random(4)  # slowly decaying lists with declared tails
+        for _ in range(12):
+            coords = []
+            for _ in range(rng.randint(2, 3)):
+                q = rng.uniform(0.8, 0.98)
+                values = tuple(q ** j for j in range(rng.randint(20, 120)))
+                tail = rng.uniform(1e-7, 1e-3) * sum(values)
+                coords.append(ExplicitSpectrum(values, tail))
+            points.append((ProductProblem(tuple(coords)), rng.uniform(0.3, 0.7)))
+        return points
+
+    @staticmethod
+    def outcome(p, eps, budget):
+        try:
+            res = info_complexity(p, eps, budget)
+        except BudgetExceededError as exc:
+            return "raises", exc.n_lower
+        return res.n, res.certified, res.n_low, res.n_high
+
+    @pytest.mark.parametrize("heap_bytes", [Budget().heap_bytes, 1])
+    def test_answers_match_the_heap_path(self, monkeypatch, heap_bytes):
+        # with the skip switched off the heap runs first, as it did before
+        # the skip; a walk past n_max proves a lower bound that depends on
+        # its folds, so there only both must raise.  Wherever the skip
+        # fires, the answer lies past the heap's pops
+        import tractlab.tensor as tensor_mod
+
+        fired, beyond = [], tensor_mod._beyond_heap
+
+        def spy(spectra, threshold, heap_left):
+            level = beyond(spectra, threshold, heap_left)
+            fired.append(heap_left if level is not None else None)
+            return level
+
+        budget = Budget(n_max=10**7, heap_bytes=heap_bytes)
+        skips = 0
+        for p, eps in self.skip_problems():
+            fired.clear()
+            monkeypatch.setattr(tensor_mod, "_beyond_heap", spy)
+            got = self.outcome(p, eps, budget)
+            monkeypatch.setattr(tensor_mod, "_beyond_heap", lambda *args: None)
+            want = self.outcome(p, eps, budget)
+            if got[0] == "raises":
+                assert want[0] == "raises", (p, eps)
+            else:
+                assert got == want, (p, eps)
+            heap_left, = fired
+            if heap_left is not None:
+                skips += 1
+                n = got[1] if got[0] == "raises" else got[0]  # n, or n_lower < n
+                assert n > heap_left, (p, eps)
+        assert skips == (29 if heap_bytes == 1 else 18)
+
+    def test_top_sums_stay_within_the_bound(self):
+        # every top-k sum of a brute grid is at most sqrt(k S2), and a test
+        # that fires at k pops leaves the grid's top k short of its threshold
+        import itertools
+        from fractions import Fraction
+
+        import numpy as np
+        from tractlab.tensor import _beyond_heap
+
+        rng = random.Random(9)
+        for _ in range(30):
+            coords = []
+            for _ in range(rng.randint(1, 3)):
+                if rng.random() < 0.5:
+                    coords.append(KorobovSpectrum(rng.uniform(0.05, 1.0),
+                                                  rng.uniform(0.55, 2.0)))
+                else:
+                    values = sorted((rng.uniform(0.01, 5.0)
+                                     for _ in range(rng.randint(1, 40))), reverse=True)
+                    coords.append(ExplicitSpectrum(tuple(values),
+                                                   rng.choice((0.0, 1e-3, 0.5))))
+            grid = np.ones(1)
+            for c in coords:
+                grid = np.multiply.outer(grid, c.dense_values(1e-300, 41)).ravel()
+            top = np.sort(grid)[::-1]
+            s2 = math.prod(1.0 + c.excess_power_sum(2.0) for c in coords)
+            # each top-k math.fsum, from the exact running sum it rounds
+            exact = itertools.accumulate(map(Fraction, top[:3000].tolist()))
+            sums = [float(x) for x in exact]
+            for k, total in enumerate(sums, 1):
+                assert total <= math.sqrt(k * s2)
+            for k in {min(k, len(sums)) for k in (1, 2, 7, 100, 3000)}:
+                threshold = math.sqrt(k * s2 / (1.0 - 2e-9)) * (1.0 + 1e-15)
+                assert _beyond_heap(coords, threshold, k) == min(1.0, s2 / threshold)
+                assert sums[k - 1] < threshold
+                assert _beyond_heap(coords, 0.999 * math.sqrt(k * s2), k) is None
+
+    def test_square_sum_matches_high_precision(self):
+        mpmath = pytest.importorskip("mpmath")
+
+        rng = random.Random(10)
+        with mpmath.workdps(40):
+            for _ in range(40):
+                coords, exact = [], mpmath.mpf(1)
+                for _ in range(rng.randint(1, 8)):
+                    if rng.random() < 0.5:
+                        g, r = rng.uniform(1e-3, 1.0), rng.uniform(0.51, 4.0)
+                        coords.append(KorobovSpectrum(g, r))
+                        x = 2 * mpmath.mpf(g) ** 2 * mpmath.zeta(4 * mpmath.mpf(r))
+                    else:
+                        values = sorted((rng.uniform(0.01, 5.0)
+                                         for _ in range(rng.randint(1, 40))), reverse=True)
+                        tail = rng.choice((0.0, 1e-3, 0.5))
+                        coords.append(ExplicitSpectrum(tuple(values), tail))
+                        lead = mpmath.mpf(values[0])
+                        x = (mpmath.fsum((mpmath.mpf(v) / lead) ** 2 for v in values[1:])
+                             + mpmath.mpf(tail) * mpmath.mpf(values[-1]) / lead ** 2)
+                    exact *= 1 + x
+                s2 = math.prod(1.0 + c.excess_power_sum(2.0) for c in coords)
+                assert abs(s2 - exact) <= 1e-14 * exact
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_small_answers_stay_on_the_heap(self, monkeypatch, seed):
+        # perfbench's small_answers counts on the heap alone: every point
+        # shaped like them is decided within the heap's pops, so neither
+        # the skip nor the fold walk ever runs
+        import tractlab.tensor as tensor_mod
+
+        calls, beyond = [], tensor_mod._beyond_heap
+        monkeypatch.setattr(tensor_mod, "_fold_decide",
+                            lambda *args: calls.append("fold"))
+        monkeypatch.setattr(tensor_mod, "_beyond_heap", lambda *args: (
+            beyond(*args) is not None and calls.append("skip")) or None)
+        for p, eps in _small_answers_points(seed):
+            info_complexity(p, eps)
+        assert calls == []
 
 
 @st.composite
